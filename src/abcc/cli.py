@@ -169,6 +169,13 @@ def _resolve_rule(args, m: int, k: int, runner: Runner | None = None):
     return make_rule(kind, m, k)
 
 
+def _builtin_metric(name: str, m: int):
+    try:
+        return make_metric(name, m)
+    except ValueError as exc:
+        raise ProfileParseError(str(exc)) from None
+
+
 def _resolve_metric(args, m: int, runner: Runner | None = None):
     if getattr(args, "metric_file", None):
         if runner:
@@ -176,7 +183,7 @@ def _resolve_metric(args, m: int, runner: Runner | None = None):
         return load_metric_file(args.metric_file)
     if getattr(args, "metric", None) is None:
         raise ProfileParseError("no metric given (use --metric or --metric-file)")
-    return make_metric(args.metric, m)
+    return _builtin_metric(args.metric, m)
 
 
 def _resolve_model(args, runner: Runner | None = None):
@@ -236,17 +243,22 @@ def cmd_winners(args):
     return 0
 
 
-def cmd_check_metric(args):
-    runner = Runner(args)
-    universe = default_universe(args.m)
+def _resolve_metric_or_report(args, runner, universe):
+    """_resolve_metric that prints the rejection of a non-metric table as JSON."""
     try:
-        metric = _resolve_metric(args, args.m, runner)
+        return _resolve_metric(args, args.m, runner)
     except MetricAxiomError as exc:
         doc = {"is_metric": False, "reason": str(exc)}
         if exc.witness:
             doc["witness"] = [list(s.labels(universe)) for s in exc.witness]
         print(json.dumps(doc, sort_keys=True))
         raise
+
+
+def cmd_check_metric(args):
+    runner = Runner(args)
+    universe = default_universe(args.m)
+    metric = _resolve_metric_or_report(args, runner, universe)
     check = check_metric_axioms(metric)
     doc = {"is_metric": check.ok, "metric": metric.name, "m": metric.m}
     if not check.ok:
@@ -261,14 +273,7 @@ def cmd_check_metric(args):
 def cmd_taxonomy(args):
     runner = Runner(args)
     universe = default_universe(args.m)
-    try:
-        metric = _resolve_metric(args, args.m, runner)
-    except MetricAxiomError as exc:
-        doc = {"is_metric": False, "reason": str(exc)}
-        if exc.witness:
-            doc["witness"] = [list(s.labels(universe)) for s in exc.witness]
-        print(json.dumps(doc, sort_keys=True))
-        raise
+    metric = _resolve_metric_or_report(args, runner, universe)
     report = taxonomy_report(metric, args.k)
     doc = {"metric": report.metric_name, "m": report.m, "k": report.k}
     doc.update(report.flags())
@@ -347,8 +352,8 @@ def cmd_hierarchy(args):
         _resolve_rule(argparse.Namespace(rule=token, rule_file=None), args.m, args.k)
         for token in args.rules.split(",")
     ]
-    metrics = [make_metric(token, args.m) for token in args.metrics.split(",")]
-    report = hierarchy_report(rules, metrics, threads=args.threads)
+    metrics = [_builtin_metric(token, args.m) for token in args.metrics.split(",")]
+    report = hierarchy_report(rules, metrics)
     stem = f"hierarchy_m{args.m}k{args.k}"
     runner.write(stem + ".csv", hierarchy_to_csv(report))
     runner.write_json(stem + ".json", hierarchy_to_json(report))
@@ -417,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         p.add_argument("--out", default=".", help="output directory for result files")
         p.add_argument("--approx", action="store_true", help="decimal output instead of p/q")
-        p.add_argument("--threads", type=int, default=1, help="worker cap for parallel cells")
         return p
 
     p = add("score", cmd_score, help="exact score of a committee over a profile")

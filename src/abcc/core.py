@@ -216,11 +216,7 @@ def enumerate_committees(
 ) -> list[Committee]:
     """All C(m, k) size-k committees in ascending bitmask order."""
     m = universe.m
-    check_k(m, k)
-    count = comb(m, k)
-    if count > max_committees:
-        raise CapExceededError(f"C({m},{k})={count} exceeds committee cap {max_committees}")
-    masks = sorted(sum(1 << i for i in combo) for combo in combinations(range(m), k))
+    masks = committee_masks(m, k, max_committees)
     return [Committee(AlternativeSet(mask, m), k) for mask in masks]
 
 

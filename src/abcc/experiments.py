@@ -2,14 +2,13 @@
 cross-rule/metric hierarchy report.
 
 Sampling is the only place randomness enters; every rate is an exact
-count fraction, every winner determination exact-rational, so identical
-seeds reproduce outputs bit for bit.
+count fraction, every winner determination exact (integer-scaled scores),
+so identical seeds reproduce outputs bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -28,25 +27,13 @@ from .errors import InvalidNoiseParamError, PreconditionError
 from .metrics import DistanceMetric, TaxonomyReport, taxonomy_report
 from .noise import NoiseModel, sample_vote_masks
 from .oracle import RobustnessVerdict, robustness_verdict
-from .rules import AbccRule, has_top_jump, is_nontrivial, make_rule, score_from_counts, winners
+from .rules import AbccRule, argmax_committees, has_top_jump, is_nontrivial, make_rule, winners
 
 
 class TrialRates(NamedTuple):
     recovery: Fraction
     tie: Fraction
     wrong: Fraction
-
-
-def _winner_masks_from_counts(rule, masks, counts):
-    best = None
-    best_masks = []
-    for cmask in masks:
-        total = score_from_counts(rule, cmask, counts)
-        if best is None or total > best:
-            best, best_masks = total, [cmask]
-        elif total == best:
-            best_masks.append(cmask)
-    return best_masks
 
 
 def accuracy_trial(
@@ -72,7 +59,7 @@ def accuracy_trial(
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         counts = Counter(sample_vote_masks(model, n, rng))
-        winner_masks = _winner_masks_from_counts(rule, masks, counts)
+        winner_masks = argmax_committees(rule, counts, masks)
         if winner_masks == [gmask]:
             recovered += 1
         elif gmask in winner_masks:
@@ -205,28 +192,18 @@ class HierarchyReport:
     metric_taxonomy: dict  # metric_name -> TaxonomyReport
 
 
-def hierarchy_report(
-    rules: list[AbccRule],
-    metrics: list[DistanceMetric],
-    threads: int = 1,
-) -> HierarchyReport:
+def hierarchy_report(rules: list[AbccRule], metrics: list[DistanceMetric]) -> HierarchyReport:
     """Verdict matrix over rule x metric, annotated with rule predicates
-    and metric taxonomy flags. Cells are independent; `threads` caps the
-    worker pool, and results merge in a fixed order either way."""
+    and metric taxonomy flags."""
     if not rules or not metrics:
         raise PreconditionError("need at least one rule and one metric")
     m, k = rules[0].m, rules[0].k
     if any(r.m != m or r.k != k for r in rules) or any(d.m != m for d in metrics):
         raise PreconditionError("all rules and metrics must share the same (m, k)")
-    cells = [(rule, metric) for rule in rules for metric in metrics]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: robustness_verdict(*c), cells))
-    else:
-        results = [robustness_verdict(rule, metric) for rule, metric in cells]
     verdicts = {
-        (rule.name, metric.name): verdict
-        for (rule, metric), verdict in zip(cells, results)
+        (rule.name, metric.name): robustness_verdict(rule, metric)
+        for rule in rules
+        for metric in metrics
     }
     predicates = {}
     for rule in rules:

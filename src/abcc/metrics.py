@@ -582,11 +582,11 @@ def metric_to_json(metric: DistanceMetric, universe: Universe | None = None) -> 
 
 
 def metric_from_json(doc: dict) -> DistanceMetric:
-    kind = doc.get("kind", "custom")
-    if kind != "custom":
-        return make_metric(kind, int(doc["m"]))
     try:
+        kind = doc.get("kind", "custom")
         m = int(doc["m"])
+        if kind != "custom":
+            return make_metric(kind, m)
         names = doc.get("alternatives")
         universe = Universe(tuple(names)) if names else default_universe(m)
         if universe.m != m:
@@ -596,7 +596,7 @@ def metric_from_json(doc: dict) -> DistanceMetric:
             x = universe.set_of(row["x"]).mask
             y = universe.set_of(row["y"]).mask
             table[(x, y)] = parse_frac(str(row["d"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ProfileParseError(f"bad metric file: {exc}") from None
     return make_metric("custom", m, table=table, name=doc.get("name", "custom"))
 

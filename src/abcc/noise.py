@@ -45,7 +45,7 @@ from .metrics import (
     metric_to_json,
     neighborhood_count,
 )
-from .rules import AbccRule, make_rule
+from .rules import AbccRule, expected_scores, make_rule
 
 RNG_SCHEME = "numpy-pcg64; per-trial streams via SeedSequence(seed).spawn"
 
@@ -224,17 +224,9 @@ def sample_profile(model: NoiseModel, n: int, seed) -> Profile:
 # Adversarial constructions.
 
 def _direct_gap(rule: AbccRule, model: NoiseModel, umask: int, vmask: int) -> Fraction:
-    # plain 2^m summation, kept local so constructions don't depend on oracle
-    total = Fraction(0)
-    table = model.prob_table()
-    for s in range(1 << model.m):
-        y = s.bit_count()
-        gap = rule.table[((umask & s).bit_count(), y)] - rule.table[
-            ((vmask & s).bit_count(), y)
-        ]
-        if gap:
-            total += gap * table[s]
-    return total
+    # computed here, not through the oracle, so constructions don't depend on it
+    ours, theirs = expected_scores(rule, model.prob_table(), [umask, vmask])
+    return ours - theirs
 
 
 @dataclass(frozen=True)
@@ -431,7 +423,7 @@ def model_from_json(doc: dict, m: int | None = None) -> NoiseModel:
             )
             probs = [parse_frac(str(q)) for q in doc["probs"]]
             return make_level_model(metric, ground, probs, universe)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ProfileParseError(f"bad model file: {exc}") from None
     raise ProfileParseError(f"unknown model type {doc.get('type')!r}")
 

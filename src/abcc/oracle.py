@@ -39,7 +39,7 @@ from .core import (
 from .errors import NotAccurateError, PreconditionError, SizeMismatchError
 from .metrics import DistanceMetric, LevelStructure, level_structure
 from .noise import NoiseModel, make_level_model
-from .rules import AbccRule
+from .rules import AbccRule, expected_scores, group_score_sums, integer_table, scores_differ
 
 ACCURATE = "accurate_in_limit"
 NOT_ACCURATE = "not_accurate"
@@ -56,23 +56,8 @@ def expected_gap(rule: AbccRule, model: NoiseModel, ground: Committee, rival: Co
         raise PreconditionError("model ground truth differs from the given committee")
     if rival.k != rule.k or rival.m != rule.m or ground.k != rule.k:
         raise PreconditionError("committees do not match the rule's (m, k)")
-    table = model.prob_table()
-    gap, _ = _weighted_gap(rule, table, ground.mask, rival.mask)
-    return gap
-
-
-def _weighted_gap(rule, prob_table, umask, vmask):
-    total = Fraction(0)
-    support_nonzero = False
-    for s, prob in enumerate(prob_table):
-        y = s.bit_count()
-        g = rule.table[((umask & s).bit_count(), y)] - rule.table[
-            ((vmask & s).bit_count(), y)
-        ]
-        if g and prob:
-            total += g * prob
-            support_nonzero = True
-    return total, support_nonzero
+    ours, theirs = expected_scores(rule, model.prob_table(), [ground.mask, rival.mask])
+    return ours - theirs
 
 
 @dataclass(frozen=True)
@@ -99,14 +84,19 @@ def accuracy_classify(
     """
     ground = model.ground
     table = model.prob_table()
+    masks = committee_masks(rule.m, rule.k, max_committees)
+    if ground.mask not in masks:
+        raise PreconditionError("model ground truth does not match the rule's (m, k)")
+    scores = dict(zip(masks, expected_scores(rule, table, masks)))
+    support = [s for s, prob in enumerate(table) if prob]
     gaps: dict[Committee, Fraction] = {}
     rival_status: dict[Committee, str] = {}
     status = ACCURATE
-    for cmask in committee_masks(rule.m, rule.k, max_committees):
+    for cmask in masks:
         if cmask == ground.mask:
             continue
         rival = Committee(AlternativeSet(cmask, rule.m), rule.k)
-        gap, support_nonzero = _weighted_gap(rule, table, ground.mask, cmask)
+        gap = scores[ground.mask] - scores[cmask]
         gaps[rival] = gap
         if gap > 0:
             rival_status[rival] = "positive"
@@ -114,7 +104,8 @@ def accuracy_classify(
             rival_status[rival] = "negative"
             status = NOT_ACCURATE
         else:
-            rival_status[rival] = "zero_mean" if support_nonzero else "zero_tie"
+            differ = scores_differ(rule, ground.mask, cmask, support)
+            rival_status[rival] = "zero_mean" if differ else "zero_tie"
             status = NOT_ACCURATE
     return AccuracyReport(status, ground, gaps, rival_status)
 
@@ -193,15 +184,17 @@ class GapAnalysis:
         )
 
 
-def _level_coefficients(rule, levels, umask, vmask):
-    coeffs = [Fraction(0)] * (levels.spn + 1)
-    table = rule.table
-    for s, lev in enumerate(levels.level_of):
-        y = s.bit_count()
-        g = table[((umask & s).bit_count(), y)] - table[((vmask & s).bit_count(), y)]
-        if g:
-            coeffs[lev] += g
-    return coeffs
+def _level_gaps(rule, levels, rivals):
+    """Level gap coefficients c_t of the ground against each rival, one row
+    per rival, and their prefix sums E_j, both as integers over `scale`."""
+    table, scale = integer_table(rule, 1 << rule.m)
+    sums = group_score_sums(table, rule.m, [levels.ground.mask, *rivals], levels.level_of)
+    coeffs = sums[0] - sums[1:]
+    return coeffs, np.cumsum(coeffs, axis=1), scale
+
+
+def _fractions(row, scale) -> tuple[Fraction, ...]:
+    return tuple(Fraction(int(v), scale) for v in row)
 
 
 def gap_analysis(
@@ -218,13 +211,10 @@ def gap_analysis(
     an internal bug, not a property of the inputs.
     """
     levels = level_structure(metric, ground, max_m)
-    coeffs = _level_coefficients(rule, levels, ground.mask, rival.mask)
-    prefix, acc = [], Fraction(0)
-    for c in coeffs:
-        acc += c
-        prefix.append(acc)
+    coeffs, prefix, scale = _level_gaps(rule, levels, [rival.mask])
     analysis = GapAnalysis(
-        rule.name, metric.name, ground, rival, levels, tuple(coeffs), tuple(prefix)
+        rule.name, metric.name, ground, rival, levels,
+        _fractions(coeffs[0], scale), _fractions(prefix[0], scale),
     )
     probs = _random_strict_probs(levels, np.random.default_rng(271828))
     direct = analysis.gap_for_level_probs(probs)
@@ -303,32 +293,29 @@ def robustness_verdict(
     m, k = rule.m, rule.k
     masks = committee_masks(m, k, max_committees)
     summaries = []
-    first_negative = None  # (umask, vmask, j, levels, coeffs, prefix)
-    first_degenerate = None
+    first_negative = None  # (ground, rival, j, levels, coeffs)
+    first_degenerate = None  # (ground, rival, levels)
     for umask in masks:
         ground = Committee(AlternativeSet(umask, m), k)
         levels = level_structure(metric, ground, max_m)
-        s = levels.spn
-        for vmask in masks:
+        coeffs, prefix, scale = _level_gaps(rule, levels, masks)
+        lowest = prefix.min(axis=1)
+        positive = (prefix[:, : levels.spn] > 0).any(axis=1)
+        for i, vmask in enumerate(masks):
             if vmask == umask:
                 continue
-            coeffs = _level_coefficients(rule, levels, umask, vmask)
-            prefix, acc = [], Fraction(0)
-            for c in coeffs:
-                acc += c
-                prefix.append(acc)
             rival = Committee(AlternativeSet(vmask, m), k)
-            min_prefix = min(prefix)
-            positive_below_last = any(e > 0 for e in prefix[:s])
+            min_prefix = Fraction(int(lowest[i]), scale)
+            positive_below_last = bool(positive[i])
             degenerate = min_prefix >= 0 and not positive_below_last
             summaries.append(
                 PairSummary(ground, rival, min_prefix, positive_below_last, degenerate)
             )
             if min_prefix < 0 and first_negative is None:
-                j = next(i for i, e in enumerate(prefix) if e < 0)
-                first_negative = (ground, rival, j, levels, coeffs)
+                j = next(t for t, e in enumerate(prefix[i]) if e < 0)
+                first_negative = (ground, rival, j, levels, _fractions(coeffs[i], scale))
             elif degenerate and first_degenerate is None:
-                first_degenerate = (ground, rival, levels, coeffs)
+                first_degenerate = (ground, rival, levels)
 
     if first_negative is not None:
         ground, rival, j, levels, coeffs = first_negative
@@ -336,15 +323,11 @@ def robustness_verdict(
         witness = NotRobustWitness(ground, rival, j, model, gap)
         status = NOT_ROBUST
     elif first_degenerate is not None:
-        ground, rival, levels, coeffs = first_degenerate
+        ground, rival, levels = first_degenerate
         model = _zero_tail_model(metric, ground, levels)
         # whether the per-vote gap variable itself vanishes everywhere
         # (permanent tie) or only its level aggregates cancel (zero mean)
-        identically_zero = not any(
-            rule.table[((ground.mask & s).bit_count(), s.bit_count())]
-            != rule.table[((rival.mask & s).bit_count(), s.bit_count())]
-            for s in range(1 << m)
-        )
+        identically_zero = not scores_differ(rule, ground.mask, rival.mask, range(1 << m))
         witness = DegenerateWitness(ground, rival, model, identically_zero)
         status = DEGENERATE_NOT_ROBUST
     else:

@@ -4,29 +4,33 @@ A rule is a table of exact rational scores f(x, y) over the feasible
 pair domain, where a committee earns f(|U ∩ S|, |S|) from each vote S.
 All scores are Fractions; winner determination never touches floats,
 because downstream robustness verdicts hinge on strict sign comparisons.
+Sweeps over many votes run on the table scaled to exact integers.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .core import (
     DEFAULT_MAX_COMMITTEES,
+    DEFAULT_MAX_M,
     AlternativeSet,
     Committee,
     Profile,
     committee_masks,
-    enumerate_subsets,
     feasible_pairs,
     frac_str,
     parse_frac,
-    default_universe,
 )
-from .errors import DomainMismatchError, InvalidRuleError, ProfileParseError
+from .errors import CapExceededError, DomainMismatchError, InvalidRuleError, ProfileParseError
 
 RULE_KINDS = (
     "av",
@@ -188,13 +192,131 @@ def profile_score(rule: AbccRule, committee: Committee, profile: Profile) -> Sco
     return ScoreBreakdown(committee, sum(per_vote, Fraction(0)), per_vote)
 
 
-def score_from_counts(rule: AbccRule, committee_mask: int, counts: Counter) -> Fraction:
-    """Score from a {vote mask: multiplicity} tally. Fast path for winners."""
-    total = Fraction(0)
-    for mask, mult in counts.items():
-        x = (committee_mask & mask).bit_count()
-        total += rule.table[(x, mask.bit_count())] * mult
-    return total
+# ---------------------------------------------------------------------------
+# The exact integer kernel. Every sweep over votes (winner determination,
+# expected scores, level gap coefficients, separating votes) scores a
+# block of committees against a block of votes in one numpy expression on
+# the rule table scaled to integers, so no decision touches a float.
+
+BLOCK_CELLS = 1 << 15  # committee x vote cells per temporary block
+_INT64_LIMIT = 1 << 62
+_WORD = 16
+
+
+def integer_table(rule: AbccRule, terms: int) -> tuple[np.ndarray, int]:
+    """The rule's scores scaled to exact integers: T[x, y] = scale * f(x, y).
+
+    `scale` is the lcm of the table's denominators; cells outside the
+    feasible domain hold 0. T is int64 when max|T| * terms < 2^62, so that
+    any sum of `terms` entries, and the difference of two such sums, stays
+    exact; otherwise T holds Python ints (dtype object) and the same numpy
+    code runs in arbitrary precision.
+    """
+    scale = math.lcm(*(v.denominator for v in rule.table.values()))
+    ints = {xy: v.numerator * (scale // v.denominator) for xy, v in rule.table.items()}
+    fits = max(ints.values()) * max(terms, 1) < _INT64_LIMIT
+    table = np.zeros((rule.k + 1, rule.m + 1), dtype=np.int64 if fits else object)
+    for (x, y), value in ints.items():
+        table[x, y] = value
+    return table, scale
+
+
+@functools.cache
+def _popcount16() -> np.ndarray:
+    bits = np.unpackbits(np.arange(1 << _WORD, dtype=">u2").view(np.uint8))
+    lut = bits.reshape(-1, _WORD).sum(axis=1, dtype=np.uint8)
+    lut.setflags(write=False)
+    return lut
+
+
+def _words(masks, m: int) -> np.ndarray:
+    """The masks' 16-bit words, shape (ceil(m / 16), len(masks)).
+
+    Masks wider than 62 bits stay Python ints until they are split.
+    """
+    arr = np.asarray(masks, dtype=np.int64 if m <= 62 else object)
+    return np.array(
+        [(arr >> shift) & 0xFFFF for shift in range(0, max(m, 1), _WORD)], dtype=np.int64
+    )
+
+
+def score_blocks(table: np.ndarray, m: int, cmasks, vmasks):
+    """Yield (votes, S) with S[i, j] = table[|C_i ∩ V_j|, |V_j|].
+
+    `votes` is the slice of `vmasks` that the block covers; every block
+    holds all committees and as many votes as keep it within BLOCK_CELLS
+    cells (at least one vote).
+    """
+    lut = _popcount16()
+    cwords = _words(cmasks, m)
+    step = max(1, BLOCK_CELLS // max(len(cmasks), 1))
+    for lo in range(0, len(vmasks), step):
+        votes = slice(lo, min(lo + step, len(vmasks)))
+        vwords = _words(vmasks[votes], m)
+        overlap = sum(lut[c[:, None] & v] for c, v in zip(cwords, vwords))
+        size = sum(lut[v] for v in vwords)
+        yield votes, table[overlap, size]
+
+
+def argmax_committees(rule: AbccRule, counts, cmasks) -> list[int]:
+    """Committee masks of maximum total score over a {vote mask: count} tally.
+
+    Totals are a product of the per-vote score blocks with the
+    multiplicities of the distinct votes. Returned in the order of
+    `cmasks`; an empty tally makes every committee tie at zero.
+    """
+    votes = list(counts)
+    mult = list(counts.values())
+    table, _ = integer_table(rule, sum(mult))
+    mult = np.array(mult, dtype=table.dtype)
+    totals = np.zeros(len(cmasks), dtype=table.dtype)
+    for block, scores in score_blocks(table, rule.m, cmasks, votes):
+        totals += scores @ mult[block]
+    return [cmasks[i] for i in np.flatnonzero(totals == totals.max())]
+
+
+def group_score_sums(table: np.ndarray, m: int, cmasks, groups) -> np.ndarray:
+    """sums[i, g] = sum of table[|C_i ∩ S|, |S|] over the votes S in group g.
+
+    `groups[S]` labels every one of the 2^m votes with a group in
+    0..G-1, each group non-empty. Votes are swept sorted by group, so a
+    group is a run of columns that np.add.reduceat folds.
+    """
+    groups = np.asarray(groups)
+    order = np.argsort(groups, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(groups))[:-1]))
+    sums = np.zeros((len(cmasks), len(starts)), dtype=table.dtype)
+    for block, scores in score_blocks(table, m, cmasks, order):
+        first = np.searchsorted(starts, block.start, side="right") - 1
+        stop = np.searchsorted(starts, block.stop, side="left")
+        cuts = np.maximum(starts[first:stop], block.start) - block.start
+        sums[:, first:stop] += np.add.reduceat(scores, cuts, axis=1)
+    return sums
+
+
+def expected_scores(rule: AbccRule, probs, cmasks) -> list[Fraction]:
+    """Exact E[f(|C ∩ S|, |S|)] per committee when vote S has probability probs[S].
+
+    `probs` lists all 2^m vote probabilities by mask. Votes are grouped by
+    distinct probability, so the only rational arithmetic is one integer
+    dot product per committee over those groups.
+    """
+    values = sorted(set(probs))
+    index = {q: g for g, q in enumerate(values)}
+    table, scale = integer_table(rule, len(probs))
+    sums = group_score_sums(table, rule.m, cmasks, [index[q] for q in probs])
+    den = math.lcm(*(q.denominator for q in values))
+    weights = np.array([q.numerator * (den // q.denominator) for q in values], dtype=object)
+    return [Fraction(int(total), den * scale) for total in sums.astype(object) @ weights]
+
+
+def scores_differ(rule: AbccRule, umask: int, vmask: int, vmasks) -> bool:
+    """Whether some vote among `vmasks` gives the two committees different scores."""
+    table, _ = integer_table(rule, 1)
+    return any(
+        (scores[0] != scores[1]).any()
+        for _, scores in score_blocks(table, rule.m, [umask, vmask], vmasks)
+    )
 
 
 def winners(
@@ -209,44 +331,36 @@ def winners(
         if vote.m != rule.m:
             raise DomainMismatchError(f"vote universe size {vote.m} != rule m {rule.m}")
     counts = Counter(v.mask for v in profile)
-    best: Fraction | None = None
-    best_masks: list[int] = []
-    for cmask in committee_masks(rule.m, rule.k, max_committees):
-        total = score_from_counts(rule, cmask, counts)
-        if best is None or total > best:
-            best = total
-            best_masks = [cmask]
-        elif total == best:
-            best_masks.append(cmask)
-    return [Committee(AlternativeSet(mask, rule.m), rule.k) for mask in best_masks]
+    best = argmax_committees(rule, counts, committee_masks(rule.m, rule.k, max_committees))
+    return [Committee(AlternativeSet(mask, rule.m), rule.k) for mask in best]
 
 
 def is_nontrivial(rule: AbccRule) -> NontrivialityResult:
     """Whether every ordered committee pair (U, V) has a separating vote.
 
     True iff for every pair of distinct k-committees there exists a vote S
-    with sc(U, S) > sc(V, S); on failure the violating pair is returned.
+    with sc(U, S) > sc(V, S); on failure the first violating pair in
+    ascending (U, V) mask order is returned.
     """
-    universe = default_universe(rule.m)
-    subsets = enumerate_subsets(universe)
-    masks = committee_masks(rule.m, rule.k)
-    for umask in masks:
-        for vmask in masks:
-            if umask == vmask:
-                continue
-            for s in subsets:
-                y = s.size
-                if rule.table[((umask & s.mask).bit_count(), y)] > rule.table[
-                    ((vmask & s.mask).bit_count(), y)
-                ]:
-                    break
-            else:
-                witness = (
-                    Committee(AlternativeSet(umask, rule.m), rule.k),
-                    Committee(AlternativeSet(vmask, rule.m), rule.k),
-                )
-                return NontrivialityResult(False, witness)
-    return NontrivialityResult(True, None)
+    m = rule.m
+    if m > DEFAULT_MAX_M:
+        raise CapExceededError(f"m={m} exceeds subset enumeration cap {DEFAULT_MAX_M}")
+    masks = committee_masks(m, rule.k)
+    table, _ = integer_table(rule, 1)
+    separated = np.eye(len(masks), dtype=bool)
+    step = max(1, BLOCK_CELLS // len(masks) ** 2)  # pair x vote cells per comparison
+    for _, scores in score_blocks(table, m, masks, range(1 << m)):
+        for lo in range(0, scores.shape[1], step):
+            part = scores[:, lo : lo + step]
+            separated |= (part[:, None, :] > part[None, :, :]).any(axis=2)
+        if separated.all():
+            return NontrivialityResult(True, None)
+    u, v = np.argwhere(~separated)[0]
+    witness = (
+        Committee(AlternativeSet(masks[u], m), rule.k),
+        Committee(AlternativeSet(masks[v], m), rule.k),
+    )
+    return NontrivialityResult(False, witness)
 
 
 def has_top_jump(rule: AbccRule) -> TopJumpResult:

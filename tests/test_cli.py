@@ -175,17 +175,6 @@ class TestOracleCommands:
         assert doc["matrix"]["cc"]["trivial"] == "degenerate_not_robust"
         assert doc["matrix"]["mc"]["set_difference"] == "robust"
 
-    def test_hierarchy_threaded_matches_serial(self, tmp_path, capsys):
-        args = [
-            "hierarchy", "--rules", "av,mc", "--metrics", "jaccard,trivial",
-            "--m", "4", "--k", "2",
-        ]
-        run(capsys, *args, "--out", str(tmp_path / "serial"))
-        run(capsys, *args, "--threads", "4", "--out", str(tmp_path / "threaded"))
-        assert (tmp_path / "serial" / "hierarchy_m4k2.csv").read_bytes() == (
-            tmp_path / "threaded" / "hierarchy_m4k2.csv"
-        ).read_bytes()
-
     def test_taxonomy_bad_custom_metric_exits_4(self, tmp_path, capsys):
         doc = metric_to_json(random_metric(2, seed=3))
         doc["entries"][0]["d"] = "99"
@@ -278,6 +267,86 @@ class TestSamplingCommands:
         )
         assert code == 0
         assert out.strip() == "equivalent: 100/100"
+
+
+class TestInputErrors:
+    """Malformed names and files end with exit 2 and one error line."""
+
+    def assert_exit_2(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_unknown_metric_name(self, tmp_path, capsys):
+        err = self.assert_exit_2(
+            capsys,
+            "robust", "--rule", "av", "--metric", "nosuch", "--m", "4", "--k", "2",
+            "--out", str(tmp_path),
+        )
+        assert "nosuch" in err
+
+    def test_unknown_metric_in_hierarchy_list(self, tmp_path, capsys):
+        self.assert_exit_2(
+            capsys,
+            "hierarchy", "--rules", "av", "--metrics", "jaccard,nosuch",
+            "--m", "4", "--k", "2", "--out", str(tmp_path),
+        )
+
+    def test_custom_metric_name_without_table(self, tmp_path, capsys):
+        self.assert_exit_2(capsys, "check-metric", "--metric", "custom", "--m", "3")
+
+    def test_duplicate_labels_in_model_file(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(
+            {"type": "mp", "p": "3/4", "ground": ["a"], "alternatives": ["a", "a", "b"]}
+        ))
+        self.assert_exit_2(
+            capsys, "sample", "--model-file", str(path), "--n", "3", "--seed", "1",
+            "--out", str(tmp_path),
+        )
+
+    def test_unknown_metric_kind_in_level_model_file(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "type": "level", "metric": "nosuch", "ground": ["a"],
+            "alternatives": ["a", "b"], "probs": ["1/2", "1/4", "0"],
+        }))
+        self.assert_exit_2(
+            capsys, "sample", "--model-file", str(path), "--n", "3", "--seed", "1",
+            "--out", str(tmp_path),
+        )
+
+    def test_duplicate_labels_in_metric_file(self, tmp_path, capsys):
+        doc = metric_to_json(random_metric(2, seed=3))
+        doc["alternatives"] = ["a", "a"]
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps(doc))
+        self.assert_exit_2(capsys, "check-metric", "--metric-file", str(path), "--m", "2")
+
+    def test_builtin_metric_file_without_m(self, tmp_path, capsys):
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps({"kind": "jaccard"}))
+        self.assert_exit_2(
+            capsys,
+            "robust", "--rule", "av", "--metric-file", str(path), "--m", "3", "--k", "1",
+            "--out", str(tmp_path),
+        )
+
+    def test_json_files_that_are_not_objects(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        self.assert_exit_2(capsys, "check-metric", "--metric-file", str(path), "--m", "2")
+        self.assert_exit_2(
+            capsys, "sample", "--model-file", str(path), "--n", "3", "--seed", "1",
+            "--out", str(tmp_path),
+        )
+
+    def test_unknown_kind_in_metric_file(self, tmp_path, capsys):
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps({"kind": "nosuch", "m": 3}))
+        self.assert_exit_2(capsys, "check-metric", "--metric-file", str(path), "--m", "3")
 
 
 class TestManifests:

@@ -173,14 +173,14 @@ class TestMle:
 
 
 class TestHierarchy:
-    def _report(self, threads=1):
+    def _report(self):
         rules = [make_rule(kind, 4, 2) for kind in ("av", "cc", "pav", "sav", "mc")]
         metrics = [
             make_metric("set_difference", 4),
             make_metric("trivial", 4),
             random_metric(4, seed=[21, 0]),
         ]
-        return hierarchy_report(rules, metrics, threads=threads)
+        return hierarchy_report(rules, metrics)
 
     def test_mc_row_all_robust(self):
         report = self._report()
@@ -203,13 +203,6 @@ class TestHierarchy:
         report = self._report()
         assert report.rule_predicates["cc"]["has_top_jump"] is False
         assert report.metric_taxonomy["set_difference"].is_similarity
-
-    def test_threads_match_serial(self):
-        serial = self._report(threads=1)
-        parallel = self._report(threads=3)
-        assert {
-            cell: verdict.status for cell, verdict in serial.verdicts.items()
-        } == {cell: verdict.status for cell, verdict in parallel.verdicts.items()}
 
     def test_csv_and_json_emission(self):
         report = self._report()
