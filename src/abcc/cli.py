@@ -105,7 +105,10 @@ class Runner:
 
     def track_input(self, path) -> Path:
         path = Path(path)
-        self.inputs[str(path)] = _sha256(path)
+        try:
+            self.inputs[str(path)] = _sha256(path)
+        except OSError as exc:
+            raise ProfileParseError(f"cannot read {path}: {exc.strerror}") from None
         return path
 
     def write(self, name: str, text: str) -> Path:
@@ -147,11 +150,25 @@ class Runner:
 # ---------------------------------------------------------------------------
 # Shared argument resolution.
 
-def _resolve_rule(args, m: int, k: int, runner: Runner | None = None):
+def _universe(m):
+    """default_universe for --m, with a missing or negative value as an input error."""
+    if m is None or m < 0:
+        raise ProfileParseError(f"--m must be a non-negative integer, got {m}")
+    return default_universe(m)
+
+
+def _committee(universe, labels: str) -> Committee:
+    """The committee named by comma-separated labels."""
+    try:
+        members = universe.set_of(labels.split(","))
+    except KeyError as exc:
+        raise ProfileParseError(exc.args[0]) from None
+    return Committee(members, members.size)
+
+
+def _resolve_rule(args, m: int, k: int, runner: Runner):
     if getattr(args, "rule_file", None):
-        if runner:
-            runner.track_input(args.rule_file)
-        return load_rule_file(args.rule_file)
+        return load_rule_file(runner.track_input(args.rule_file))
     spec = args.rule
     if spec is None:
         raise ProfileParseError("no rule given (use --rule or --rule-file)")
@@ -176,24 +193,21 @@ def _builtin_metric(name: str, m: int):
         raise ProfileParseError(str(exc)) from None
 
 
-def _resolve_metric(args, m: int, runner: Runner | None = None):
-    if getattr(args, "metric_file", None):
-        if runner:
-            runner.track_input(args.metric_file)
-        return load_metric_file(args.metric_file)
-    if getattr(args, "metric", None) is None:
+def _resolve_metric(args, m: int, runner: Runner):
+    if args.metric_file:
+        return load_metric_file(runner.track_input(args.metric_file))
+    if args.metric is None:
         raise ProfileParseError("no metric given (use --metric or --metric-file)")
     return _builtin_metric(args.metric, m)
 
 
-def _resolve_model(args, runner: Runner | None = None):
-    if getattr(args, "model_file", None):
-        if runner:
-            runner.track_input(args.model_file)
-        return load_model_file(args.model_file, getattr(args, "m", None))
-    universe = default_universe(args.m)
-    ground_set = universe.set_of(args.ground.split(","))
-    ground = Committee(ground_set, ground_set.size)
+def _resolve_model(args, runner: Runner):
+    if args.model_file:
+        return load_model_file(runner.track_input(args.model_file), args.m)
+    universe = _universe(args.m)
+    if args.ground is None:
+        raise ProfileParseError("--ground is required without --model-file")
+    ground = _committee(universe, args.ground)
     if args.k is not None and ground.k != args.k:
         raise ProfileParseError(f"ground has {ground.k} members but --k {args.k}")
     if args.model == "mp":
@@ -202,17 +216,15 @@ def _resolve_model(args, runner: Runner | None = None):
         return make_mp(parse_frac(args.p), universe, ground)
     if args.model == "level":
         metric = _resolve_metric(args, args.m, runner)
-        if not getattr(args, "probs", None):
+        if not args.probs:
             raise ProfileParseError("model level requires --probs p0,p1,...")
         probs = [parse_frac(q) for q in args.probs.split(",")]
         return make_level_model(metric, ground, probs, universe)
     raise ProfileParseError(f"unknown model {args.model!r}")
 
 
-def _load_profile(args, runner: Runner | None = None):
-    path = Path(args.profile)
-    if runner:
-        runner.track_input(path)
+def _load_profile(args, runner: Runner):
+    path = runner.track_input(args.profile)
     return parse_profile(path.read_text(encoding="utf-8"))
 
 
@@ -226,8 +238,7 @@ def _labels(committee, universe):
 def cmd_score(args):
     runner = Runner(args)
     universe, profile = _load_profile(args, runner)
-    members = universe.set_of(args.committee.split(","))
-    committee = Committee(members, members.size)
+    committee = _committee(universe, args.committee)
     rule = _resolve_rule(args, universe.m, committee.k, runner)
     breakdown = profile_score(rule, committee, profile)
     print(runner.fmt(breakdown.total))
@@ -257,7 +268,7 @@ def _resolve_metric_or_report(args, runner, universe):
 
 def cmd_check_metric(args):
     runner = Runner(args)
-    universe = default_universe(args.m)
+    universe = _universe(args.m)
     metric = _resolve_metric_or_report(args, runner, universe)
     check = check_metric_axioms(metric)
     doc = {"is_metric": check.ok, "metric": metric.name, "m": metric.m}
@@ -272,7 +283,7 @@ def cmd_check_metric(args):
 
 def cmd_taxonomy(args):
     runner = Runner(args)
-    universe = default_universe(args.m)
+    universe = _universe(args.m)
     metric = _resolve_metric_or_report(args, runner, universe)
     report = taxonomy_report(metric, args.k)
     doc = {"metric": report.metric_name, "m": report.m, "k": report.k}
@@ -288,23 +299,18 @@ def cmd_taxonomy(args):
 
 
 def _witness_doc(witness, universe):
-    def encode(obj):
-        if isinstance(obj, Committee):
-            return _labels(obj, universe)
-        if hasattr(obj, "labels"):
-            return list(obj.labels(universe))
-        if isinstance(obj, tuple):
-            return [encode(x) for x in obj]
-        if isinstance(obj, Fraction):
-            return frac_str(obj)
-        return obj
-
-    return encode(witness)
+    if hasattr(witness, "labels"):  # a set or a committee
+        return list(witness.labels(universe))
+    if isinstance(witness, tuple):
+        return [_witness_doc(x, universe) for x in witness]
+    if isinstance(witness, Fraction):
+        return frac_str(witness)
+    return witness
 
 
 def cmd_robust(args):
     runner = Runner(args)
-    universe = default_universe(args.m)
+    universe = _universe(args.m)
     rule = _resolve_rule(args, args.m, args.k, runner)
     metric = _resolve_metric(args, args.m, runner)
     verdict = robustness_verdict(rule, metric)
@@ -320,7 +326,7 @@ def cmd_robust(args):
 
 def cmd_counterexample(args):
     runner = Runner(args)
-    universe = default_universe(args.m)
+    universe = _universe(args.m)
     rule = _resolve_rule(args, args.m, args.k, runner)
     package = jump_counterexample(rule)
     # re-verify the package before writing anything
@@ -349,7 +355,7 @@ def cmd_counterexample(args):
 def cmd_hierarchy(args):
     runner = Runner(args)
     rules = [
-        _resolve_rule(argparse.Namespace(rule=token, rule_file=None), args.m, args.k)
+        _resolve_rule(argparse.Namespace(rule=token), args.m, args.k, runner)
         for token in args.rules.split(",")
     ]
     metrics = [_builtin_metric(token, args.m) for token in args.metrics.split(",")]
@@ -377,7 +383,10 @@ def cmd_converge(args):
     runner = Runner(args)
     model = _resolve_model(args, runner)
     rule = _resolve_rule(args, args.m or model.m, model.ground.k, runner)
-    n_grid = tuple(int(tok) for tok in args.n_grid.split(","))
+    try:
+        n_grid = tuple(int(tok) for tok in args.n_grid.split(","))
+    except ValueError:
+        raise ProfileParseError(f"--n-grid must list integers, got {args.n_grid!r}") from None
     config = TrialConfig(rule, model, n_grid, args.trials, args.seed)
     curve = convergence_curve(config)
     stem = f"converge_{_slug(rule.name)}_seed{args.seed}"
@@ -417,94 +426,65 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    rule_args = argparse.ArgumentParser(add_help=False)
+    rule_args.add_argument("--rule", help=f"rule kind: {', '.join(RULE_KINDS)}")
+    rule_args.add_argument("--rule-file", help="custom rule JSON file")
+    rule_args.add_argument("--weights", help="thiele weights, comma-separated rationals")
+    metric_args = argparse.ArgumentParser(add_help=False)
+    metric_args.add_argument("--metric", help=f"metric kind: {', '.join(METRIC_KINDS)}")
+    metric_args.add_argument("--metric-file", help="custom metric JSON file")
+    model_args = argparse.ArgumentParser(add_help=False, parents=[metric_args])
+    model_args.add_argument("--model", choices=["mp", "level"])
+    model_args.add_argument("--model-file")
+    model_args.add_argument("--p", help="mp parameter in (1/2, 1], e.g. 3/4")
+    model_args.add_argument("--probs", help="level probabilities p0,p1,...")
+    model_args.add_argument("--ground", help="comma-separated ground committee labels")
+    model_args.add_argument("--m", type=int)
+    model_args.add_argument("--k", type=int)
+
+    def add(name, func, parents=(), required=(), **kwargs):
+        p = sub.add_parser(name, parents=list(parents), **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--out", default=".", help="output directory for result files")
         p.add_argument("--approx", action="store_true", help="decimal output instead of p/q")
+        for flag in required:
+            p.add_argument(f"--{flag}", type=int, required=True)
         return p
 
-    p = add("score", cmd_score, help="exact score of a committee over a profile")
-    p.add_argument("--rule", help=f"rule kind: {', '.join(RULE_KINDS)}")
-    p.add_argument("--rule-file", help="custom rule JSON file")
-    p.add_argument("--weights", help="thiele weights, comma-separated rationals")
+    p = add("score", cmd_score, [rule_args], help="exact score of a committee over a profile")
     p.add_argument("--committee", required=True, help="comma-separated labels")
     p.add_argument("--profile", required=True, help="profile text file")
 
-    p = add("winners", cmd_winners, help="all max-score committees (ties preserved)")
-    p.add_argument("--rule", help="rule kind")
-    p.add_argument("--rule-file")
-    p.add_argument("--weights")
-    p.add_argument("--k", type=int, required=True)
+    p = add("winners", cmd_winners, [rule_args], ["k"],
+            help="all max-score committees (ties preserved)")
     p.add_argument("--profile", required=True)
 
-    p = add("check-metric", cmd_check_metric, help="verify the four metric axioms")
-    p.add_argument("--metric", help=f"metric kind: {', '.join(METRIC_KINDS)}")
-    p.add_argument("--metric-file", help="custom metric JSON file")
-    p.add_argument("--m", type=int, required=True)
+    add("check-metric", cmd_check_metric, [metric_args], ["m"],
+        help="verify the four metric axioms")
+    add("taxonomy", cmd_taxonomy, [metric_args], ["m", "k"],
+        help="metric taxonomy flags and witnesses")
+    add("robust", cmd_robust, [rule_args, metric_args], ["m", "k"],
+        help="exact robustness verdict for rule vs metric")
+    add("counterexample", cmd_counterexample, [rule_args], ["m", "k"],
+        help="adversarial metric+model for a rule")
 
-    p = add("taxonomy", cmd_taxonomy, help="metric taxonomy flags and witnesses")
-    p.add_argument("--metric")
-    p.add_argument("--metric-file")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("robust", cmd_robust, help="exact robustness verdict for rule vs metric")
-    p.add_argument("--rule")
-    p.add_argument("--rule-file")
-    p.add_argument("--weights")
-    p.add_argument("--metric")
-    p.add_argument("--metric-file")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("counterexample", cmd_counterexample, help="adversarial metric+model for a rule")
-    p.add_argument("--rule")
-    p.add_argument("--rule-file")
-    p.add_argument("--weights")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("hierarchy", cmd_hierarchy, help="verdict matrix over rules x metrics")
+    p = add("hierarchy", cmd_hierarchy, [], ["m", "k"], help="verdict matrix over rules x metrics")
     p.add_argument("--rules", required=True, help="comma-separated rule kinds")
     p.add_argument("--metrics", required=True, help="comma-separated metric kinds")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
 
-    p = add("sample", cmd_sample, help="sample a profile from a noise model")
-    p.add_argument("--model", choices=["mp", "level"])
-    p.add_argument("--model-file")
-    p.add_argument("--p", help="mp parameter in (1/2, 1], e.g. 3/4")
-    p.add_argument("--metric")
-    p.add_argument("--metric-file")
-    p.add_argument("--probs", help="level probabilities p0,p1,...")
-    p.add_argument("--ground", help="comma-separated ground committee labels")
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
+    p = add("sample", cmd_sample, [model_args], help="sample a profile from a noise model")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
 
-    p = add("converge", cmd_converge, help="recovery-rate curve over a vote-count grid")
-    p.add_argument("--rule")
-    p.add_argument("--rule-file")
-    p.add_argument("--weights")
-    p.add_argument("--model", choices=["mp", "level"])
-    p.add_argument("--model-file")
-    p.add_argument("--p")
-    p.add_argument("--metric")
-    p.add_argument("--metric-file")
-    p.add_argument("--probs")
-    p.add_argument("--ground")
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
+    p = add("converge", cmd_converge, [rule_args, model_args],
+            help="recovery-rate curve over a vote-count grid")
     p.add_argument("--n-grid", default="10,30,100,300,1000")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
 
-    p = add("mle-check", cmd_mle_check, help="distance-minimizers vs score-winners agreement")
+    p = add("mle-check", cmd_mle_check, [], ["m", "k"],
+            help="distance-minimizers vs score-winners agreement")
     p.add_argument("--p", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--profiles", type=int, required=True)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--seed", type=int, required=True)

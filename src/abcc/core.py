@@ -8,11 +8,14 @@ these masks; labels exist for I/O only.
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+
+import numpy as np
 
 from .errors import (
     CapExceededError,
@@ -230,7 +233,28 @@ def committee_masks(m: int, k: int, max_committees: int = DEFAULT_MAX_COMMITTEES
 
 
 # ---------------------------------------------------------------------------
-# Exact rational formatting shared across file formats and the CLI.
+# Exact rationals: integer scaling for the numpy kernels, and the "p/q"
+# formatting shared across file formats and the CLI.
+
+_INT64_LIMIT = 1 << 62
+
+
+def scaled_integers(values, terms: int = 1) -> tuple[np.ndarray, int]:
+    """Rationals as exact integers over the lcm of their denominators.
+
+    Returns (A, scale) with A = scale * values, in the shape of the
+    (nested) list `values`. A is int64 when max|A| * terms < 2^62, so that
+    any sum of `terms` entries, and the difference of two such sums, stays
+    exact; otherwise A holds Python ints (dtype object) and the same numpy
+    code runs in arbitrary precision.
+    """
+    grid = np.asarray(values, dtype=object)
+    flat = grid.ravel().tolist()
+    scale = lcm(*(v.denominator for v in flat))
+    ints = [v.numerator * (scale // v.denominator) for v in flat]
+    fits = max(map(abs, ints), default=0) * max(terms, 1) < _INT64_LIMIT
+    return np.array(ints, dtype=np.int64 if fits else object).reshape(grid.shape), scale
+
 
 def frac_str(value: Fraction | int) -> str:
     """Canonical "p/q" string; plain integer string when q = 1."""
@@ -246,6 +270,40 @@ def parse_frac(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ProfileParseError(f"bad rational {text!r}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# Popcount over masks of any width, as numpy arrays of 16-bit words.
+
+_WORD = 16
+
+
+@functools.cache
+def _popcount16() -> np.ndarray:
+    bits = np.unpackbits(np.arange(1 << _WORD, dtype=">u2").view(np.uint8))
+    lut = bits.reshape(-1, _WORD).sum(axis=1, dtype=np.uint8)
+    lut.setflags(write=False)
+    return lut
+
+
+def mask_words(masks, m: int) -> np.ndarray:
+    """The masks' 16-bit words, shape (ceil(m / 16), *shape of masks).
+
+    Masks wider than 62 bits stay Python ints until they are split.
+    """
+    arr = np.asarray(masks, dtype=np.int64 if m <= 62 else object)
+    return np.array(
+        [(arr >> shift) & 0xFFFF for shift in range(0, max(m, 1), _WORD)], dtype=np.int64
+    )
+
+
+def popcount(words) -> np.ndarray:
+    """Set bits per mask from its 16-bit words (axis 0), as int64.
+
+    The lookup table holds uint8 counts; they are widened before they are
+    summed, so arithmetic on the counts (such as signature codes) cannot wrap.
+    """
+    return _popcount16()[words].sum(axis=0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .core import (
     AlternativeSet,
     Committee,
     Profile,
+    check_k,
     committee_masks,
     frac_str,
 )
@@ -166,6 +167,7 @@ def mle_equivalence_check(
     p, m: int, k: int, profiles: int, seed, n_max: int = 12
 ) -> tuple[int, int]:
     """Count how many random profiles make the two routes agree (all should)."""
+    check_k(m, k)
     agree = 0
     for i in range(profiles):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))

@@ -8,9 +8,9 @@ and strict sign comparisons, so floats never enter here.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -22,7 +22,10 @@ from .core import (
     committee_masks,
     default_universe,
     frac_str,
+    mask_words,
     parse_frac,
+    popcount,
+    scaled_integers,
 )
 from .errors import (
     CapExceededError,
@@ -191,43 +194,32 @@ class AxiomCheck:
 def check_metric_axioms(metric: DistanceMetric, max_m: int = DEFAULT_MAX_M) -> AxiomCheck:
     """Verify identity, positivity, symmetry, and the triangle inequality.
 
-    Exhaustive over all pairs and triples of the 2^m subsets; the triangle
-    pass runs on an integer-rescaled matrix so numpy can sweep it.
+    Exhaustive over all pairs and triples of the 2^m subsets, on the
+    distance matrix scaled to exact integers. The witness is the first
+    violation in (i, j) order (diagonal first), then in (pivot j, i, k)
+    order for the triangle inequality.
     """
     m = metric.m
     if m > max_m:
         raise CapExceededError(f"m={m} exceeds axiom check cap {max_m}")
     n = 1 << m
-    D = [metric.row(i) for i in range(n)]
+    D, _ = scaled_integers([metric.row(i) for i in range(n)], terms=2)
 
     def sets(*masks):
-        return tuple(AlternativeSet(mask, m) for mask in masks)
+        return tuple(AlternativeSet(int(mask), m) for mask in masks)
 
-    for i in range(n):
-        if D[i][i] != 0:
-            return AxiomCheck(False, "identity", sets(i, i))
-        for j in range(i + 1, n):
-            if D[i][j] != D[j][i]:
-                return AxiomCheck(False, "symmetry", sets(i, j))
-            if D[i][j] <= 0:
-                return AxiomCheck(False, "positivity", sets(i, j))
-
-    scale = math.lcm(*(v.denominator for row in D for v in row)) if n else 1
-    ints = [[v.numerator * (scale // v.denominator) for v in row] for row in D]
-    if max((abs(v) for row in ints for v in row), default=0) < 2**60:
-        A = np.array(ints, dtype=np.int64)
-        for j in range(n):
-            slack = A[:, j][:, None] + A[j, :][None, :] - A
-            if (slack < 0).any():
-                i, k = map(int, np.argwhere(slack < 0)[0])
-                return AxiomCheck(False, "triangle", sets(i, j, k))
-    else:
-        # rescaled values too large for int64; exact but slow fallback
-        for j in range(n):
-            for i in range(n):
-                for k in range(n):
-                    if D[i][k] > D[i][j] + D[j][k]:
-                        return AxiomCheck(False, "triangle", sets(i, j, k))
+    asymmetric = D != D.T
+    bad = np.triu(asymmetric | (D <= 0), 1)
+    np.fill_diagonal(bad, np.diagonal(D) != 0)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), n)
+        axiom = "identity" if i == j else "symmetry" if asymmetric[i, j] else "positivity"
+        return AxiomCheck(False, axiom, sets(i, j))
+    for j in range(n):
+        shortcut = D[:, j, None] + D[None, j, :] < D
+        if shortcut.any():
+            i, k = np.argwhere(shortcut)[0]
+            return AxiomCheck(False, "triangle", sets(i, j, k))
     return AxiomCheck(True)
 
 
@@ -253,13 +245,6 @@ class LevelStructure:
         m = self.ground.m
         return [AlternativeSet(s, m) for s, lev in enumerate(self.level_of) if lev == t]
 
-    def cumulative_sizes(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for size in self.sizes:
-            acc += size
-            out.append(acc)
-        return tuple(out)
-
 
 def level_structure(
     metric: DistanceMetric, ground: Committee, max_m: int = DEFAULT_MAX_M
@@ -273,16 +258,16 @@ def level_structure(
     cached = metric._level_cache.get(ground.mask)
     if cached is not None:
         return cached
-    row = metric.row(ground.mask)
+    row, scale = scaled_integers(metric.row(ground.mask))
     if row[ground.mask] != 0:
         raise MetricAxiomError("d(U, U) != 0; not a metric", witness=(ground.members,))
-    values = sorted(set(row))
-    index = {v: t for t, v in enumerate(values)}
-    level_of = tuple(index[v] for v in row)
-    sizes = [0] * len(values)
-    for lev in level_of:
-        sizes[lev] += 1
-    structure = LevelStructure(ground, tuple(values), level_of, tuple(sizes))
+    values, level_of, sizes = np.unique(row, return_inverse=True, return_counts=True)
+    structure = LevelStructure(
+        ground,
+        tuple(Fraction(int(v), scale) for v in values),
+        tuple(level_of.tolist()),
+        tuple(sizes.tolist()),
+    )
     metric._level_cache[ground.mask] = structure
     return structure
 
@@ -296,11 +281,22 @@ def neighborhood_count(
     levels = level_structure(metric, ground)
     if not 0 <= t <= levels.spn:
         raise PreconditionError(f"t={t} outside 0..{levels.spn}")
-    count = 0
-    for mask, lev in enumerate(levels.level_of):
-        if lev <= t and (mask >> a & 1) and not (mask >> b & 1):
-            count += 1
-    return count
+    sets = np.arange(1 << metric.m)
+    a_not_b = (sets >> a & 1) > (sets >> b & 1)
+    return int(_ball_counts(levels, a_not_b[:, None])[t, 0])
+
+
+def _ball_counts(levels: LevelStructure, marked) -> np.ndarray:
+    """counts[t, j] = number of sets S within level t with marked[S, j].
+
+    `marked` is a boolean (2^m, J) array; the counts of each level come
+    from one bincount and are accumulated over the levels.
+    """
+    sets, cols = np.nonzero(marked)
+    width = marked.shape[1]
+    cells = np.asarray(levels.level_of)[sets] * width + cols
+    counts = np.bincount(cells, minlength=len(levels.sizes) * width)
+    return counts.reshape(-1, width).cumsum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -320,51 +316,39 @@ def is_majority_concentric(metric: DistanceMetric, k: int) -> MetricPropertyChec
     with a-but-not-b as with b-but-not-a. Witness on failure: (U, a, b, t).
     """
     m = metric.m
+    sets = np.arange(1 << m)
+    has = (sets[:, None] >> np.arange(m) & 1) == 1
     for umask in committee_masks(m, k):
-        levels = level_structure(metric, Committee(AlternativeSet(umask, m), k))
+        ground = Committee(AlternativeSet(umask, m), k)
+        # N^t(a|b) - N^t(b|a) = (sets within level t holding a) - (those holding b)
+        holding = _ball_counts(level_structure(metric, ground), has)
         members = [i for i in range(m) if umask >> i & 1]
         outsiders = [i for i in range(m) if not umask >> i & 1]
-        pairs = [(a, b) for a in members for b in outsiders]
-        inside = {pair: 0 for pair in pairs}
-        reverse = {pair: 0 for pair in pairs}
-        by_level = [[] for _ in levels.sizes]
-        for mask, lev in enumerate(levels.level_of):
-            by_level[lev].append(mask)
-        for t, masks in enumerate(by_level):
-            for mask in masks:
-                for pair in pairs:
-                    a, b = pair
-                    has_a = mask >> a & 1
-                    has_b = mask >> b & 1
-                    if has_a and not has_b:
-                        inside[pair] += 1
-                    elif has_b and not has_a:
-                        reverse[pair] += 1
-            for pair in pairs:
-                if inside[pair] < reverse[pair]:
-                    ground = Committee(AlternativeSet(umask, m), k)
-                    return MetricPropertyCheck(False, (ground, pair[0], pair[1], t))
+        worse = holding[:, members, None] < holding[:, None, outsiders]
+        if worse.any():
+            t, i, j = np.argwhere(worse)[0]
+            return MetricPropertyCheck(False, (ground, members[i], outsiders[j], int(t)))
     return MetricPropertyCheck(True)
 
 
 def _overlap_triples(metric: DistanceMetric, k: int, strict: bool) -> MetricPropertyCheck:
     m = metric.m
     masks = committee_masks(m, k)
-    rows = {umask: metric.row(umask) for umask in masks}
-    for umask in masks:
-        for vmask in masks:
-            if umask == vmask:
-                continue
-            for s in range(1 << m):
-                if (umask & s).bit_count() > (vmask & s).bit_count():
-                    du, dv = rows[umask][s], rows[vmask][s]
-                    if du > dv or (strict and du == dv):
-                        witness = (
-                            Committee(AlternativeSet(umask, m), k),
-                            Committee(AlternativeSet(vmask, m), k),
-                            AlternativeSet(s, m),
-                        )
-                        return MetricPropertyCheck(False, witness)
+    dist, _ = scaled_integers([metric.row(umask) for umask in masks])
+    sets = mask_words(range(1 << m), m)
+    overlap = popcount(mask_words(masks, m)[:, :, None] & sets[:, None, :])
+    for u, umask in enumerate(masks):
+        # first (V, S) with |U∩S| > |V∩S| (never V = U) and d(U,S) > d(V,S)
+        farther = dist[u] >= dist if strict else dist[u] > dist
+        bad = (overlap[u] > overlap) & farther
+        if bad.any():
+            v, s = divmod(int(np.argmax(bad)), 1 << m)
+            witness = (
+                Committee(AlternativeSet(umask, m), k),
+                Committee(AlternativeSet(masks[v], m), k),
+                AlternativeSet(s, m),
+            )
+            return MetricPropertyCheck(False, witness)
     return MetricPropertyCheck(True)
 
 
@@ -385,25 +369,23 @@ def is_alternative_independent(metric: DistanceMetric) -> MetricPropertyCheck:
     different distance.
     """
     m = metric.m
-    first: dict[tuple[int, int, int, int], tuple[int, int, Fraction]] = {}
-    for x in range(1 << m):
-        for y in range(1 << m):
-            sig = (
-                (x & ~y).bit_count(),
-                (y & ~x).bit_count(),
-                x.bit_count(),
-                y.bit_count(),
-            )
-            d = metric.d(x, y)
-            seen = first.get(sig)
-            if seen is None:
-                first[sig] = (x, y, d)
-            elif seen[2] != d:
-                witness = (
-                    (AlternativeSet(seen[0], m), AlternativeSet(seen[1], m)),
-                    (AlternativeSet(x, m), AlternativeSet(y, m)),
-                )
-                return MetricPropertyCheck(False, witness)
+    n = 1 << m
+    dist, _ = scaled_integers([metric.row(x) for x in range(n)])
+    words = mask_words(range(n), m)
+    x, y = words[:, :, None], words[:, None, :]
+    size = popcount(words)
+    base = m + 1
+    signature = (popcount(x & ~y) * base + popcount(y & ~x)) * base + size[:, None]
+    signature = signature * base + size[None, :]
+    # for every ordered pair, the first pair in (x, y) order with its signature
+    _, first, group = np.unique(signature.ravel(), return_index=True, return_inverse=True)
+    seen = first[group]
+    differs = dist.ravel() != dist.ravel()[seen]
+    if differs.any():
+        later = int(np.argmax(differs))
+        pairs = (int(seen[later]), later)
+        witness = tuple((AlternativeSet(f // n, m), AlternativeSet(f % n, m)) for f in pairs)
+        return MetricPropertyCheck(False, witness)
     return MetricPropertyCheck(True)
 
 
@@ -457,7 +439,6 @@ def random_metric(
 
 
 def _random_signature_metric(m, rng, monotone, perturb, tag) -> DistanceMetric:
-    n = 1 << m
     if monotone:
         # weighted sum of two metrics plus a positive jump at any difference,
         # optionally capped; non-decreasing in (|X\Y|, |Y\X|) by construction
@@ -486,12 +467,10 @@ def _random_signature_metric(m, rng, monotone, perturb, tag) -> DistanceMetric:
                     assignments[key] = Fraction(int(rng.integers(1, 3)))
             return assignments[key]
 
-    table = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            table[(a, b)] = value(
-                (a & ~b).bit_count(), (b & ~a).bit_count(), a.bit_count(), b.bit_count()
-            )
+    table = {
+        (a, b): value((a & ~b).bit_count(), (b & ~a).bit_count(), a.bit_count(), b.bit_count())
+        for a, b in combinations(range(1 << m), 2)
+    }
     return DistanceMetric(f"random_signature({tag})", m, table=table)
 
 
@@ -561,17 +540,14 @@ def metric_to_json(metric: DistanceMetric, universe: Universe | None = None) -> 
     universe = universe or default_universe(metric.m)
     if metric.name in _BUILTIN_FNS or metric.name == "example2":
         return {"kind": metric.name, "m": metric.m}
-    n = 1 << metric.m
-    entries = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            entries.append(
-                {
-                    "x": list(AlternativeSet(a, metric.m).labels(universe)),
-                    "y": list(AlternativeSet(b, metric.m).labels(universe)),
-                    "d": frac_str(metric.d(a, b)),
-                }
-            )
+    entries = [
+        {
+            "x": list(AlternativeSet(a, metric.m).labels(universe)),
+            "y": list(AlternativeSet(b, metric.m).labels(universe)),
+            "d": frac_str(metric.d(a, b)),
+        }
+        for a, b in combinations(range(1 << metric.m), 2)
+    ]
     return {
         "kind": "custom",
         "name": metric.name,

@@ -196,13 +196,8 @@ def sample_vote_masks(model: NoiseModel, n: int, rng: np.random.Generator) -> li
         thresholds = np.array(
             [keep if gmask >> i & 1 else 1.0 - keep for i in range(m)]
         )
-        bits = uniforms < thresholds
-        if m <= 62:
-            weights = np.array([1 << i for i in range(m)], dtype=np.int64)
-            return [int(v) for v in bits @ weights]
-        return [
-            int(sum(1 << i for i in range(m) if row[i])) for row in bits
-        ]
+        weights = np.array([1 << i for i in range(m)], dtype=np.int64 if m <= 62 else object)
+        return [int(v) for v in (uniforms < thresholds) @ weights]
     table = model.prob_table()
     cumulative = np.cumsum([float(q) for q in table])
     cumulative[-1] = 1.0  # guard against float round-off at the top

@@ -38,7 +38,7 @@ from .core import (
 )
 from .errors import NotAccurateError, PreconditionError, SizeMismatchError
 from .metrics import DistanceMetric, LevelStructure, level_structure
-from .noise import NoiseModel, make_level_model
+from .noise import NoiseModel, make_level_model, staggered_level_model
 from .rules import AbccRule, expected_scores, group_score_sums, integer_table, scores_differ
 
 ACCURATE = "accurate_in_limit"
@@ -294,7 +294,7 @@ def robustness_verdict(
     masks = committee_masks(m, k, max_committees)
     summaries = []
     first_negative = None  # (ground, rival, j, levels, coeffs)
-    first_degenerate = None  # (ground, rival, levels)
+    first_degenerate = None  # (ground, rival)
     for umask in masks:
         ground = Committee(AlternativeSet(umask, m), k)
         levels = level_structure(metric, ground, max_m)
@@ -315,7 +315,7 @@ def robustness_verdict(
                 j = next(t for t, e in enumerate(prefix[i]) if e < 0)
                 first_negative = (ground, rival, j, levels, _fractions(coeffs[i], scale))
             elif degenerate and first_degenerate is None:
-                first_degenerate = (ground, rival, levels)
+                first_degenerate = (ground, rival)
 
     if first_negative is not None:
         ground, rival, j, levels, coeffs = first_negative
@@ -323,8 +323,10 @@ def robustness_verdict(
         witness = NotRobustWitness(ground, rival, j, model, gap)
         status = NOT_ROBUST
     elif first_degenerate is not None:
-        ground, rival, levels = first_degenerate
-        model = _zero_tail_model(metric, ground, levels)
+        ground, rival = first_degenerate
+        # strict decrease with zero mass on the farthest level: the gap of a
+        # fully-cancelling pair is exactly zero under this model
+        model = staggered_level_model(metric, ground, zero_tail=True)
         # whether the per-vote gap variable itself vanishes everywhere
         # (permanent tie) or only its level aggregates cancel (zero mean)
         identically_zero = not scores_differ(rule, ground.mask, rival.mask, range(1 << m))
@@ -345,8 +347,7 @@ def _negative_gap_witness(metric, ground, levels, coeffs, j):
     gap of the resulting model is recomputed and checked before return.
     """
     s = levels.spn
-    cumulative = levels.cumulative_sizes()
-    vertex_mass = Fraction(1, cumulative[j])
+    vertex_mass = Fraction(1, sum(levels.sizes[: j + 1]))
     vertex_gap = sum(coeffs[: j + 1], start=Fraction(0)) * vertex_mass
     max_coeff = max(abs(c) for c in coeffs)
     eta = -vertex_gap / (4 * (1 << metric.m) * max_coeff + 1)
@@ -362,15 +363,6 @@ def _negative_gap_witness(metric, ground, levels, coeffs, j):
     if gap >= 0:
         raise RuntimeError("witness stagger failed to preserve the negative gap")
     return model, gap
-
-
-def _zero_tail_model(metric, ground, levels):
-    # strict decrease with zero mass on the farthest level: the gap of a
-    # fully-cancelling pair is exactly zero under this model
-    s = levels.spn
-    weights = [s - t for t in range(s + 1)]
-    total = sum(w * size for w, size in zip(weights, levels.sizes))
-    return make_level_model(metric, ground, [Fraction(w, total) for w in weights])
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,7 @@ Sweeps over many votes run on the table scaled to exact integers.
 
 from __future__ import annotations
 
-import functools
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +26,10 @@ from .core import (
     committee_masks,
     feasible_pairs,
     frac_str,
+    mask_words,
     parse_frac,
+    popcount,
+    scaled_integers,
 )
 from .errors import CapExceededError, DomainMismatchError, InvalidRuleError, ProfileParseError
 
@@ -199,45 +200,19 @@ def profile_score(rule: AbccRule, committee: Committee, profile: Profile) -> Sco
 # the rule table scaled to integers, so no decision touches a float.
 
 BLOCK_CELLS = 1 << 15  # committee x vote cells per temporary block
-_INT64_LIMIT = 1 << 62
-_WORD = 16
 
 
 def integer_table(rule: AbccRule, terms: int) -> tuple[np.ndarray, int]:
     """The rule's scores scaled to exact integers: T[x, y] = scale * f(x, y).
 
     `scale` is the lcm of the table's denominators; cells outside the
-    feasible domain hold 0. T is int64 when max|T| * terms < 2^62, so that
-    any sum of `terms` entries, and the difference of two such sums, stays
-    exact; otherwise T holds Python ints (dtype object) and the same numpy
-    code runs in arbitrary precision.
+    feasible domain hold 0. T is int64 or object as `scaled_integers`
+    decides for sums of `terms` entries.
     """
-    scale = math.lcm(*(v.denominator for v in rule.table.values()))
-    ints = {xy: v.numerator * (scale // v.denominator) for xy, v in rule.table.items()}
-    fits = max(ints.values()) * max(terms, 1) < _INT64_LIMIT
-    table = np.zeros((rule.k + 1, rule.m + 1), dtype=np.int64 if fits else object)
-    for (x, y), value in ints.items():
-        table[x, y] = value
+    values, scale = scaled_integers(list(rule.table.values()), terms)
+    table = np.zeros((rule.k + 1, rule.m + 1), dtype=values.dtype)
+    table[tuple(zip(*rule.table))] = values
     return table, scale
-
-
-@functools.cache
-def _popcount16() -> np.ndarray:
-    bits = np.unpackbits(np.arange(1 << _WORD, dtype=">u2").view(np.uint8))
-    lut = bits.reshape(-1, _WORD).sum(axis=1, dtype=np.uint8)
-    lut.setflags(write=False)
-    return lut
-
-
-def _words(masks, m: int) -> np.ndarray:
-    """The masks' 16-bit words, shape (ceil(m / 16), len(masks)).
-
-    Masks wider than 62 bits stay Python ints until they are split.
-    """
-    arr = np.asarray(masks, dtype=np.int64 if m <= 62 else object)
-    return np.array(
-        [(arr >> shift) & 0xFFFF for shift in range(0, max(m, 1), _WORD)], dtype=np.int64
-    )
 
 
 def score_blocks(table: np.ndarray, m: int, cmasks, vmasks):
@@ -247,15 +222,12 @@ def score_blocks(table: np.ndarray, m: int, cmasks, vmasks):
     holds all committees and as many votes as keep it within BLOCK_CELLS
     cells (at least one vote).
     """
-    lut = _popcount16()
-    cwords = _words(cmasks, m)
+    cwords = mask_words(cmasks, m)[:, :, None]
     step = max(1, BLOCK_CELLS // max(len(cmasks), 1))
     for lo in range(0, len(vmasks), step):
         votes = slice(lo, min(lo + step, len(vmasks)))
-        vwords = _words(vmasks[votes], m)
-        overlap = sum(lut[c[:, None] & v] for c, v in zip(cwords, vwords))
-        size = sum(lut[v] for v in vwords)
-        yield votes, table[overlap, size]
+        vwords = mask_words(vmasks[votes], m)
+        yield votes, table[popcount(cwords & vwords[:, None, :]), popcount(vwords)]
 
 
 def argmax_committees(rule: AbccRule, counts, cmasks) -> list[int]:
@@ -305,9 +277,9 @@ def expected_scores(rule: AbccRule, probs, cmasks) -> list[Fraction]:
     index = {q: g for g, q in enumerate(values)}
     table, scale = integer_table(rule, len(probs))
     sums = group_score_sums(table, rule.m, cmasks, [index[q] for q in probs])
-    den = math.lcm(*(q.denominator for q in values))
-    weights = np.array([q.numerator * (den // q.denominator) for q in values], dtype=object)
-    return [Fraction(int(total), den * scale) for total in sums.astype(object) @ weights]
+    weights, den = scaled_integers(values)
+    totals = sums.astype(object) @ weights.astype(object)
+    return [Fraction(int(total), den * scale) for total in totals]
 
 
 def scores_differ(rule: AbccRule, umask: int, vmask: int, vmasks) -> bool:

@@ -1,9 +1,11 @@
-"""Brute-force Fraction loops over votes: the reference implementations that
-the exact integer kernel in abcc.rules is checked against.
+"""Brute-force Fraction loops: the reference implementations that the exact
+integer kernels in abcc.rules and abcc.metrics are checked against.
 
-Each function sums per-vote scores f(|C ∩ S|, |S|) one vote at a time in
-exact rational arithmetic, the way the library did before its sweeps ran
-on integer-scaled numpy blocks.
+The rule functions sum per-vote scores f(|C ∩ S|, |S|) one vote at a
+time, and the metric classifiers visit sets, pairs and triples one at a
+time, all in exact rational arithmetic, the way the library did before
+its sweeps ran on integer-scaled numpy arrays. Every classifier returns
+the first violation in the order its loops visit them.
 """
 
 from __future__ import annotations
@@ -86,3 +88,105 @@ def is_nontrivial(rule):
             ):
                 return False, (umask, vmask)
     return True, None
+
+
+def metric_axioms(metric):
+    """(axiom, witness masks) of the first violated metric axiom, or None."""
+    n = 1 << metric.m
+    D = [metric.row(i) for i in range(n)]
+    for i in range(n):
+        if D[i][i] != 0:
+            return "identity", (i, i)
+        for j in range(i + 1, n):
+            if D[i][j] != D[j][i]:
+                return "symmetry", (i, j)
+            if D[i][j] <= 0:
+                return "positivity", (i, j)
+    for j in range(n):
+        for i in range(n):
+            for k in range(n):
+                if D[i][k] > D[i][j] + D[j][k]:
+                    return "triangle", (i, j, k)
+    return None
+
+
+def level_structure(metric, umask):
+    """(values, level_of, sizes): the distinct distances from U, ascending,
+    each set's level index, and the number of sets per level."""
+    row = metric.row(umask)
+    values = sorted(set(row))
+    index = {v: t for t, v in enumerate(values)}
+    level_of = [index[v] for v in row]
+    sizes = [0] * len(values)
+    for lev in level_of:
+        sizes[lev] += 1
+    return values, level_of, sizes
+
+
+def neighborhood_count(level_of, a, b, t):
+    """Number of sets containing a but not b within the t-th distance level,
+    given each set's level index."""
+    return sum(
+        1 for mask, lev in enumerate(level_of)
+        if lev <= t and (mask >> a & 1) and not (mask >> b & 1)
+    )
+
+
+def majority_concentric(metric, k):
+    """First (U mask, a, b, t) with N^t(a|b) < N^t(b|a), or None."""
+    m = metric.m
+    for umask in committee_masks(m, k):
+        _, level_of, sizes = level_structure(metric, umask)
+        members = [i for i in range(m) if umask >> i & 1]
+        outsiders = [i for i in range(m) if not umask >> i & 1]
+        pairs = [(a, b) for a in members for b in outsiders]
+        inside = {pair: 0 for pair in pairs}
+        reverse = {pair: 0 for pair in pairs}
+        by_level = [[] for _ in sizes]
+        for mask, lev in enumerate(level_of):
+            by_level[lev].append(mask)
+        for t, masks in enumerate(by_level):
+            for mask in masks:
+                for a, b in pairs:
+                    has_a = mask >> a & 1
+                    has_b = mask >> b & 1
+                    if has_a and not has_b:
+                        inside[(a, b)] += 1
+                    elif has_b and not has_a:
+                        reverse[(a, b)] += 1
+            for a, b in pairs:
+                if inside[(a, b)] < reverse[(a, b)]:
+                    return umask, a, b, t
+    return None
+
+
+def overlap_triples(metric, k, strict):
+    """First (U, V, S) masks with |U∩S| > |V∩S| and d(U,S) > d(V,S)
+    (>= when strict), or None."""
+    m = metric.m
+    masks = committee_masks(m, k)
+    rows = {umask: metric.row(umask) for umask in masks}
+    for umask in masks:
+        for vmask in masks:
+            if umask == vmask:
+                continue
+            for s in range(1 << m):
+                if (umask & s).bit_count() > (vmask & s).bit_count():
+                    du, dv = rows[umask][s], rows[vmask][s]
+                    if du > dv or (strict and du == dv):
+                        return umask, vmask, s
+    return None
+
+
+def alternative_independent(metric):
+    """First two ordered mask pairs with equal (|X\\Y|, |Y\\X|, |X|, |Y|)
+    but different distance, or None."""
+    first = {}
+    for x in range(1 << metric.m):
+        for y in range(1 << metric.m):
+            sig = ((x & ~y).bit_count(), (y & ~x).bit_count(), x.bit_count(), y.bit_count())
+            d = metric.d(x, y)
+            seen = first.setdefault(sig, (x, y, d))
+            if seen[2] != d:
+                return (seen[0], seen[1]), (x, y)
+    return None

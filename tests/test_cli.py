@@ -268,6 +268,14 @@ class TestSamplingCommands:
         assert code == 0
         assert out.strip() == "equivalent: 100/100"
 
+    def test_mle_check_negative_m_exits_3(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys,
+            "mle-check", "--p", "3/4", "--m", "-1", "--k", "1", "--profiles", "2",
+            "--seed", "1", "--out", str(tmp_path),
+        )
+        assert code == 3 and err.startswith("error: ")
+
 
 class TestInputErrors:
     """Malformed names and files end with exit 2 and one error line."""
@@ -347,6 +355,52 @@ class TestInputErrors:
         path = tmp_path / "metric.json"
         path.write_text(json.dumps({"kind": "nosuch", "m": 3}))
         self.assert_exit_2(capsys, "check-metric", "--metric-file", str(path), "--m", "3")
+
+    def test_sample_without_m(self, tmp_path, capsys):
+        self.assert_exit_2(
+            capsys, "sample", "--model", "mp", "--p", "3/4", "--n", "3", "--seed", "1",
+            "--out", str(tmp_path),
+        )
+
+    def test_sample_without_ground(self, tmp_path, capsys):
+        self.assert_exit_2(
+            capsys, "sample", "--model", "mp", "--p", "3/4", "--m", "4", "--n", "3",
+            "--seed", "1", "--out", str(tmp_path),
+        )
+
+    def test_non_integer_n_grid(self, tmp_path, capsys):
+        self.assert_exit_2(
+            capsys,
+            "converge", "--rule", "av", "--model", "mp", "--p", "3/4", "--m", "4",
+            "--k", "2", "--ground", "a,b", "--n-grid", "5,x", "--trials", "2",
+            "--seed", "3", "--out", str(tmp_path),
+        )
+
+    def test_unknown_label_in_committee_or_ground(self, tmp_path, capsys):
+        profile = write_profile(tmp_path)
+        err = self.assert_exit_2(
+            capsys, "score", "--rule", "av", "--committee", "a,z", "--profile", profile
+        )
+        assert "'z'" in err
+        self.assert_exit_2(
+            capsys, "sample", "--model", "mp", "--p", "3/4", "--m", "4", "--ground", "a,z",
+            "--n", "3", "--seed", "1", "--out", str(tmp_path),
+        )
+
+    def test_missing_input_files(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        err = self.assert_exit_2(
+            capsys, "winners", "--rule", "av", "--k", "1", "--profile", missing
+        )
+        assert "missing.json" in err
+        self.assert_exit_2(capsys, "check-metric", "--metric-file", missing, "--m", "2")
+        self.assert_exit_2(
+            capsys, "counterexample", "--rule-file", missing, "--m", "4", "--k", "2",
+            "--out", str(tmp_path),
+        )
+
+    def test_negative_m(self, tmp_path, capsys):
+        self.assert_exit_2(capsys, "check-metric", "--metric", "jaccard", "--m", "-1")
 
 
 class TestManifests:

@@ -23,6 +23,7 @@ from abcc.noise import (
     model_from_json,
     model_to_json,
     sample_profile,
+    sample_vote_masks,
     staggered_level_model,
     jump_counterexample,
 )
@@ -168,6 +169,21 @@ class TestSampling:
         expect = float(Fraction(3, 4) ** 6)
         se = sqrt(expect * (1 - expect) / n)
         assert abs(hits / n - expect) <= 3 * se
+
+    def test_wide_product_masks_match_bitwise_build(self):
+        # m = 70 takes the object-dtype product; the same uniforms, drawn
+        # again, give each vote one bit at a time
+        m = 70
+        u = default_universe(m)
+        ground = Committee(u.set_of(["x0", "x63", "x69"]), 3)
+        model = make_mp(Fraction(3, 4), u, ground)
+        masks = sample_vote_masks(model, 40, np.random.default_rng(5))
+        expected = []
+        for row in np.random.default_rng(5).random((40, m)):
+            keep = [0.75 if ground.mask >> i & 1 else 0.25 for i in range(m)]
+            expected.append(sum(1 << i for i in range(m) if row[i] < keep[i]))
+        assert masks == expected
+        assert any(mask >> 62 for mask in masks)
 
     def test_level_table_frequencies_all_sets(self, rng):
         # per-set empirical frequencies within 4 standard errors, all 2^m sets
