@@ -26,6 +26,9 @@ from .errors import (
 # Safe desk-scale defaults; sampling paths are not subject to these.
 DEFAULT_MAX_M = 16
 DEFAULT_MAX_COMMITTEES = 100_000
+# Cells of a full 2^m x 2^m distance matrix (m <= 12): one int64 copy is
+# 128 MiB here, and the triangle check is cubic in 2^m.
+MAX_MATRIX_CELLS = 4**12
 
 
 @dataclass(frozen=True)
@@ -251,9 +254,15 @@ def scaled_integers(values, terms: int = 1) -> tuple[np.ndarray, int]:
     grid = np.asarray(values, dtype=object)
     flat = grid.ravel().tolist()
     scale = lcm(*(v.denominator for v in flat))
-    ints = [v.numerator * (scale // v.denominator) for v in flat]
-    fits = max(map(abs, ints), default=0) * max(terms, 1) < _INT64_LIMIT
-    return np.array(ints, dtype=np.int64 if fits else object).reshape(grid.shape), scale
+    ints = np.array([v.numerator * (scale // v.denominator) for v in flat], dtype=object)
+    return int64_if_fits(ints.reshape(grid.shape), terms), scale
+
+
+def int64_if_fits(ints: np.ndarray, terms: int = 1) -> np.ndarray:
+    """Exact integers as int64 when max|ints| * terms < 2^62, else as
+    Python ints (dtype object); the guard of `scaled_integers`."""
+    fits = int(np.abs(ints).max(initial=0)) * max(terms, 1) < _INT64_LIMIT
+    return ints.astype(np.int64 if fits else object, copy=False)
 
 
 def frac_str(value: Fraction | int) -> str:

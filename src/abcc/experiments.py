@@ -168,6 +168,8 @@ def mle_equivalence_check(
 ) -> tuple[int, int]:
     """Count how many random profiles make the two routes agree (all should)."""
     check_k(m, k)
+    if profiles < 0 or n_max < 1:
+        raise PreconditionError(f"need profiles >= 0 and n_max >= 1, got {profiles}, {n_max}")
     agree = 0
     for i in range(profiles):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))

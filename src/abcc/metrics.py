@@ -10,18 +10,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from .core import (
     DEFAULT_MAX_M,
+    MAX_MATRIX_CELLS,
     AlternativeSet,
     Committee,
     Universe,
     committee_masks,
     default_universe,
     frac_str,
+    int64_if_fits,
     mask_words,
     parse_frac,
     popcount,
@@ -46,60 +48,43 @@ METRIC_KINDS = (
 )
 
 
-def _d_set_difference(x: int, y: int) -> Fraction:
-    return Fraction((x ^ y).bit_count())
-
-
-def _d_jaccard(x: int, y: int) -> Fraction:
-    union = (x | y).bit_count()
-    if union == 0:
-        return Fraction(0)  # the 0/0 case, pinned by the identity axiom
-    return Fraction((x ^ y).bit_count(), union)
-
-
-def _d_zelinka(x: int, y: int) -> Fraction:
-    return Fraction(max((x & ~y).bit_count(), (y & ~x).bit_count()))
-
-
-def _d_bunke_shearer(x: int, y: int) -> Fraction:
-    top = max(x.bit_count(), y.bit_count())
-    if top == 0:
-        return Fraction(0)
-    return Fraction(max((x & ~y).bit_count(), (y & ~x).bit_count()), top)
-
-
-def _d_trivial(x: int, y: int) -> Fraction:
-    return Fraction(0 if x == y else 1)
-
-
-_BUILTIN_FNS = {
-    "set_difference": _d_set_difference,
-    "jaccard": _d_jaccard,
-    "zelinka": _d_zelinka,
-    "bunke_shearer": _d_bunke_shearer,
-    "trivial": _d_trivial,
+# The builtin closed forms as functions of the signature (a, b, c) =
+# (|X∖Y|, |Y∖X|, |X∩Y|) of two sets; "or 1" pins 0/0 (both sets empty)
+# to 0, as the identity axiom requires.
+_SIGNATURES = {
+    "set_difference": lambda a, b, c: Fraction(a + b),
+    "jaccard": lambda a, b, c: Fraction(a + b, a + b + c or 1),
+    "zelinka": lambda a, b, c: Fraction(max(a, b)),
+    "bunke_shearer": lambda a, b, c: Fraction(max(a, b), max(a, b) + c or 1),
+    "trivial": lambda a, b, c: Fraction(1 if a or b else 0),
 }
 
 
 class DistanceMetric:
-    """Symmetric exact-valued distance on subsets of an m-alternative universe.
+    """Exact-valued distance on subsets of an m-alternative universe.
 
-    Backed either by a closed form (builtins and constructions) or by an
-    explicit table keyed on unordered mask pairs (custom and random metrics).
+    Backed by a closed form of the signature (|X∖Y|, |Y∖X|, |X∩Y|)
+    (builtins), an explicit table keyed on unordered mask pairs (custom and
+    random metrics) or a closed form of the two masks (constructions).
     Immutable after construction; level structures are cached per ground set.
     """
 
-    def __init__(self, name, m, *, fn=None, table=None):
-        if (fn is None) == (table is None):
-            raise ValueError("exactly one of fn/table required")
+    def __init__(self, name, m, *, fn=None, table=None, signature=None):
+        if sum(x is not None for x in (fn, table, signature)) != 1:
+            raise ValueError("exactly one of fn/table/signature required")
         self.name = name
         self.m = m
         self._fn = fn
         self._table = table
+        self._signature = signature
+        self._ints = None  # (integer grid or matrix, scale), built by the first rows()
         self._level_cache: dict[int, LevelStructure] = {}
 
     def d(self, xmask: int, ymask: int) -> Fraction:
         """Distance between two sets given as masks."""
+        if self._signature is not None:
+            x, y = xmask, ymask
+            return self._signature((x & ~y).bit_count(), (y & ~x).bit_count(), (x & y).bit_count())
         if self._fn is not None:
             return self._fn(xmask, ymask)
         if xmask == ymask:
@@ -112,11 +97,55 @@ class DistanceMetric:
             raise PreconditionError("sets do not match the metric's universe size")
         return self.d(x.mask, y.mask)
 
-    def row(self, umask: int) -> list[Fraction]:
-        return [self.d(umask, s) for s in range(1 << self.m)]
+    def rows(self, masks, terms: int = 1) -> tuple[np.ndarray, int]:
+        """(A, scale) with A[i, s] = scale * d(masks[i], s) for all 2^m sets s,
+        as exact integers under the int64 guard of `scaled_integers`.
+
+        Signature metrics scale their (m+1)^3 signature grid once and gather
+        rows by signature code, table metrics scale their table once into a
+        dense 2^m x 2^m matrix; only closed forms of two masks build one
+        Fraction per cell.
+        """
+        if self._fn is not None:
+            sets = range(1 << self.m)
+            return scaled_integers([[self._fn(x, s) for s in sets] for x in masks], terms)
+        if self._ints is None:
+            self._ints = self._signature_grid() if self._table is None else self._table_matrix()
+        ints, scale = self._ints
+        if self._signature is not None:
+            gathered = ints[_signature_codes(masks, self.m)]
+        else:
+            gathered = ints[np.asarray(masks)]
+        return int64_if_fits(gathered, terms), scale
+
+    def _signature_grid(self) -> tuple[np.ndarray, int]:
+        # cells with a + b + c > m are the signature of no pair of sets; 0
+        # keeps them out of the scale
+        cells = product(range(self.m + 1), repeat=3)
+        return scaled_integers(
+            [self._signature(*abc) if sum(abc) <= self.m else Fraction(0) for abc in cells]
+        )
+
+    def _table_matrix(self) -> tuple[np.ndarray, int]:
+        n = 1 << self.m
+        xs, ys = np.array(list(self._table), dtype=np.int64).reshape(-1, 2).T
+        values, scale = scaled_integers(list(self._table.values()))
+        matrix = np.zeros((n, n), dtype=values.dtype)
+        matrix[xs, ys] = matrix[ys, xs] = values
+        return matrix, scale
 
     def __repr__(self):
         return f"DistanceMetric({self.name!r}, m={self.m})"
+
+
+def _signature_codes(masks, m: int) -> np.ndarray:
+    """codes[i, s] = (a * (m+1) + b) * (m+1) + c for the signature
+    (a, b, c) = (|X∖S|, |S∖X|, |X∩S|) of X = masks[i] and every set S."""
+    sets = mask_words(range(1 << m), m)
+    words = mask_words(masks, m)
+    both = popcount(words[:, :, None] & sets[:, None, :])
+    base = m + 1
+    return ((popcount(words)[:, None] - both) * base + popcount(sets) - both) * base + both
 
 
 def make_metric(kind: str, m: int, *, table=None, name=None) -> DistanceMetric:
@@ -126,21 +155,16 @@ def make_metric(kind: str, m: int, *, table=None, name=None) -> DistanceMetric:
     rationals; the diagonal is implicitly zero. example2 is the m=3
     complement-at-distance-one construction and rejects other m.
     """
-    if kind in _BUILTIN_FNS:
-        return DistanceMetric(kind, m, fn=_BUILTIN_FNS[kind])
+    if kind in _SIGNATURES:
+        return DistanceMetric(kind, m, signature=_SIGNATURES[kind])
     if kind == "example2":
         if m != 3:
             raise PreconditionError("example2 is defined only for m=3")
-        full = (1 << m) - 1
 
-        def fn(x, y):
-            if x == y:
-                return Fraction(0)
-            if (x & y) == 0 and (x | y) == full:
-                return Fraction(1)
-            return Fraction(2)
+        def signature(a, b, c):  # complements (c = 0, a + b = m) are at distance 1
+            return Fraction(0 if a == b == 0 else 1 if c == 0 and a + b == m else 2)
 
-        return DistanceMetric("example2", m, fn=fn)
+        return DistanceMetric("example2", m, signature=signature)
     if kind == "custom":
         if table is None:
             raise ValueError("custom metric requires a table")
@@ -181,6 +205,17 @@ def _normalize_table(m, table) -> dict[tuple[int, int], Fraction]:
     return clean
 
 
+def _full_matrix(metric: DistanceMetric, terms: int = 1) -> np.ndarray:
+    """Every row d(X, ·) as integers; refused with CapExceededError, before
+    any row is built, when the 4^m cells exceed MAX_MATRIX_CELLS."""
+    cells = 1 << 2 * metric.m
+    if cells > MAX_MATRIX_CELLS:
+        raise CapExceededError(
+            f"m={metric.m}: the full distance matrix has {cells} cells, over {MAX_MATRIX_CELLS}"
+        )
+    return metric.rows(range(1 << metric.m), terms)[0]
+
+
 @dataclass(frozen=True)
 class AxiomCheck:
     ok: bool
@@ -203,7 +238,7 @@ def check_metric_axioms(metric: DistanceMetric, max_m: int = DEFAULT_MAX_M) -> A
     if m > max_m:
         raise CapExceededError(f"m={m} exceeds axiom check cap {max_m}")
     n = 1 << m
-    D, _ = scaled_integers([metric.row(i) for i in range(n)], terms=2)
+    D = _full_matrix(metric, terms=2)
 
     def sets(*masks):
         return tuple(AlternativeSet(int(mask), m) for mask in masks)
@@ -258,7 +293,7 @@ def level_structure(
     cached = metric._level_cache.get(ground.mask)
     if cached is not None:
         return cached
-    row, scale = scaled_integers(metric.row(ground.mask))
+    (row,), scale = metric.rows([ground.mask])
     if row[ground.mask] != 0:
         raise MetricAxiomError("d(U, U) != 0; not a metric", witness=(ground.members,))
     values, level_of, sizes = np.unique(row, return_inverse=True, return_counts=True)
@@ -334,9 +369,8 @@ def is_majority_concentric(metric: DistanceMetric, k: int) -> MetricPropertyChec
 def _overlap_triples(metric: DistanceMetric, k: int, strict: bool) -> MetricPropertyCheck:
     m = metric.m
     masks = committee_masks(m, k)
-    dist, _ = scaled_integers([metric.row(umask) for umask in masks])
-    sets = mask_words(range(1 << m), m)
-    overlap = popcount(mask_words(masks, m)[:, :, None] & sets[:, None, :])
+    dist, _ = metric.rows(masks)
+    overlap = _signature_codes(masks, m) % (m + 1)  # |U∩S|
     for u, umask in enumerate(masks):
         # first (V, S) with |U∩S| > |V∩S| (never V = U) and d(U,S) > d(V,S)
         farther = dist[u] >= dist if strict else dist[u] > dist
@@ -370,15 +404,11 @@ def is_alternative_independent(metric: DistanceMetric) -> MetricPropertyCheck:
     """
     m = metric.m
     n = 1 << m
-    dist, _ = scaled_integers([metric.row(x) for x in range(n)])
-    words = mask_words(range(n), m)
-    x, y = words[:, :, None], words[:, None, :]
-    size = popcount(words)
-    base = m + 1
-    signature = (popcount(x & ~y) * base + popcount(y & ~x)) * base + size[:, None]
-    signature = signature * base + size[None, :]
-    # for every ordered pair, the first pair in (x, y) order with its signature
-    _, first, group = np.unique(signature.ravel(), return_index=True, return_inverse=True)
+    dist = _full_matrix(metric)
+    # (|X∖Y|, |Y∖X|, |X∩Y|) fixes (|X∖Y|, |Y∖X|, |X|, |Y|) and back; for
+    # every ordered pair, the first pair in (x, y) order with its signature
+    codes = _signature_codes(range(n), m)
+    _, first, group = np.unique(codes.ravel(), return_index=True, return_inverse=True)
     seen = first[group]
     differs = dist.ravel() != dist.ravel()[seen]
     if differs.any():
@@ -538,7 +568,7 @@ def taxonomy_report(metric: DistanceMetric, k: int) -> TaxonomyReport:
 
 def metric_to_json(metric: DistanceMetric, universe: Universe | None = None) -> dict:
     universe = universe or default_universe(metric.m)
-    if metric.name in _BUILTIN_FNS or metric.name == "example2":
+    if metric.name in _SIGNATURES or metric.name == "example2":
         return {"kind": metric.name, "m": metric.m}
     entries = [
         {

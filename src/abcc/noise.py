@@ -25,6 +25,7 @@ from .core import (
     default_universe,
     frac_str,
     parse_frac,
+    scaled_integers,
 )
 from .errors import (
     CapExceededError,
@@ -167,18 +168,17 @@ def audit_d_monotonic(
         )
     if model.m > max_m:
         raise CapExceededError(f"m={model.m} exceeds audit cap {max_m}")
-    table = model.prob_table(max_m)
-    row = metric.row(model.ground.mask)
+    probs = scaled_integers(model.prob_table(max_m))[0]
+    dist = metric.rows([model.ground.mask])[0][0]
     # Pairwise iff-condition, checked on the sorted-by-distance order:
     # probability must be constant within a distance class and strictly
     # decreasing across classes. Equivalent to the all-pairs comparison.
-    order = sorted(range(1 << model.m), key=lambda s: row[s])
-    for prev, cur in zip(order, order[1:]):
-        same_distance = row[prev] == row[cur]
-        if same_distance and table[prev] != table[cur]:
-            return False, (AlternativeSet(prev, model.m), AlternativeSet(cur, model.m))
-        if not same_distance and table[prev] <= table[cur]:
-            return False, (AlternativeSet(prev, model.m), AlternativeSet(cur, model.m))
+    order = np.argsort(dist, kind="stable")
+    dist, probs = dist[order], probs[order]
+    bad = np.where(dist[:-1] == dist[1:], probs[:-1] != probs[1:], probs[:-1] <= probs[1:])
+    if bad.any():
+        i = int(np.argmax(bad))
+        return False, tuple(AlternativeSet(int(s), model.m) for s in order[i : i + 2])
     return True, None
 
 

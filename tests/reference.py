@@ -5,14 +5,68 @@ The rule functions sum per-vote scores f(|C ∩ S|, |S|) one vote at a
 time, and the metric classifiers visit sets, pairs and triples one at a
 time, all in exact rational arithmetic, the way the library did before
 its sweeps ran on integer-scaled numpy arrays. Every classifier returns
-the first violation in the order its loops visit them.
+the first violation in the order its loops visit them. Distances come
+one Fraction per cell from metric.d, and the builtin metrics are also
+given here in their mask form, the form they had before they became
+functions of the signature (|X∖Y|, |Y∖X|, |X∩Y|).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from abcc.core import committee_masks
+from abcc.core import AlternativeSet, committee_masks
+
+
+def row(metric, umask):
+    """d(U, S) for every set S, indexed by mask, one Fraction per cell."""
+    return [metric.d(umask, s) for s in range(1 << metric.m)]
+
+
+# The builtin distances as closed forms of the two masks.
+
+def d_set_difference(x, y):
+    return Fraction((x ^ y).bit_count())
+
+
+def d_jaccard(x, y):
+    union = (x | y).bit_count()
+    if union == 0:
+        return Fraction(0)
+    return Fraction((x ^ y).bit_count(), union)
+
+
+def d_zelinka(x, y):
+    return Fraction(max((x & ~y).bit_count(), (y & ~x).bit_count()))
+
+
+def d_bunke_shearer(x, y):
+    top = max(x.bit_count(), y.bit_count())
+    if top == 0:
+        return Fraction(0)
+    return Fraction(max((x & ~y).bit_count(), (y & ~x).bit_count()), top)
+
+
+def d_trivial(x, y):
+    return Fraction(0 if x == y else 1)
+
+
+def d_example2(x, y):
+    if x == y:
+        return Fraction(0)
+    if (x & y) == 0 and (x | y) == 0b111:
+        return Fraction(1)
+    return Fraction(2)
+
+
+MASK_DISTANCES = {
+    "set_difference": d_set_difference,
+    "jaccard": d_jaccard,
+    "zelinka": d_zelinka,
+    "bunke_shearer": d_bunke_shearer,
+    "trivial": d_trivial,
+    "example2": d_example2,
+}
 
 
 def _gap(rule, umask, vmask, s):
@@ -93,7 +147,7 @@ def is_nontrivial(rule):
 def metric_axioms(metric):
     """(axiom, witness masks) of the first violated metric axiom, or None."""
     n = 1 << metric.m
-    D = [metric.row(i) for i in range(n)]
+    D = [row(metric, i) for i in range(n)]
     for i in range(n):
         if D[i][i] != 0:
             return "identity", (i, i)
@@ -113,10 +167,10 @@ def metric_axioms(metric):
 def level_structure(metric, umask):
     """(values, level_of, sizes): the distinct distances from U, ascending,
     each set's level index, and the number of sets per level."""
-    row = metric.row(umask)
-    values = sorted(set(row))
+    dist = row(metric, umask)
+    values = sorted(set(dist))
     index = {v: t for t, v in enumerate(values)}
-    level_of = [index[v] for v in row]
+    level_of = [index[v] for v in dist]
     sizes = [0] * len(values)
     for lev in level_of:
         sizes[lev] += 1
@@ -165,7 +219,7 @@ def overlap_triples(metric, k, strict):
     (>= when strict), or None."""
     m = metric.m
     masks = committee_masks(m, k)
-    rows = {umask: metric.row(umask) for umask in masks}
+    rows = {umask: row(metric, umask) for umask in masks}
     for umask in masks:
         for vmask in masks:
             if umask == vmask:
@@ -190,3 +244,19 @@ def alternative_independent(metric):
             if seen[2] != d:
                 return (seen[0], seen[1]), (x, y)
     return None
+
+
+def audit_d_monotonic(model, metric):
+    """(ok, witness): the first neighbours in the distance-sorted order
+    whose probabilities break "equal distance iff equal probability,
+    nearer iff likelier"."""
+    table = model.prob_table()
+    dist = row(metric, model.ground.mask)
+    order = sorted(range(1 << model.m), key=lambda s: dist[s])
+    for prev, cur in zip(order, order[1:]):
+        same_distance = dist[prev] == dist[cur]
+        if same_distance and table[prev] != table[cur]:
+            return False, (AlternativeSet(prev, model.m), AlternativeSet(cur, model.m))
+        if not same_distance and table[prev] <= table[cur]:
+            return False, (AlternativeSet(prev, model.m), AlternativeSet(cur, model.m))
+    return True, None

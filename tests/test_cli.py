@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+
+import pytest
 
 from abcc.cli import main
 from abcc.core import parse_profile
-from abcc.metrics import metric_to_json, random_metric
+from abcc.metrics import DistanceMetric, metric_to_json, random_metric
 
 PROFILE_AB = "alternatives: a,b,c\na\na,b\n"
 
@@ -93,6 +96,26 @@ class TestMetricCommands:
     def test_cap_exit_3(self, capsys):
         code, _, err = run(capsys, "check-metric", "--metric", "trivial", "--m", "17")
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["check-metric", "--metric", "jaccard", "--m", "13"],
+        ["taxonomy", "--metric", "jaccard", "--m", "13", "--k", "2"],
+    ])
+    def test_full_matrix_over_budget_exits_3_at_once(self, argv, tmp_path, capsys, monkeypatch):
+        # 4^13 cells are over the budget: refused before any distance row exists
+        def no_rows(self, masks, terms=1):
+            raise AssertionError("a distance row was built")
+
+        monkeypatch.setattr(DistanceMetric, "rows", no_rows)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "cells" in err
+        assert peak < 4 << 20
 
     def test_taxonomy_jaccard(self, tmp_path, capsys):
         code, out, _ = run(
@@ -401,6 +424,20 @@ class TestInputErrors:
 
     def test_negative_m(self, tmp_path, capsys):
         self.assert_exit_2(capsys, "check-metric", "--metric", "jaccard", "--m", "-1")
+
+    def test_mle_check_negative_profile_count(self, tmp_path, capsys):
+        err = self.assert_exit_2(
+            capsys, "mle-check", "--p", "3/4", "--m", "3", "--k", "1", "--profiles", "-2",
+            "--seed", "1", "--out", str(tmp_path),
+        )
+        assert "profiles" in err
+
+    def test_mle_check_no_votes_per_profile(self, tmp_path, capsys):
+        err = self.assert_exit_2(
+            capsys, "mle-check", "--p", "3/4", "--m", "3", "--k", "1", "--profiles", "2",
+            "--n-max", "0", "--seed", "1", "--out", str(tmp_path),
+        )
+        assert "n_max" in err
 
 
 class TestManifests:

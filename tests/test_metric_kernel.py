@@ -1,10 +1,12 @@
 """The metric classifiers on the exact integer distance matrix against the
-brute-force Fraction loops in reference.py: axiom checks, level
-structures, neighborhood counts and every taxonomy flag with its witness,
-on the builtin metrics up to m = 6, on every random-metric family, on raw
-tables and asymmetric closed forms that break each axiom, and on
+brute-force Fraction loops in reference.py: distance rows, axiom checks,
+level structures, neighborhood counts, every taxonomy flag with its
+witness and the monotonicity audit of noise models, on the builtin
+metrics up to m = 6 (rows also at m = 18), on every random-metric family,
+on raw tables and asymmetric closed forms that break each axiom, and on
 distances whose scaled integers do not fit in int64."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -12,16 +14,27 @@ import numpy as np
 import pytest
 
 import reference
-from abcc.core import AlternativeSet, Committee, committee_masks, popcount, scaled_integers
+from abcc.core import (
+    MAX_MATRIX_CELLS,
+    AlternativeSet,
+    Committee,
+    committee_masks,
+    default_universe,
+    popcount,
+    scaled_integers,
+)
+from abcc.errors import CapExceededError
 from abcc.metrics import (
     DistanceMetric,
     check_metric_axioms,
+    is_alternative_independent,
     level_structure,
     make_metric,
     neighborhood_count,
     random_metric,
     taxonomy_report,
 )
+from abcc.noise import audit_d_monotonic, make_mp, staggered_level_model
 
 BUILTIN_METRICS = ["set_difference", "jaccard", "zelinka", "bunke_shearer", "trivial"]
 
@@ -160,7 +173,7 @@ def test_object_path(violate):
     rng = np.random.default_rng(40)
     for m in (3, 4):
         metric = huge_metric(m, rng, violate)
-        matrix, _ = scaled_integers([metric.row(x) for x in range(1 << m)])
+        matrix, _ = metric.rows(range(1 << m))
         assert matrix.dtype == object
         check_everything(metric, range(1, m))
 
@@ -181,3 +194,151 @@ def test_popcount_counts_are_wide():
     counts = popcount(words)
     assert counts.dtype == np.int64 and counts.tolist() == [16, 8, 0]
     assert (((counts * 7 + counts) * 7 + counts) * 7 + counts).tolist() == [6400, 3200, 0]
+
+
+# ---------------------------------------------------------------------------
+# Distance rows: rows(masks)[0] / scale equals d cell by cell.
+
+def assert_rows_match(metric, masks=None, terms=1):
+    masks = range(1 << metric.m) if masks is None else masks
+    ints, scale = metric.rows(masks, terms)
+    assert ints.shape == (len(masks), 1 << metric.m)
+    cells = ints.tolist()
+    assert [[Fraction(v, scale) for v in r] for r in cells] == [
+        reference.row(metric, x) for x in masks
+    ]
+    peak = max(abs(v) for r in cells for v in r)
+    assert ints.dtype == (np.int64 if peak * terms < 1 << 62 else object)
+    return ints
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_signature_forms_match_mask_forms(m):
+    kinds = BUILTIN_METRICS + (["example2"] if m == 3 else [])
+    for kind in kinds:
+        metric = make_metric(kind, m)
+        mask_form = reference.MASK_DISTANCES[kind]
+        for x, y in itertools.product(range(1 << m), repeat=2):
+            assert metric.d(x, y) == mask_form(x, y), (kind, x, y)
+        assert_rows_match(metric)
+        assert_rows_match(metric, committee_masks(m, m // 2), terms=3)
+
+
+@pytest.mark.parametrize(
+    "family,monotone,perturb",
+    list(itertools.product(["table", "signature"], [False, True], [False, True])),
+)
+def test_random_metric_rows(family, monotone, perturb):
+    for m, seed in itertools.product((2, 3, 4), range(2)):
+        metric = random_metric(
+            m, seed=[m, seed, 1], family=family, monotone=monotone, perturb=perturb
+        )
+        assert_rows_match(metric)
+        assert_rows_match(metric, [3, 0, 3], terms=2)
+
+
+def test_closed_form_and_raw_table_rows():
+    rng = np.random.default_rng(7)
+    for m in (2, 3, 4):
+        assert_rows_match(asymmetric(m, rng))
+        assert_rows_match(raw_table(m, rng), terms=2)
+
+
+def test_object_path_rows():
+    rng = np.random.default_rng(41)
+    metric = huge_metric(3, rng)
+    for terms in (1, 2):
+        assert assert_rows_match(metric, terms=terms).dtype == object
+
+
+def test_rows_at_the_int64_guard():
+    # integer entries, scale 1: max|A| * 2 = 2^62 is one past the int64 side
+    for top, wide in ((1 << 61, True), ((1 << 61) - 1, False)):
+        table = {pair: Fraction(1) for pair in itertools.combinations(range(4), 2)}
+        table[(1, 2)] = Fraction(top)
+        metric = DistanceMetric("edge", 2, table=table)
+        assert assert_rows_match(metric).dtype == np.int64
+        ints = assert_rows_match(metric, terms=2)
+        assert ints.dtype == (object if wide else np.int64)
+        assert ints[1, 2] == top
+
+
+def test_wide_universe_row():
+    # m = 18: masks span two 16-bit words, and codes reach (m+1)^3
+    m = 18
+    metric = make_metric("jaccard", m)
+    x = (1 << 17) | (1 << 16) | 0b1011
+    ints, scale = metric.rows([x, (1 << m) - 1])
+    for row, umask in zip(ints.tolist(), (x, (1 << m) - 1)):
+        assert [Fraction(v, scale) for v in row] == [
+            reference.d_jaccard(umask, s) for s in range(1 << m)
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Full-matrix budget.
+
+@pytest.mark.parametrize("check", [check_metric_axioms, is_alternative_independent])
+def test_full_matrix_budget(check, monkeypatch):
+    class Built(Exception):
+        pass
+
+    def built(self, masks, terms=1):
+        raise Built
+
+    monkeypatch.setattr(DistanceMetric, "rows", built)
+    assert 1 << 2 * 12 == MAX_MATRIX_CELLS
+    with pytest.raises(Built):  # m = 12 passes the budget and builds rows
+        check(make_metric("jaccard", 12))
+    with pytest.raises(CapExceededError):
+        check(make_metric("jaccard", 13))
+
+
+# ---------------------------------------------------------------------------
+# Monotonicity audit of noise models.
+
+def assert_audit_matches(model, metric):
+    expected = reference.audit_d_monotonic(model, metric)
+    assert audit_d_monotonic(model, metric) == expected
+    return expected[0]
+
+
+def test_audit_on_builtins():
+    outcomes = set()
+    for m in range(2, 6):
+        metrics = [make_metric(kind, m) for kind in BUILTIN_METRICS]
+        for k in range(1, m):
+            for umask in committee_masks(m, k)[:3]:
+                ground = Committee(AlternativeSet(umask, m), k)
+                for own, other in itertools.product(metrics, repeat=2):
+                    model = staggered_level_model(own, ground)
+                    outcomes.add(assert_audit_matches(model, other))
+                product = make_mp(Fraction(3, 4), default_universe(m), ground)
+                for metric in metrics:
+                    outcomes.add(assert_audit_matches(product, metric))
+    example2 = make_metric("example2", 3)
+    for umask in committee_masks(3, 2):
+        ground = Committee(AlternativeSet(umask, 3), 2)
+        assert assert_audit_matches(staggered_level_model(example2, ground), example2)
+    assert outcomes == {True, False}
+
+
+def test_audit_on_tampered_level_tables():
+    rng = np.random.default_rng(5)
+    for m in (3, 4, 5):
+        metric = random_metric(m, seed=[m, 9], family="signature", perturb=True)
+        ground = Committee(AlternativeSet(0b11, m), 2)
+        model = staggered_level_model(metric, ground)
+        assert assert_audit_matches(model, metric)
+        probs = list(model.level_probs)
+        for _ in range(6):
+            # swap two levels, or make two levels equal: the table keeps its
+            # metric but breaks the strict-iff condition somewhere
+            i, j = sorted(rng.choice(len(probs), size=2, replace=False))
+            tampered = probs.copy()
+            if rng.integers(0, 2):
+                tampered[i], tampered[j] = tampered[j], tampered[i]
+            else:
+                tampered[j] = tampered[i]
+            bad = dataclasses.replace(model, level_probs=tuple(tampered))
+            assert not assert_audit_matches(bad, metric)
