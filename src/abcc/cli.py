@@ -3,7 +3,8 @@ counterexample, hierarchy, sample, converge, mle-check.
 
 Exit codes: 0 ok, 2 parse/input error, 3 enumeration cap, 4 invalid
 metric, 5 no witness exists, 6 bad model parameter. Exact rationals
-cross this boundary as "p/q" strings; --approx switches to decimals.
+cross this boundary as "p/q" strings; --approx (score, converge) switches
+to decimals.
 Every command that writes result files appends a run manifest.
 """
 
@@ -27,6 +28,7 @@ from .core import (
     frac_str,
     parse_frac,
     parse_profile,
+    read_text,
 )
 from .errors import (
     AbccError,
@@ -224,8 +226,7 @@ def _resolve_model(args, runner: Runner):
 
 
 def _load_profile(args, runner: Runner):
-    path = runner.track_input(args.profile)
-    return parse_profile(path.read_text(encoding="utf-8"))
+    return parse_profile(read_text(runner.track_input(args.profile)))
 
 
 def _labels(committee, universe):
@@ -446,12 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=list(parents), **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--out", default=".", help="output directory for result files")
-        p.add_argument("--approx", action="store_true", help="decimal output instead of p/q")
         for flag in required:
             p.add_argument(f"--{flag}", type=int, required=True)
         return p
 
     p = add("score", cmd_score, [rule_args], help="exact score of a committee over a profile")
+    p.add_argument("--approx", action="store_true", help="decimal output instead of p/q")
     p.add_argument("--committee", required=True, help="comma-separated labels")
     p.add_argument("--profile", required=True, help="profile text file")
 
@@ -479,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("converge", cmd_converge, [rule_args, model_args],
             help="recovery-rate curve over a vote-count grid")
     p.add_argument("--n-grid", default="10,30,100,300,1000")
+    p.add_argument("--approx", action="store_true", help="decimal rates instead of p/q")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
 

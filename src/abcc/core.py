@@ -9,11 +9,13 @@ these masks; labels exist for I/O only.
 from __future__ import annotations
 
 import functools
+import json
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from pathlib import Path
 
 import numpy as np
 
@@ -23,9 +25,11 @@ from .errors import (
     ProfileParseError,
 )
 
-# Safe desk-scale defaults; sampling paths are not subject to these.
-DEFAULT_MAX_M = 16
-DEFAULT_MAX_COMMITTEES = 100_000
+# The limits of exact enumeration. Each has one check (check_sets,
+# committee_masks, check_matrix) that every exhaustive sweep calls on entry,
+# before it allocates anything; sampling paths are not subject to them.
+MAX_M = 16  # all 2^m sets
+MAX_COMMITTEES = 100_000  # all C(m, k) committees
 # Cells of a full 2^m x 2^m distance matrix (m <= 12): one int64 copy is
 # 128 MiB here, and the triangle check is cubic in 2^m.
 MAX_MATRIX_CELLS = 4**12
@@ -209,29 +213,42 @@ def feasible_pairs(m: int, k: int) -> FeasiblePairDomain:
     return FeasiblePairDomain(m, k, pairs)
 
 
-def enumerate_subsets(universe: Universe, max_m: int = DEFAULT_MAX_M) -> list[AlternativeSet]:
+def check_sets(m: int) -> None:
+    """Refuse a sweep over all 2^m sets when m exceeds MAX_M."""
+    if m > MAX_M:
+        raise CapExceededError(f"m={m}: enumerating all 2^m sets is capped at m <= {MAX_M}")
+
+
+def check_matrix(m: int) -> None:
+    """Refuse a full 2^m x 2^m distance matrix over MAX_MATRIX_CELLS cells."""
+    cells = 1 << 2 * m
+    if cells > MAX_MATRIX_CELLS:
+        raise CapExceededError(
+            f"m={m}: the full distance matrix has {cells} cells, over {MAX_MATRIX_CELLS}"
+        )
+
+
+def enumerate_subsets(universe: Universe) -> list[AlternativeSet]:
     """All 2^m subsets in ascending bitmask order."""
     m = universe.m
-    if m > max_m:
-        raise CapExceededError(f"m={m} exceeds subset enumeration cap {max_m}")
+    check_sets(m)
     return [AlternativeSet(mask, m) for mask in range(1 << m)]
 
 
-def enumerate_committees(
-    universe: Universe, k: int, max_committees: int = DEFAULT_MAX_COMMITTEES
-) -> list[Committee]:
+def enumerate_committees(universe: Universe, k: int) -> list[Committee]:
     """All C(m, k) size-k committees in ascending bitmask order."""
     m = universe.m
-    masks = committee_masks(m, k, max_committees)
-    return [Committee(AlternativeSet(mask, m), k) for mask in masks]
+    return [Committee(AlternativeSet(mask, m), k) for mask in committee_masks(m, k)]
 
 
-def committee_masks(m: int, k: int, max_committees: int = DEFAULT_MAX_COMMITTEES) -> list[int]:
-    """Raw bitmasks of all size-k committees, ascending. Fast path for oracles."""
+def committee_masks(m: int, k: int) -> list[int]:
+    """Raw bitmasks of all size-k committees, ascending; refused when
+    C(m, k) exceeds MAX_COMMITTEES. It never lists the 2^m sets, so m
+    itself is not capped here."""
     check_k(m, k)
     count = comb(m, k)
-    if count > max_committees:
-        raise CapExceededError(f"C({m},{k})={count} exceeds committee cap {max_committees}")
+    if count > MAX_COMMITTEES:
+        raise CapExceededError(f"C({m},{k})={count} exceeds committee cap {MAX_COMMITTEES}")
     return sorted(sum(1 << i for i in combo) for combo in combinations(range(m), k))
 
 
@@ -313,6 +330,26 @@ def popcount(words) -> np.ndarray:
     summed, so arithmetic on the counts (such as signature codes) cannot wrap.
     """
     return _popcount16()[words].sum(axis=0, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# Input files: text that is not UTF-8, or JSON that does not parse, is a
+# ProfileParseError (exit 2) like any other malformed input.
+
+def read_text(path) -> str:
+    """The UTF-8 text of a file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProfileParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def read_json(path, what: str):
+    """The JSON document in a UTF-8 file; `what` names the file in errors."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ProfileParseError(f"bad JSON in {what} file: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    DEFAULT_MAX_COMMITTEES,
-    AlternativeSet,
-    Committee,
-    Profile,
-    check_k,
-    committee_masks,
-    frac_str,
-)
+from .core import AlternativeSet, Committee, Profile, check_k, committee_masks, frac_str
 from .errors import InvalidNoiseParamError, PreconditionError
 from .metrics import DistanceMetric, TaxonomyReport, taxonomy_report
 from .noise import NoiseModel, sample_vote_masks
@@ -37,14 +29,7 @@ class TrialRates(NamedTuple):
     wrong: Fraction
 
 
-def accuracy_trial(
-    rule: AbccRule,
-    model: NoiseModel,
-    n: int,
-    trials: int,
-    seed,
-    max_committees: int = DEFAULT_MAX_COMMITTEES,
-) -> TrialRates:
+def accuracy_trial(rule: AbccRule, model: NoiseModel, n: int, trials: int, seed) -> TrialRates:
     """Fraction of trials where the ground truth is the unique winner.
 
     Each trial samples n votes and computes the exact winner set;
@@ -54,7 +39,7 @@ def accuracy_trial(
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    masks = committee_masks(rule.m, rule.k, max_committees)
+    masks = committee_masks(rule.m, rule.k)
     gmask = model.ground.mask
     recovered = tied = 0
     for child in np.random.SeedSequence(seed).spawn(trials):
@@ -131,13 +116,7 @@ class MleResult(NamedTuple):
         return self.by_distance == self.by_score
 
 
-def mle_committees(
-    profile: Profile,
-    p,
-    m: int,
-    k: int,
-    max_committees: int = DEFAULT_MAX_COMMITTEES,
-) -> MleResult:
+def mle_committees(profile: Profile, p, m: int, k: int) -> MleResult:
     """Most likely ground committees under the product model, two routes.
 
     Route one ranks committees by total symmetric-difference distance to
@@ -152,14 +131,14 @@ def mle_committees(
     counts = Counter(v.mask for v in profile)
     best = None
     best_masks = []
-    for cmask in committee_masks(m, k, max_committees):
+    for cmask in committee_masks(m, k):
         total = sum(((cmask ^ vmask).bit_count()) * mult for vmask, mult in counts.items())
         if best is None or total < best:
             best, best_masks = total, [cmask]
         elif total == best:
             best_masks.append(cmask)
     by_distance = tuple(Committee(AlternativeSet(mask, m), k) for mask in best_masks)
-    by_score = tuple(winners(make_rule("av", m, k), profile, max_committees))
+    by_score = tuple(winners(make_rule("av", m, k), profile))
     return MleResult(by_distance, by_score)
 
 
@@ -204,6 +183,9 @@ def hierarchy_report(rules: list[AbccRule], metrics: list[DistanceMetric]) -> Hi
     m, k = rules[0].m, rules[0].k
     if any(r.m != m or r.k != k for r in rules) or any(d.m != m for d in metrics):
         raise PreconditionError("all rules and metrics must share the same (m, k)")
+    # the taxonomy first: its full-matrix limit is the tightest, so an m over
+    # it is refused before any verdict runs
+    taxonomy = {metric.name: taxonomy_report(metric, k) for metric in metrics}
     verdicts = {
         (rule.name, metric.name): robustness_verdict(rule, metric)
         for rule in rules
@@ -217,7 +199,6 @@ def hierarchy_report(rules: list[AbccRule], metrics: list[DistanceMetric]) -> Hi
             "has_top_jump": bool(jump),
             "top_jump_vacuous": jump.vacuous,
         }
-    taxonomy = {metric.name: taxonomy_report(metric, k) for metric in metrics}
     return HierarchyReport(
         m,
         k,

@@ -7,7 +7,6 @@ and strict sign comparisons, so floats never enter here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -15,11 +14,11 @@ from itertools import combinations, product
 import numpy as np
 
 from .core import (
-    DEFAULT_MAX_M,
-    MAX_MATRIX_CELLS,
     AlternativeSet,
     Committee,
     Universe,
+    check_matrix,
+    check_sets,
     committee_masks,
     default_universe,
     frac_str,
@@ -27,10 +26,10 @@ from .core import (
     mask_words,
     parse_frac,
     popcount,
+    read_json,
     scaled_integers,
 )
 from .errors import (
-    CapExceededError,
     MetricAxiomError,
     MetricGenerationError,
     PreconditionError,
@@ -205,17 +204,6 @@ def _normalize_table(m, table) -> dict[tuple[int, int], Fraction]:
     return clean
 
 
-def _full_matrix(metric: DistanceMetric, terms: int = 1) -> np.ndarray:
-    """Every row d(X, ·) as integers; refused with CapExceededError, before
-    any row is built, when the 4^m cells exceed MAX_MATRIX_CELLS."""
-    cells = 1 << 2 * metric.m
-    if cells > MAX_MATRIX_CELLS:
-        raise CapExceededError(
-            f"m={metric.m}: the full distance matrix has {cells} cells, over {MAX_MATRIX_CELLS}"
-        )
-    return metric.rows(range(1 << metric.m), terms)[0]
-
-
 @dataclass(frozen=True)
 class AxiomCheck:
     ok: bool
@@ -226,7 +214,7 @@ class AxiomCheck:
         return self.ok
 
 
-def check_metric_axioms(metric: DistanceMetric, max_m: int = DEFAULT_MAX_M) -> AxiomCheck:
+def check_metric_axioms(metric: DistanceMetric) -> AxiomCheck:
     """Verify identity, positivity, symmetry, and the triangle inequality.
 
     Exhaustive over all pairs and triples of the 2^m subsets, on the
@@ -235,10 +223,9 @@ def check_metric_axioms(metric: DistanceMetric, max_m: int = DEFAULT_MAX_M) -> A
     order for the triangle inequality.
     """
     m = metric.m
-    if m > max_m:
-        raise CapExceededError(f"m={m} exceeds axiom check cap {max_m}")
+    check_matrix(m)
     n = 1 << m
-    D = _full_matrix(metric, terms=2)
+    D = metric.rows(range(n), terms=2)[0]
 
     def sets(*masks):
         return tuple(AlternativeSet(int(mask), m) for mask in masks)
@@ -281,13 +268,10 @@ class LevelStructure:
         return [AlternativeSet(s, m) for s, lev in enumerate(self.level_of) if lev == t]
 
 
-def level_structure(
-    metric: DistanceMetric, ground: Committee, max_m: int = DEFAULT_MAX_M
-) -> LevelStructure:
+def level_structure(metric: DistanceMetric, ground: Committee) -> LevelStructure:
     """Group all 2^m subsets by their exact distance from the ground committee."""
     m = metric.m
-    if m > max_m:
-        raise CapExceededError(f"m={m} exceeds enumeration cap {max_m}")
+    check_sets(m)
     if ground.m != m:
         raise PreconditionError("ground committee does not match the metric's universe")
     cached = metric._level_cache.get(ground.mask)
@@ -351,6 +335,7 @@ def is_majority_concentric(metric: DistanceMetric, k: int) -> MetricPropertyChec
     with a-but-not-b as with b-but-not-a. Witness on failure: (U, a, b, t).
     """
     m = metric.m
+    check_sets(m)
     sets = np.arange(1 << m)
     has = (sets[:, None] >> np.arange(m) & 1) == 1
     for umask in committee_masks(m, k):
@@ -368,6 +353,7 @@ def is_majority_concentric(metric: DistanceMetric, k: int) -> MetricPropertyChec
 
 def _overlap_triples(metric: DistanceMetric, k: int, strict: bool) -> MetricPropertyCheck:
     m = metric.m
+    check_sets(m)
     masks = committee_masks(m, k)
     dist, _ = metric.rows(masks)
     overlap = _signature_codes(masks, m) % (m + 1)  # |U∩S|
@@ -403,8 +389,9 @@ def is_alternative_independent(metric: DistanceMetric) -> MetricPropertyCheck:
     different distance.
     """
     m = metric.m
+    check_matrix(m)
     n = 1 << m
-    dist = _full_matrix(metric)
+    dist = metric.rows(range(n))[0]
     # (|X∖Y|, |Y∖X|, |X∩Y|) fixes (|X∖Y|, |Y∖X|, |X|, |Y|) and back; for
     # every ordered pair, the first pair in (x, y) order with its signature
     codes = _signature_codes(range(n), m)
@@ -422,14 +409,11 @@ def is_alternative_independent(metric: DistanceMetric) -> MetricPropertyCheck:
 # ---------------------------------------------------------------------------
 # Random metric generation: generate-and-filter with bounded retries.
 
+_MAX_RETRIES = 50
+
+
 def random_metric(
-    m: int,
-    seed,
-    family: str = "table",
-    monotone: bool = False,
-    perturb: bool = True,
-    max_retries: int = 50,
-    max_m: int = DEFAULT_MAX_M,
+    m: int, seed, family: str = "table", monotone: bool = False, perturb: bool = True
 ) -> DistanceMetric:
     """Seeded random metric, axiom-verified before return.
 
@@ -442,14 +426,13 @@ def random_metric(
     max-difference sizes (non-decreasing in both, which also makes the
     metric natural); otherwise each signature class draws from [1, 2].
     """
-    if m > max_m:
-        raise CapExceededError(f"m={m} exceeds generation cap {max_m}")
+    check_matrix(m)  # the axiom check below holds the full matrix
     if family not in ("table", "signature"):
         raise ValueError(f"unknown family {family!r}")
     rng = np.random.default_rng(seed)
     n = 1 << m
     tag = f"m={m},seed={seed}"
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         if family == "table":
             pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
             if perturb:
@@ -463,9 +446,9 @@ def random_metric(
             )
         else:
             candidate = _random_signature_metric(m, rng, monotone, perturb, tag)
-        if check_metric_axioms(candidate, max_m=max_m).ok:
+        if check_metric_axioms(candidate).ok:
             return candidate
-    raise MetricGenerationError(f"no valid metric after {max_retries} attempts")
+    raise MetricGenerationError(f"no valid metric after {_MAX_RETRIES} attempts")
 
 
 def _random_signature_metric(m, rng, monotone, perturb, tag) -> DistanceMetric:
@@ -568,7 +551,7 @@ def taxonomy_report(metric: DistanceMetric, k: int) -> TaxonomyReport:
 
 def metric_to_json(metric: DistanceMetric, universe: Universe | None = None) -> dict:
     universe = universe or default_universe(metric.m)
-    if metric.name in _SIGNATURES or metric.name == "example2":
+    if metric._signature is not None:  # only the builtins have one
         return {"kind": metric.name, "m": metric.m}
     entries = [
         {
@@ -608,9 +591,4 @@ def metric_from_json(doc: dict) -> DistanceMetric:
 
 
 def load_metric_file(path) -> DistanceMetric:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ProfileParseError(f"bad JSON in metric file: {exc}") from None
-    return metric_from_json(doc)
+    return metric_from_json(read_json(path, "metric"))

@@ -10,25 +10,24 @@ full 2^m table, so they are capped at desk scale.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .core import (
-    DEFAULT_MAX_M,
     AlternativeSet,
     Committee,
     Profile,
     Universe,
+    check_sets,
     default_universe,
     frac_str,
     parse_frac,
+    read_json,
     scaled_integers,
 )
 from .errors import (
-    CapExceededError,
     DeltaSearchError,
     InvalidNoiseParamError,
     NoCounterexampleError,
@@ -79,10 +78,9 @@ class NoiseModel:
             return self.p ** (self.m - dist) * (1 - self.p) ** dist
         return self.level_probs[self.levels.level_of[mask]]
 
-    def prob_table(self, max_m: int = DEFAULT_MAX_M) -> list[Fraction]:
+    def prob_table(self) -> list[Fraction]:
         """Exact probabilities indexed by vote mask."""
-        if self.m > max_m:
-            raise CapExceededError(f"m={self.m} exceeds enumeration cap {max_m}")
+        check_sets(self.m)
         return [self.probability(mask) for mask in range(1 << self.m)]
 
 
@@ -152,9 +150,7 @@ def staggered_level_model(
 
 
 def audit_d_monotonic(
-    model: NoiseModel,
-    metric: DistanceMetric | None = None,
-    max_m: int = DEFAULT_MAX_M,
+    model: NoiseModel, metric: DistanceMetric | None = None
 ) -> tuple[bool, tuple | None]:
     """Pairwise audit of the strict-iff condition.
 
@@ -166,9 +162,7 @@ def audit_d_monotonic(
         metric = model.metric if model.kind == "level" else make_metric(
             "set_difference", model.m
         )
-    if model.m > max_m:
-        raise CapExceededError(f"m={model.m} exceeds audit cap {max_m}")
-    probs = scaled_integers(model.prob_table(max_m))[0]
+    probs = scaled_integers(model.prob_table())[0]
     dist = metric.rows([model.ground.mask])[0][0]
     # Pairwise iff-condition, checked on the sorted-by-distance order:
     # probability must be constant within a distance class and strictly
@@ -237,7 +231,10 @@ class CounterexamplePackage:
     delta: Fraction
 
 
-def jump_counterexample(rule: AbccRule, max_halvings: int = 64) -> CounterexamplePackage:
+_MAX_HALVINGS = 64
+
+
+def jump_counterexample(rule: AbccRule) -> CounterexamplePackage:
     """Adversarial distance metric and model defeating any rule with a
     score jump below the top cell.
 
@@ -290,7 +287,7 @@ def jump_counterexample(rule: AbccRule, max_halvings: int = 64) -> Counterexampl
 
     sets_total = 1 << m
     delta = Fraction(1, 3 * (sets_total - 1)) / 2
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         probs = [
             Fraction(1, 3),
             Fraction(1, 3) - delta,
@@ -305,7 +302,7 @@ def jump_counterexample(rule: AbccRule, max_halvings: int = 64) -> Counterexampl
             return CounterexamplePackage(metric, model, ground, rival, gap, jump, delta)
         delta /= 2
     raise DeltaSearchError(
-        f"gap still non-negative after {max_halvings} halvings (rule {rule.name!r})"
+        f"gap still non-negative after {_MAX_HALVINGS} halvings (rule {rule.name!r})"
     )
 
 
@@ -424,9 +421,4 @@ def model_from_json(doc: dict, m: int | None = None) -> NoiseModel:
 
 
 def load_model_file(path, m: int | None = None) -> NoiseModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ProfileParseError(f"bad JSON in model file: {exc}") from None
-    return model_from_json(doc, m)
+    return model_from_json(read_json(path, "model"), m)

@@ -28,14 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (
-    DEFAULT_MAX_COMMITTEES,
-    DEFAULT_MAX_M,
-    AlternativeSet,
-    Committee,
-    committee_masks,
-    frac_str,
-)
+from .core import AlternativeSet, Committee, committee_masks, frac_str
 from .errors import NotAccurateError, PreconditionError, SizeMismatchError
 from .metrics import DistanceMetric, LevelStructure, level_structure
 from .noise import NoiseModel, make_level_model, staggered_level_model
@@ -72,9 +65,7 @@ class AccuracyReport:
         return rival, self.gaps[rival]
 
 
-def accuracy_classify(
-    rule: AbccRule, model: NoiseModel, max_committees: int = DEFAULT_MAX_COMMITTEES
-) -> AccuracyReport:
+def accuracy_classify(rule: AbccRule, model: NoiseModel) -> AccuracyReport:
     """Classify whether the rule recovers the model's ground truth in the limit.
 
     Accurate iff every rival committee has a strictly positive expected
@@ -84,7 +75,7 @@ def accuracy_classify(
     """
     ground = model.ground
     table = model.prob_table()
-    masks = committee_masks(rule.m, rule.k, max_committees)
+    masks = committee_masks(rule.m, rule.k)
     if ground.mask not in masks:
         raise PreconditionError("model ground truth does not match the rule's (m, k)")
     scores = dict(zip(masks, expected_scores(rule, table, masks)))
@@ -198,11 +189,7 @@ def _fractions(row, scale) -> tuple[Fraction, ...]:
 
 
 def gap_analysis(
-    rule: AbccRule,
-    metric: DistanceMetric,
-    ground: Committee,
-    rival: Committee,
-    max_m: int = DEFAULT_MAX_M,
+    rule: AbccRule, metric: DistanceMetric, ground: Committee, rival: Committee
 ) -> GapAnalysis:
     """Exact level coefficients, prefix sums, and both gap evaluators.
 
@@ -210,7 +197,7 @@ def gap_analysis(
     cross-checked on one seeded random strict model; a mismatch would be
     an internal bug, not a property of the inputs.
     """
-    levels = level_structure(metric, ground, max_m)
+    levels = level_structure(metric, ground)
     coeffs, prefix, scale = _level_gaps(rule, levels, [rival.mask])
     analysis = GapAnalysis(
         rule.name, metric.name, ground, rival, levels,
@@ -274,12 +261,7 @@ class RobustnessVerdict:
     pair_summaries: tuple[PairSummary, ...]
 
 
-def robustness_verdict(
-    rule: AbccRule,
-    metric: DistanceMetric,
-    max_committees: int = DEFAULT_MAX_COMMITTEES,
-    max_m: int = DEFAULT_MAX_M,
-) -> RobustnessVerdict:
+def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerdict:
     """Decide accuracy in the limit over all monotone models of the metric.
 
     Robust iff every ordered committee pair has all prefix sums E_j >= 0
@@ -291,13 +273,13 @@ def robustness_verdict(
     if rule.m != metric.m:
         raise PreconditionError("rule and metric universe sizes differ")
     m, k = rule.m, rule.k
-    masks = committee_masks(m, k, max_committees)
+    masks = committee_masks(m, k)
     summaries = []
     first_negative = None  # (ground, rival, j, levels, coeffs)
     first_degenerate = None  # (ground, rival)
     for umask in masks:
         ground = Committee(AlternativeSet(umask, m), k)
-        levels = level_structure(metric, ground, max_m)
+        levels = level_structure(metric, ground)
         coeffs, prefix, scale = _level_gaps(rule, levels, masks)
         lowest = prefix.min(axis=1)
         positive = (prefix[:, : levels.spn] > 0).any(axis=1)

@@ -9,7 +9,6 @@ Sweeps over many votes run on the table scaled to exact integers.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,20 +17,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    DEFAULT_MAX_COMMITTEES,
-    DEFAULT_MAX_M,
     AlternativeSet,
     Committee,
     Profile,
+    check_sets,
     committee_masks,
     feasible_pairs,
     frac_str,
     mask_words,
     parse_frac,
     popcount,
+    read_json,
     scaled_integers,
 )
-from .errors import CapExceededError, DomainMismatchError, InvalidRuleError, ProfileParseError
+from .errors import DomainMismatchError, InvalidRuleError, ProfileParseError
 
 RULE_KINDS = (
     "av",
@@ -291,9 +290,7 @@ def scores_differ(rule: AbccRule, umask: int, vmask: int, vmasks) -> bool:
     )
 
 
-def winners(
-    rule: AbccRule, profile: Profile, max_committees: int = DEFAULT_MAX_COMMITTEES
-) -> list[Committee]:
+def winners(rule: AbccRule, profile: Profile) -> list[Committee]:
     """All committees of maximum total score, ties preserved.
 
     Returns the full argmax set in ascending bitmask order; an empty
@@ -303,7 +300,7 @@ def winners(
         if vote.m != rule.m:
             raise DomainMismatchError(f"vote universe size {vote.m} != rule m {rule.m}")
     counts = Counter(v.mask for v in profile)
-    best = argmax_committees(rule, counts, committee_masks(rule.m, rule.k, max_committees))
+    best = argmax_committees(rule, counts, committee_masks(rule.m, rule.k))
     return [Committee(AlternativeSet(mask, rule.m), rule.k) for mask in best]
 
 
@@ -315,8 +312,7 @@ def is_nontrivial(rule: AbccRule) -> NontrivialityResult:
     ascending (U, V) mask order is returned.
     """
     m = rule.m
-    if m > DEFAULT_MAX_M:
-        raise CapExceededError(f"m={m} exceeds subset enumeration cap {DEFAULT_MAX_M}")
+    check_sets(m)
     masks = committee_masks(m, rule.k)
     table, _ = integer_table(rule, 1)
     separated = np.eye(len(masks), dtype=bool)
@@ -377,9 +373,4 @@ def rule_from_json(doc: dict) -> AbccRule:
 
 
 def load_rule_file(path) -> AbccRule:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ProfileParseError(f"bad JSON in rule file: {exc}") from None
-    return rule_from_json(doc)
+    return rule_from_json(read_json(path, "rule"))

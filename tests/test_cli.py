@@ -165,6 +165,39 @@ class TestOracleCommands:
         if status == "not_robust":
             assert list(tmp_path.glob("*witness_model.json"))
 
+    def test_witness_model_of_table_named_like_a_builtin_reloads(self, tmp_path, capsys):
+        doc = metric_to_json(random_metric(4, seed=0))
+        doc["name"] = "jaccard"
+        metric_path = tmp_path / "metric.json"
+        metric_path.write_text(json.dumps(doc))
+        code, out, _ = run(
+            capsys,
+            "robust", "--rule", "av", "--metric-file", str(metric_path),
+            "--m", "4", "--k", "2", "--out", str(tmp_path),
+        )
+        assert code == 0 and json.loads(out)["status"] == "not_robust"
+        (model_path,) = tmp_path.glob("*witness_model.json")
+        code, _, err = run(
+            capsys, "sample", "--model-file", str(model_path), "--n", "3", "--seed", "1",
+            "--out", str(tmp_path),
+        )
+        assert code == 0, err
+
+    def test_hierarchy_over_matrix_budget_exits_3_before_any_verdict(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_verdict(rule, metric):
+            raise AssertionError("a robustness verdict ran")
+
+        monkeypatch.setattr("abcc.experiments.robustness_verdict", no_verdict)
+        code, out, err = run(
+            capsys,
+            "hierarchy", "--rules", "av,cc,pav", "--metrics", "jaccard,zelinka",
+            "--m", "13", "--k", "3", "--out", str(tmp_path),
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "cells" in err
+
     def test_counterexample_cc(self, tmp_path, capsys):
         code, out, _ = run(
             capsys,
@@ -421,6 +454,18 @@ class TestInputErrors:
             capsys, "counterexample", "--rule-file", missing, "--m", "4", "--k", "2",
             "--out", str(tmp_path),
         )
+
+    @pytest.mark.parametrize("argv", [
+        ["winners", "--rule", "av", "--k", "1", "--profile"],
+        ["counterexample", "--m", "4", "--k", "2", "--rule-file"],
+        ["check-metric", "--m", "2", "--metric-file"],
+        ["sample", "--n", "3", "--seed", "1", "--model-file"],
+    ])
+    def test_input_file_not_utf8(self, argv, tmp_path, capsys):
+        path = tmp_path / "input"
+        path.write_bytes(b"alternatives: a\n\xff\n")
+        err = self.assert_exit_2(capsys, *argv, str(path), "--out", str(tmp_path))
+        assert "UTF-8" in err
 
     def test_negative_m(self, tmp_path, capsys):
         self.assert_exit_2(capsys, "check-metric", "--metric", "jaccard", "--m", "-1")

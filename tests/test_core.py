@@ -66,7 +66,7 @@ class TestEnumerateCommittees:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            enumerate_committees(default_universe(16), 8, max_committees=100)
+            enumerate_committees(default_universe(20), 10)  # C(20,10) = 184,756
 
 
 class TestFeasiblePairs:

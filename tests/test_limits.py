@@ -1,0 +1,128 @@
+"""Every exhaustive enumeration is refused over its limit on entry.
+
+The three limits and their checks live in `abcc.core`: m <= MAX_M for the
+2^m sets (`check_sets`), C(m, k) <= MAX_COMMITTEES for the committees
+(`committee_masks`) and 4^m <= MAX_MATRIX_CELLS for the full distance
+matrix (`check_matrix`). Each public function that enumerates must raise
+CapExceededError before it builds a distance row or allocates anything
+sizeable.
+"""
+
+import tracemalloc
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from abcc.core import (
+    MAX_COMMITTEES,
+    MAX_M,
+    MAX_MATRIX_CELLS,
+    AlternativeSet,
+    Committee,
+    Profile,
+    committee_masks,
+    default_universe,
+    enumerate_committees,
+    enumerate_subsets,
+)
+from abcc.errors import CapExceededError
+from abcc.experiments import accuracy_trial, hierarchy_report, mle_committees
+from abcc.metrics import (
+    DistanceMetric,
+    check_metric_axioms,
+    is_alternative_independent,
+    is_majority_concentric,
+    is_natural,
+    is_similarity,
+    level_structure,
+    make_metric,
+    neighborhood_count,
+    random_metric,
+    taxonomy_report,
+)
+from abcc.noise import (
+    audit_d_monotonic,
+    av_refutation_model,
+    jump_counterexample,
+    make_mp,
+    staggered_level_model,
+)
+from abcc.oracle import accuracy_classify, expected_gap, gap_analysis, robustness_verdict
+from abcc.rules import is_nontrivial, make_rule, winners
+
+S = MAX_M + 1  # 2^17 sets
+C, K = 20, 10  # C(20, 10) = 184,756 committees
+X = 13  # 4^13 matrix cells
+
+
+def committee(m, mask):
+    return Committee(AlternativeSet(mask, m), mask.bit_count())
+
+
+def jaccard(m):
+    return make_metric("jaccard", m)
+
+
+def av(m, k=1):
+    return make_rule("av", m, k)
+
+
+def product(m, k=1):
+    return make_mp(Fraction(3, 4), default_universe(m), committee(m, (1 << k) - 1))
+
+
+CASES = {
+    # the 2^m sets
+    "enumerate_subsets": lambda: enumerate_subsets(default_universe(S)),
+    "level_structure": lambda: level_structure(jaccard(S), committee(S, 1)),
+    "neighborhood_count": lambda: neighborhood_count(jaccard(S), committee(S, 1), 0, 1, 0),
+    "is_majority_concentric": lambda: is_majority_concentric(jaccard(S), 1),
+    "is_natural": lambda: is_natural(jaccard(S), 1),
+    "is_similarity": lambda: is_similarity(jaccard(S), 1),
+    "is_nontrivial": lambda: is_nontrivial(av(S)),
+    "prob_table": lambda: product(S).prob_table(),
+    "audit_d_monotonic": lambda: audit_d_monotonic(product(S)),
+    "staggered_level_model": lambda: staggered_level_model(jaccard(S), committee(S, 1)),
+    "av_refutation_model": lambda: av_refutation_model(jaccard(S), committee(S, 1), 0, 1, 1),
+    "jump_counterexample": lambda: jump_counterexample(make_rule("cc", S, 1)),
+    "expected_gap": lambda: expected_gap(av(S), product(S), committee(S, 1), committee(S, 2)),
+    "accuracy_classify": lambda: accuracy_classify(av(S), product(S)),
+    "gap_analysis": lambda: gap_analysis(av(S), jaccard(S), committee(S, 1), committee(S, 2)),
+    "robustness_verdict": lambda: robustness_verdict(av(S), jaccard(S)),
+    # the C(m, k) committees
+    "enumerate_committees": lambda: enumerate_committees(default_universe(C), K),
+    "committee_masks": lambda: committee_masks(C, K),
+    "winners": lambda: winners(av(C, K), Profile(())),
+    "accuracy_trial": lambda: accuracy_trial(av(C, K), product(C, K), 1, 1, 0),
+    "mle_committees": lambda: mle_committees(Profile(()), Fraction(3, 4), C, K),
+    "robustness_verdict_committees": lambda: robustness_verdict(av(C, K), jaccard(C)),
+    # the full distance matrix
+    "check_metric_axioms": lambda: check_metric_axioms(jaccard(X)),
+    "is_alternative_independent": lambda: is_alternative_independent(jaccard(X)),
+    "random_metric_table": lambda: random_metric(X, seed=1),
+    "random_metric_signature": lambda: random_metric(X, seed=1, family="signature"),
+    "taxonomy_report": lambda: taxonomy_report(jaccard(X), 1),
+    "hierarchy_report": lambda: hierarchy_report([av(X, 3)], [jaccard(X)]),
+}
+
+
+def test_limit_values():
+    assert (MAX_M, MAX_COMMITTEES, MAX_MATRIX_CELLS) == (16, 100_000, 4**12)
+    assert comb(C, K) > MAX_COMMITTEES and 1 << 2 * X > MAX_MATRIX_CELLS
+
+
+@pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
+def test_refused_on_entry(call, monkeypatch):
+    def no_rows(self, masks, terms=1):
+        raise AssertionError("a distance row was built")
+
+    monkeypatch.setattr(DistanceMetric, "rows", no_rows)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18

@@ -269,6 +269,15 @@ class TestMetricFiles:
             for y in range(8):
                 assert d.d(x, y) == again.d(x, y)
 
+    def test_round_trip_table_named_like_a_builtin(self):
+        # a table is written as its table whatever its name
+        doc = metric_to_json(random_metric(3, seed=9))
+        doc["name"] = "jaccard"
+        named = metric_from_json(doc)
+        again = metric_from_json(metric_to_json(named))
+        assert again.name == "jaccard"
+        assert all(again.d(x, y) == named.d(x, y) for x in range(8) for y in range(8))
+
     def test_builtin_reference(self):
         doc = metric_to_json(make_metric("jaccard", 4))
         assert doc == {"kind": "jaccard", "m": 4}
