@@ -33,6 +33,7 @@ from .core import (
 from .errors import (
     AbccError,
     CapExceededError,
+    DomainMismatchError,
     InvalidCommitteeSizeError,
     InvalidNoiseParamError,
     InvalidRuleError,
@@ -160,17 +161,24 @@ def _universe(m):
 
 
 def _committee(universe, labels: str) -> Committee:
-    """The committee named by comma-separated labels."""
+    """The committee named by comma-separated, pairwise distinct labels."""
+    names = labels.split(",")
+    if len(set(names)) != len(names):
+        raise ProfileParseError(f"duplicate label in {labels!r}")
     try:
-        members = universe.set_of(labels.split(","))
+        members = universe.set_of(names)
     except KeyError as exc:
         raise ProfileParseError(exc.args[0]) from None
     return Committee(members, members.size)
 
 
 def _resolve_rule(args, m: int, k: int, runner: Runner):
+    """The rule of --rule or --rule-file for committees of k among m alternatives."""
     if getattr(args, "rule_file", None):
-        return load_rule_file(runner.track_input(args.rule_file))
+        rule = load_rule_file(runner.track_input(args.rule_file))
+        if (rule.m, rule.k) != (m, k):
+            raise DomainMismatchError(f"rule file has m={rule.m}, k={rule.k}; need m={m}, k={k}")
+        return rule
     spec = args.rule
     if spec is None:
         raise ProfileParseError("no rule given (use --rule or --rule-file)")
@@ -495,7 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _EXIT_CODES = [
-    ((ProfileParseError, InvalidRuleError, PreconditionError, SizeMismatchError), EXIT_PARSE),
+    ((ProfileParseError, InvalidRuleError, PreconditionError, SizeMismatchError,
+      DomainMismatchError), EXIT_PARSE),
     ((CapExceededError, InvalidCommitteeSizeError), EXIT_CAPS),
     ((MetricAxiomError,), EXIT_BAD_METRIC),
     ((NoCounterexampleError,), EXIT_NO_WITNESS),

@@ -367,54 +367,51 @@ def parse_profile(text: str) -> tuple[Universe, Profile]:
     The first non-comment line must declare the universe
     ("alternatives: a,b,c"); every following line is a vote, a blank
     line being the empty vote. Lines starting with '#' are ignored.
+    Each distinct line is parsed once, and its repeats share that vote.
 
     Raises
     ------
     ProfileParseError
-        With the offending 1-based line number.
+        With the 1-based number of the first offending line.
     """
-    universe = None
-    votes = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            continue
-        if universe is None:
-            if not line:
-                continue  # leading blank lines before the header carry no vote
-            if not line.startswith("alternatives:"):
-                raise ProfileParseError(
-                    "expected header 'alternatives: ...' before any votes", line=lineno
-                )
-            names = [t.strip() for t in line[len("alternatives:"):].split(",")]
-            names = [t for t in names if t]
-            if not names:
-                raise ProfileParseError("empty alternatives declaration", line=lineno)
-            try:
-                universe = Universe(tuple(names))
-            except ValueError as exc:
-                raise ProfileParseError(str(exc), line=lineno) from None
-            continue
-        if not line:
-            votes.append(AlternativeSet(0, universe.m))
-            continue
-        mask = 0
-        for token in line.split(","):
-            token = token.strip()
-            if not token:
-                raise ProfileParseError("empty label in vote", line=lineno)
-            try:
-                mask |= 1 << universe.index(token)
-            except KeyError:
-                raise ProfileParseError(f"unknown alternative {token!r}", line=lineno) from None
-        votes.append(AlternativeSet(mask, universe.m))
-    if universe is None:
+    lines = list(map(str.strip, text.splitlines()))
+    for start, line in enumerate(lines, start=1):
+        if line and not line.startswith("#"):
+            break
+    else:
         raise ProfileParseError("missing 'alternatives:' header")
-    return universe, Profile(tuple(votes))
+    if not line.startswith("alternatives:"):
+        raise ProfileParseError("expected header 'alternatives: ...' before any votes", line=start)
+    names = [t for t in (t.strip() for t in line[len("alternatives:"):].split(",")) if t]
+    if not names:
+        raise ProfileParseError("empty alternatives declaration", line=start)
+    try:
+        universe = Universe(tuple(names))
+    except ValueError as exc:
+        raise ProfileParseError(str(exc), line=start) from None
+    body = lines[start:]
+    index = {name: i for i, name in enumerate(names)}
+    # Distinct lines in order of first occurrence, so the first one that
+    # fails is the first bad line of the file; comments map to None.
+    votes = {}
+    for line in dict.fromkeys(body):
+        if line.startswith("#"):
+            votes[line] = None
+            continue
+        tokens = [t.strip() for t in line.split(",")] if line else []
+        bad = next((t for t in tokens if t not in index), None)
+        if bad is not None:
+            message = f"unknown alternative {bad!r}" if bad else "empty label in vote"
+            raise ProfileParseError(message, line=start + body.index(line) + 1)
+        votes[line] = AlternativeSet(sum({1 << index[t] for t in tokens}), universe.m)
+    parsed = map(votes.__getitem__, body)
+    return universe, Profile(tuple(vote for vote in parsed if vote is not None))
 
 
 def format_profile(universe: Universe, profile: Profile) -> str:
-    lines = ["alternatives: " + ",".join(universe.names)]
-    for vote in profile:
-        lines.append(",".join(vote.labels(universe)))
+    """The profile text of `parse_profile`, one label string per distinct vote."""
+    masks = [vote.mask for vote in profile]
+    distinct = dict(zip(masks, profile.votes))
+    label = {mask: ",".join(vote.labels(universe)) for mask, vote in distinct.items()}
+    lines = ["alternatives: " + ",".join(universe.names), *map(label.__getitem__, masks)]
     return "\n".join(lines) + "\n"

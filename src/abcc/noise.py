@@ -191,12 +191,12 @@ def sample_vote_masks(model: NoiseModel, n: int, rng: np.random.Generator) -> li
             [keep if gmask >> i & 1 else 1.0 - keep for i in range(m)]
         )
         weights = np.array([1 << i for i in range(m)], dtype=np.int64 if m <= 62 else object)
-        return [int(v) for v in (uniforms < thresholds) @ weights]
+        return ((uniforms < thresholds) @ weights).tolist()
     table = model.prob_table()
     cumulative = np.cumsum([float(q) for q in table])
     cumulative[-1] = 1.0  # guard against float round-off at the top
     draws = rng.random(n)
-    return [int(i) for i in np.searchsorted(cumulative, draws, side="right")]
+    return np.searchsorted(cumulative, draws, side="right").tolist()
 
 
 def sample_profile(model: NoiseModel, n: int, seed) -> Profile:
@@ -205,8 +205,8 @@ def sample_profile(model: NoiseModel, n: int, seed) -> Profile:
         raise PreconditionError("n must be non-negative")
     rng = np.random.default_rng(seed)
     masks = sample_vote_masks(model, n, rng)
-    m = model.m
-    return Profile(tuple(AlternativeSet(mask, m) for mask in masks))
+    sets = {mask: AlternativeSet(mask, model.m) for mask in set(masks)}
+    return Profile(tuple(map(sets.__getitem__, masks)))
 
 
 # ---------------------------------------------------------------------------

@@ -173,23 +173,48 @@ def make_rule(kind: str, m: int, k: int, *, weights=None, p=None, table=None) ->
     raise InvalidRuleError(f"unknown rule kind {kind!r}")
 
 
-def vote_score(rule: AbccRule, committee: Committee, vote: AlternativeSet) -> Fraction:
-    """Exact score the committee earns from a single approval vote."""
+def _check_committee(rule: AbccRule, committee: Committee) -> None:
     if committee.k != rule.k or committee.m != rule.m:
         raise DomainMismatchError(
             f"committee (m={committee.m}, k={committee.k}) does not match rule "
             f"(m={rule.m}, k={rule.k})"
         )
+
+
+def _check_vote(rule: AbccRule, vote: AlternativeSet) -> None:
     if vote.m != rule.m:
         raise DomainMismatchError(f"vote universe size {vote.m} != rule m {rule.m}")
+
+
+def vote_score(rule: AbccRule, committee: Committee, vote: AlternativeSet) -> Fraction:
+    """Exact score the committee earns from a single approval vote."""
+    _check_committee(rule, committee)
+    _check_vote(rule, vote)
     x = (committee.mask & vote.mask).bit_count()
     return rule.table[(x, vote.size)]
 
 
+def _vote_masks(rule: AbccRule, profile: Profile) -> list[int]:
+    """The profile's vote masks; all votes of a Profile share one universe."""
+    if profile.votes:
+        _check_vote(rule, profile.votes[0])
+    return [vote.mask for vote in profile]
+
+
 def profile_score(rule: AbccRule, committee: Committee, profile: Profile) -> ScoreBreakdown:
-    """Total (and per-vote) exact score of a committee over a profile."""
-    per_vote = tuple(vote_score(rule, committee, vote) for vote in profile)
-    return ScoreBreakdown(committee, sum(per_vote, Fraction(0)), per_vote)
+    """Total (and per-vote) exact score of a committee over a profile.
+
+    The total is one integer product over the distinct votes and their
+    multiplicities; each distinct vote is scored once for `per_vote`.
+    """
+    _check_committee(rule, committee)
+    masks = _vote_masks(rule, profile)
+    counts = Counter(masks)
+    table, scale = integer_table(rule, len(masks))
+    total = committee_totals(table, rule.m, counts, [committee.mask])[0]
+    score = {s: rule.table[((committee.mask & s).bit_count(), s.bit_count())] for s in counts}
+    per_vote = tuple(map(score.__getitem__, masks))
+    return ScoreBreakdown(committee, Fraction(int(total), scale), per_vote)
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +254,28 @@ def score_blocks(table: np.ndarray, m: int, cmasks, vmasks):
         yield votes, table[popcount(cwords & vwords[:, None, :]), popcount(vwords)]
 
 
+def committee_totals(table: np.ndarray, m: int, counts, cmasks) -> np.ndarray:
+    """totals[i] = sum of count * table[|C_i ∩ S|, |S|] over a {vote mask S: count} tally.
+
+    One product of the per-vote score blocks with the multiplicities of the
+    distinct votes; `table` comes from `integer_table` for the tally's total count.
+    """
+    votes = list(counts)
+    mult = np.array(list(counts.values()), dtype=table.dtype)
+    totals = np.zeros(len(cmasks), dtype=table.dtype)
+    for block, scores in score_blocks(table, m, cmasks, votes):
+        totals += scores @ mult[block]
+    return totals
+
+
 def argmax_committees(rule: AbccRule, counts, cmasks) -> list[int]:
     """Committee masks of maximum total score over a {vote mask: count} tally.
 
-    Totals are a product of the per-vote score blocks with the
-    multiplicities of the distinct votes. Returned in the order of
-    `cmasks`; an empty tally makes every committee tie at zero.
+    Returned in the order of `cmasks`; an empty tally makes every committee
+    tie at zero.
     """
-    votes = list(counts)
-    mult = list(counts.values())
-    table, _ = integer_table(rule, sum(mult))
-    mult = np.array(mult, dtype=table.dtype)
-    totals = np.zeros(len(cmasks), dtype=table.dtype)
-    for block, scores in score_blocks(table, rule.m, cmasks, votes):
-        totals += scores @ mult[block]
+    table, _ = integer_table(rule, sum(counts.values()))
+    totals = committee_totals(table, rule.m, counts, cmasks)
     return [cmasks[i] for i in np.flatnonzero(totals == totals.max())]
 
 
@@ -296,10 +329,7 @@ def winners(rule: AbccRule, profile: Profile) -> list[Committee]:
     Returns the full argmax set in ascending bitmask order; an empty
     profile makes every committee tie at zero.
     """
-    for vote in profile:
-        if vote.m != rule.m:
-            raise DomainMismatchError(f"vote universe size {vote.m} != rule m {rule.m}")
-    counts = Counter(v.mask for v in profile)
+    counts = Counter(_vote_masks(rule, profile))
     best = argmax_committees(rule, counts, committee_masks(rule.m, rule.k))
     return [Committee(AlternativeSet(mask, rule.m), rule.k) for mask in best]
 

@@ -8,14 +8,18 @@ its sweeps ran on integer-scaled numpy arrays. Every classifier returns
 the first violation in the order its loops visit them. Distances come
 one Fraction per cell from metric.d, and the builtin metrics are also
 given here in their mask form, the form they had before they became
-functions of the signature (|X∖Y|, |Y∖X|, |X∩Y|).
+functions of the signature (|X∖Y|, |Y∖X|, |X∩Y|). The profile text
+format is parsed and written one line per vote, and a profile is scored
+one vote at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from abcc.core import AlternativeSet, committee_masks
+from abcc.core import AlternativeSet, Profile, Universe, committee_masks
+from abcc.errors import ProfileParseError
+from abcc.rules import ScoreBreakdown, vote_score
 
 
 def row(metric, umask):
@@ -81,6 +85,62 @@ def score_from_counts(rule, committee_mask, counts):
         x = (committee_mask & mask).bit_count()
         total += rule.table[(x, mask.bit_count())] * mult
     return total
+
+
+def profile_score(rule, committee, profile):
+    """ScoreBreakdown with one Fraction per vote, summed in vote order."""
+    per_vote = tuple(vote_score(rule, committee, vote) for vote in profile)
+    return ScoreBreakdown(committee, sum(per_vote, Fraction(0)), per_vote)
+
+
+def parse_profile(text):
+    """(Universe, Profile) of the profile text format, one line at a time."""
+    universe = None
+    votes = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            continue
+        if universe is None:
+            if not line:
+                continue
+            if not line.startswith("alternatives:"):
+                raise ProfileParseError(
+                    "expected header 'alternatives: ...' before any votes", line=lineno
+                )
+            names = [t.strip() for t in line[len("alternatives:"):].split(",")]
+            names = [t for t in names if t]
+            if not names:
+                raise ProfileParseError("empty alternatives declaration", line=lineno)
+            try:
+                universe = Universe(tuple(names))
+            except ValueError as exc:
+                raise ProfileParseError(str(exc), line=lineno) from None
+            continue
+        if not line:
+            votes.append(AlternativeSet(0, universe.m))
+            continue
+        mask = 0
+        for token in line.split(","):
+            token = token.strip()
+            if not token:
+                raise ProfileParseError("empty label in vote", line=lineno)
+            try:
+                mask |= 1 << universe.index(token)
+            except KeyError:
+                raise ProfileParseError(f"unknown alternative {token!r}", line=lineno) from None
+        votes.append(AlternativeSet(mask, universe.m))
+    if universe is None:
+        raise ProfileParseError("missing 'alternatives:' header")
+    return universe, Profile(tuple(votes))
+
+
+def format_profile(universe, profile):
+    """The profile text format, one label string built per vote."""
+    lines = ["alternatives: " + ",".join(universe.names)]
+    for vote in profile:
+        lines.append(",".join(vote.labels(universe)))
+    return "\n".join(lines) + "\n"
 
 
 def winner_masks(rule, masks, counts):

@@ -9,6 +9,7 @@ import pytest
 from abcc.cli import main
 from abcc.core import parse_profile
 from abcc.metrics import DistanceMetric, metric_to_json, random_metric
+from abcc.rules import make_rule, rule_to_json
 
 PROFILE_AB = "alternatives: a,b,c\na\na,b\n"
 
@@ -441,6 +442,48 @@ class TestInputErrors:
         self.assert_exit_2(
             capsys, "sample", "--model", "mp", "--p", "3/4", "--m", "4", "--ground", "a,z",
             "--n", "3", "--seed", "1", "--out", str(tmp_path),
+        )
+
+    def test_duplicate_label_in_committee_or_ground(self, tmp_path, capsys):
+        profile = write_profile(tmp_path)
+        err = self.assert_exit_2(
+            capsys, "score", "--rule", "av", "--committee", "a,a", "--profile", profile
+        )
+        assert "'a,a'" in err
+        self.assert_exit_2(
+            capsys, "sample", "--model", "mp", "--p", "3/4", "--m", "4", "--ground", "a,b,a",
+            "--n", "3", "--seed", "1", "--out", str(tmp_path),
+        )
+
+    @pytest.mark.parametrize("votes", ["a\nb,c\n", ""])
+    @pytest.mark.parametrize("rule_mk,argv", [
+        ((4, 2), ["score", "--committee", "a,b"]),
+        ((3, 2), ["score", "--committee", "a"]),
+        ((4, 1), ["winners", "--k", "1"]),
+        # with no votes, the rule's own committees used to be printed
+        ((2, 1), ["winners", "--k", "1"]),
+        # the rule's k used to win silently over --k
+        ((3, 2), ["winners", "--k", "1"]),
+    ])
+    def test_rule_file_over_another_m_or_k(self, tmp_path, capsys, votes, rule_mk, argv):
+        rule_path = tmp_path / "rule.json"
+        rule_path.write_text(json.dumps(rule_to_json(make_rule("av", *rule_mk))))
+        profile = write_profile(tmp_path, "alternatives: a,b,c\n" + votes)
+        err = self.assert_exit_2(
+            capsys, *argv, "--rule-file", str(rule_path), "--profile", profile
+        )
+        assert "m={}, k={}".format(*rule_mk) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["counterexample"],  # an IndexError traceback before
+        ["robust", "--metric", "jaccard"],
+    ])
+    def test_rule_file_over_another_m_in_exact_commands(self, tmp_path, capsys, argv):
+        rule_path = tmp_path / "rule.json"
+        rule_path.write_text(json.dumps(rule_to_json(make_rule("av", 4, 2))))
+        self.assert_exit_2(
+            capsys, *argv, "--rule-file", str(rule_path), "--m", "3", "--k", "2",
+            "--out", str(tmp_path),
         )
 
     def test_missing_input_files(self, tmp_path, capsys):
