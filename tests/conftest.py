@@ -23,6 +23,15 @@ def random_rule(m, k, rng, max_step=3):
     return make_rule("custom", m, k, table=table)
 
 
+def huge_rule(m, k):
+    """Scores near 2^70 with mixed denominators: the scaled table cannot be int64."""
+    table = {
+        (x, y): Fraction(x * (1 << 70) + y, 3 if y % 2 else 7)
+        for x, y in feasible_pairs(m, k).pairs
+    }
+    return make_rule("custom", m, k, table=table)
+
+
 def random_strict_model(metric, ground, rng, zero_tail=False):
     """Random strictly decreasing level model, exactly normalized."""
     levels = level_structure(metric, ground)

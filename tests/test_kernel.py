@@ -24,7 +24,7 @@ from abcc.metrics import level_structure, make_metric, random_metric
 from abcc.noise import _direct_gap, make_mp
 from abcc.oracle import _fractions, _level_gaps, accuracy_classify, robustness_verdict
 from abcc.rules import argmax_committees, integer_table, is_nontrivial, make_rule, winners
-from conftest import random_profile, random_rule, random_strict_model
+from conftest import huge_rule, random_profile, random_rule, random_strict_model
 
 BUILTIN_METRICS = ["set_difference", "jaccard", "zelinka", "bunke_shearer", "trivial"]
 SMALL = [(m, k) for m in range(1, 7) for k in range(1, m + 1)]
@@ -139,15 +139,6 @@ def test_trivial_rule_witness_matches():
     # only singleton votes score: {a} with a in U \ V separates every pair
     table = {(x, y): Fraction(x) if y == 1 else Fraction(0) for x, y in feasible_pairs(m, k).pairs}
     assert_nontrivial_matches(make_rule("custom", m, k, table=table))
-
-
-def huge_rule(m, k):
-    """Scores near 2^70 with mixed denominators: the scaled table cannot be int64."""
-    table = {
-        (x, y): Fraction(x * (1 << 70) + y, 3 if y % 2 else 7)
-        for x, y in feasible_pairs(m, k).pairs
-    }
-    return make_rule("custom", m, k, table=table)
 
 
 @pytest.mark.parametrize("cells", [1, 7, 64])

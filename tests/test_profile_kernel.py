@@ -26,14 +26,13 @@ from abcc.core import (
     Profile,
     committee_masks,
     default_universe,
-    feasible_pairs,
     format_profile,
     parse_profile,
 )
 from abcc.errors import DomainMismatchError, ProfileParseError
 from abcc.noise import make_mp, sample_profile, sample_vote_masks
 from abcc.rules import integer_table, make_rule, profile_score, winners
-from conftest import random_rule
+from conftest import huge_rule, random_rule
 
 NAMES = ["a", "b", "c", "d", "e"]
 
@@ -80,15 +79,6 @@ def parsed_or_error(parse, text):
 def boundary_rule(top):
     """m = 2, k = 1 rule whose largest scaled score is `top`."""
     return make_rule("custom", 2, 1, table={(0, 0): 0, (0, 1): 0, (1, 1): top, (1, 2): 1})
-
-
-def huge_rule(m, k):
-    """Scores near 2^70 with mixed denominators: the scaled table is never int64."""
-    table = {
-        (x, y): Fraction(x * (1 << 70) + y, 3 if y % 2 else 7)
-        for x, y in feasible_pairs(m, k).pairs
-    }
-    return make_rule("custom", m, k, table=table)
 
 
 def assert_scores_match(rule, profile):
