@@ -205,7 +205,7 @@ def _builtin_metric(name: str, m: int):
 
 def _resolve_metric(args, m: int, runner: Runner):
     if args.metric_file:
-        return load_metric_file(runner.track_input(args.metric_file))
+        return load_metric_file(runner.track_input(args.metric_file), m)
     if args.metric is None:
         raise ProfileParseError("no metric given (use --metric or --metric-file)")
     return _builtin_metric(args.metric, m)
@@ -504,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _EXIT_CODES = [
     ((ProfileParseError, InvalidRuleError, PreconditionError, SizeMismatchError,
-      DomainMismatchError), EXIT_PARSE),
-    ((CapExceededError, InvalidCommitteeSizeError), EXIT_CAPS),
+      DomainMismatchError, InvalidCommitteeSizeError), EXIT_PARSE),
+    ((CapExceededError,), EXIT_CAPS),
     ((MetricAxiomError,), EXIT_BAD_METRIC),
     ((NoCounterexampleError,), EXIT_NO_WITNESS),
     ((InvalidNoiseParamError, NotMonotonicError, NotNormalizedError), EXIT_BAD_MODEL),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -45,6 +45,8 @@ class Universe:
         if len(self.names) == 0:
             # m = 0 is allowed for the degenerate power-set {empty set}
             return
+        if not all(isinstance(name, str) for name in self.names):
+            raise ValueError("alternative labels must be strings")
         if len(set(self.names)) != len(self.names):
             raise ValueError("alternative labels must be pairwise distinct")
 
@@ -181,36 +183,24 @@ class Profile:
         return len(self.votes)
 
 
-@dataclass(frozen=True)
-class FeasiblePairDomain:
-    """All (x, y) = (|committee ∩ vote|, |vote|) values realizable at (m, k)."""
-
-    m: int
-    k: int
-    pairs: frozenset[tuple[int, int]] = field(compare=False)
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
-
-
 def check_k(m: int, k: int) -> None:
     if k <= 0 or k > m:
         raise InvalidCommitteeSizeError(f"need 0 < k <= m, got k={k}, m={m}")
 
 
-def feasible_pairs(m: int, k: int) -> FeasiblePairDomain:
-    """The domain X of score-table arguments for committee size k among m.
+def feasible_pairs(m: int, k: int) -> frozenset[tuple[int, int]]:
+    """The domain X of score-table arguments for committee size k among m:
+    every (x, y) = (|committee ∩ vote|, |vote|) realizable at (m, k).
 
     For each vote size y in 0..m the overlap x ranges over
     max(k + y - m, 0) .. min(y, k).
     """
     check_k(m, k)
-    pairs = frozenset(
+    return frozenset(
         (x, y)
         for y in range(m + 1)
         for x in range(max(k + y - m, 0), min(y, k) + 1)
     )
-    return FeasiblePairDomain(m, k, pairs)
 
 
 def check_sets(m: int) -> None:
@@ -221,10 +211,10 @@ def check_sets(m: int) -> None:
 
 def check_matrix(m: int) -> None:
     """Refuse a full 2^m x 2^m distance matrix over MAX_MATRIX_CELLS cells."""
-    cells = 1 << 2 * m
-    if cells > MAX_MATRIX_CELLS:
+    # 4^m > MAX_MATRIX_CELLS, decided without building 4^m (m may be huge)
+    if 2 * m >= MAX_MATRIX_CELLS.bit_length():
         raise CapExceededError(
-            f"m={m}: the full distance matrix has {cells} cells, over {MAX_MATRIX_CELLS}"
+            f"m={m}: the full distance matrix has 4^{m} cells, over {MAX_MATRIX_CELLS}"
         )
 
 

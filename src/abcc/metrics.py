@@ -30,6 +30,7 @@ from .core import (
     scaled_integers,
 )
 from .errors import (
+    DomainMismatchError,
     MetricAxiomError,
     MetricGenerationError,
     PreconditionError,
@@ -63,18 +64,18 @@ class DistanceMetric:
     """Exact-valued distance on subsets of an m-alternative universe.
 
     Backed by a closed form of the signature (|X∖Y|, |Y∖X|, |X∩Y|)
-    (builtins), an explicit table keyed on unordered mask pairs (custom and
-    random metrics) or a closed form of the two masks (constructions).
-    Immutable after construction; level structures are cached per ground set.
+    (builtins) or by a table keyed on unordered mask pairs (custom, random
+    and constructed metrics) with a `default` distance for the pairs it
+    omits. Immutable after construction; level structures are cached per ground set.
     """
 
-    def __init__(self, name, m, *, fn=None, table=None, signature=None):
-        if sum(x is not None for x in (fn, table, signature)) != 1:
-            raise ValueError("exactly one of fn/table/signature required")
+    def __init__(self, name, m, *, table=None, default=None, signature=None):
+        if (table is None) == (signature is None):
+            raise ValueError("exactly one of table/signature required")
         self.name = name
         self.m = m
-        self._fn = fn
         self._table = table
+        self._default = default
         self._signature = signature
         self._ints = None  # (integer grid or matrix, scale), built by the first rows()
         self._level_cache: dict[int, LevelStructure] = {}
@@ -84,12 +85,10 @@ class DistanceMetric:
         if self._signature is not None:
             x, y = xmask, ymask
             return self._signature((x & ~y).bit_count(), (y & ~x).bit_count(), (x & y).bit_count())
-        if self._fn is not None:
-            return self._fn(xmask, ymask)
         if xmask == ymask:
             return Fraction(0)
         key = (xmask, ymask) if xmask < ymask else (ymask, xmask)
-        return self._table[key]
+        return self._table.get(key, self._default)
 
     def distance(self, x: AlternativeSet, y: AlternativeSet) -> Fraction:
         if x.m != self.m or y.m != self.m:
@@ -102,12 +101,8 @@ class DistanceMetric:
 
         Signature metrics scale their (m+1)^3 signature grid once and gather
         rows by signature code, table metrics scale their table once into a
-        dense 2^m x 2^m matrix; only closed forms of two masks build one
-        Fraction per cell.
+        dense 2^m x 2^m matrix.
         """
-        if self._fn is not None:
-            sets = range(1 << self.m)
-            return scaled_integers([[self._fn(x, s) for s in sets] for x in masks], terms)
         if self._ints is None:
             self._ints = self._signature_grid() if self._table is None else self._table_matrix()
         ints, scale = self._ints
@@ -126,11 +121,13 @@ class DistanceMetric:
         )
 
     def _table_matrix(self) -> tuple[np.ndarray, int]:
+        # the default (0 without one) shares the entries' scale
         n = 1 << self.m
         xs, ys = np.array(list(self._table), dtype=np.int64).reshape(-1, 2).T
-        values, scale = scaled_integers(list(self._table.values()))
-        matrix = np.zeros((n, n), dtype=values.dtype)
-        matrix[xs, ys] = matrix[ys, xs] = values
+        values, scale = scaled_integers([*self._table.values(), self._default or 0])
+        matrix = np.full((n, n), values[-1], dtype=values.dtype)
+        np.fill_diagonal(matrix, 0)
+        matrix[xs, ys] = matrix[ys, xs] = values[:-1]
         return matrix, scale
 
     def __repr__(self):
@@ -147,11 +144,12 @@ def _signature_codes(masks, m: int) -> np.ndarray:
     return ((popcount(words)[:, None] - both) * base + popcount(sets) - both) * base + both
 
 
-def make_metric(kind: str, m: int, *, table=None, name=None) -> DistanceMetric:
+def make_metric(kind: str, m: int, *, table=None, default=None, name=None) -> DistanceMetric:
     """Build a builtin metric, or wrap a custom table (axioms verified).
 
     `table` maps unordered mask pairs (a, b) with a < b to positive
-    rationals; the diagonal is implicitly zero. example2 is the m=3
+    rationals, and `default`, if given, is the distance of every pair it
+    leaves out; the diagonal is implicitly zero. example2 is the m=3
     complement-at-distance-one construction and rejects other m.
     """
     if kind in _SIGNATURES:
@@ -167,7 +165,9 @@ def make_metric(kind: str, m: int, *, table=None, name=None) -> DistanceMetric:
     if kind == "custom":
         if table is None:
             raise ValueError("custom metric requires a table")
-        metric = DistanceMetric(name or "custom", m, table=_normalize_table(m, table))
+        metric = DistanceMetric(
+            name or "custom", m, table=_normalize_table(m, table, default), default=default
+        )
         check = check_metric_axioms(metric)
         if not check.ok:
             raise MetricAxiomError(
@@ -177,7 +177,7 @@ def make_metric(kind: str, m: int, *, table=None, name=None) -> DistanceMetric:
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
-def _normalize_table(m, table) -> dict[tuple[int, int], Fraction]:
+def _normalize_table(m, table, default=None) -> dict[tuple[int, int], Fraction]:
     clean = {}
     for (a, b), value in table.items():
         if a == b:
@@ -197,7 +197,7 @@ def _normalize_table(m, table) -> dict[tuple[int, int], Fraction]:
         clean[key] = value
     n = 1 << m
     expected = n * (n - 1) // 2
-    if len(clean) != expected:
+    if default is None and len(clean) != expected:
         raise ProfileParseError(
             f"incomplete metric table: {len(clean)} of {expected} unordered pairs"
         )
@@ -546,8 +546,10 @@ def taxonomy_report(metric: DistanceMetric, k: int) -> TaxonomyReport:
 # ---------------------------------------------------------------------------
 # Custom metric file format:
 #   {"m": 3, "alternatives": ["a","b","c"],            # alternatives optional
+#    "default": "2",                                   # optional
 #    "entries": [{"x": ["a"], "y": ["b"], "d": "1"}, ...]}
-# Symmetric counterparts may be omitted; the diagonal is implicit.
+# Symmetric counterparts may be omitted; the diagonal is implicit. Without
+# a default every pair is listed; with one, only the pairs at another distance.
 
 def metric_to_json(metric: DistanceMetric, universe: Universe | None = None) -> dict:
     universe = universe or default_universe(metric.m)
@@ -557,28 +559,40 @@ def metric_to_json(metric: DistanceMetric, universe: Universe | None = None) -> 
         {
             "x": list(AlternativeSet(a, metric.m).labels(universe)),
             "y": list(AlternativeSet(b, metric.m).labels(universe)),
-            "d": frac_str(metric.d(a, b)),
+            "d": frac_str(value),
         }
-        for a, b in combinations(range(1 << metric.m), 2)
+        for (a, b), value in sorted(metric._table.items())
     ]
-    return {
+    doc = {
         "kind": "custom",
         "name": metric.name,
         "m": metric.m,
         "alternatives": list(universe.names),
         "entries": entries,
     }
+    if metric._default is not None:
+        doc["default"] = frac_str(metric._default)
+    return doc
 
 
-def metric_from_json(doc: dict) -> DistanceMetric:
+def metric_from_json(doc: dict, m: int | None = None) -> DistanceMetric:
+    """The metric of a metric document; given `m`, a document over another
+    number of alternatives is refused before anything is built."""
     try:
         kind = doc.get("kind", "custom")
-        m = int(doc["m"])
+        size = int(doc["m"])
+        if kind == "custom":
+            check_matrix(size)  # a table metric is held as the full matrix
+        if m is not None and size != m:
+            raise DomainMismatchError(f"metric file has m={size}; need m={m}")
         if kind != "custom":
-            return make_metric(kind, m)
+            return make_metric(kind, size)
+        default = doc.get("default")
+        if default is not None:
+            default = parse_frac(str(default))
         names = doc.get("alternatives")
-        universe = Universe(tuple(names)) if names else default_universe(m)
-        if universe.m != m:
+        universe = Universe(tuple(names)) if names else default_universe(size)
+        if universe.m != size:
             raise ProfileParseError("alternatives list does not match m")
         table = {}
         for row in doc["entries"]:
@@ -587,8 +601,10 @@ def metric_from_json(doc: dict) -> DistanceMetric:
             table[(x, y)] = parse_frac(str(row["d"]))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ProfileParseError(f"bad metric file: {exc}") from None
-    return make_metric("custom", m, table=table, name=doc.get("name", "custom"))
+    return make_metric(
+        "custom", size, table=table, default=default, name=doc.get("name", "custom")
+    )
 
 
-def load_metric_file(path) -> DistanceMetric:
-    return metric_from_json(read_json(path, "metric"))
+def load_metric_file(path, m: int | None = None) -> DistanceMetric:
+    return metric_from_json(read_json(path, "metric"), m)

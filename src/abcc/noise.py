@@ -20,6 +20,7 @@ from .core import (
     Committee,
     Profile,
     Universe,
+    check_matrix,
     check_sets,
     default_universe,
     frac_str,
@@ -239,9 +240,9 @@ def jump_counterexample(rule: AbccRule) -> CounterexamplePackage:
     score jump below the top cell.
 
     Finds the first feasible (x*, y*) != (k, k) with f(x*, y*) > f(x*-1, y*),
-    pins distances d(U,V) = d(U,W) = 1 with every other distance 2, and
-    lowers delta by halving until the exact expected gap for the rival V
-    turns negative.
+    pins distances d(U,V) = d(U,W) = 1 with every other distance 2 (a
+    table of two entries and a default), and lowers delta by halving until
+    the exact expected gap for the rival V turns negative.
 
     Raises
     ------
@@ -250,6 +251,7 @@ def jump_counterexample(rule: AbccRule) -> CounterexamplePackage:
         case no defeating construction exists at all.
     """
     m, k = rule.m, rule.k
+    check_matrix(m)  # the metric's rows come from its full matrix
     if m <= k:
         raise PreconditionError("need m > k so a rival committee exists")
     jump = None
@@ -267,23 +269,15 @@ def jump_counterexample(rule: AbccRule) -> CounterexamplePackage:
             f"rule {rule.name!r} has no score jump outside the top cell"
         )
     xs, ys = jump
-    universe = default_universe(m)
     umask = (1 << k) - 1                                   # alternatives 0..k-1
     vmask = ((1 << k) - 1) << 1                            # alternatives 1..k
     wmask = sum(1 << i for i in range(k - xs + 1, ys + k - xs + 1))
     ground = Committee(AlternativeSet(umask, m), k)
     rival = Committee(AlternativeSet(vmask, m), k)
 
-    near = {vmask, wmask}
-
-    def fn(a, b):
-        if a == b:
-            return Fraction(0)
-        if (a == umask and b in near) or (b == umask and a in near):
-            return Fraction(1)
-        return Fraction(2)
-
-    metric = DistanceMetric(f"jump_adversarial({rule.name})", m, fn=fn)
+    # V and W hold alternative k or above, so both masks exceed U's
+    near = {(umask, vmask): Fraction(1), (umask, wmask): Fraction(1)}
+    metric = DistanceMetric(f"jump_adversarial({rule.name})", m, table=near, default=Fraction(2))
 
     sets_total = 1 << m
     delta = Fraction(1, 3 * (sets_total - 1)) / 2
@@ -293,7 +287,7 @@ def jump_counterexample(rule: AbccRule) -> CounterexamplePackage:
             Fraction(1, 3) - delta,
             2 * delta / (sets_total - 3),
         ]
-        model = make_level_model(metric, ground, probs, universe)
+        model = make_level_model(metric, ground, probs)
         gap = _direct_gap(rule, model, umask, vmask)
         if gap < 0:
             audited, pair = audit_d_monotonic(model, metric)
@@ -411,7 +405,7 @@ def model_from_json(doc: dict, m: int | None = None) -> NoiseModel:
             metric = (
                 make_metric(metric_doc, universe.m)
                 if isinstance(metric_doc, str)
-                else metric_from_json(metric_doc)
+                else metric_from_json(metric_doc, universe.m)
             )
             probs = [parse_frac(str(q)) for q in doc["probs"]]
             return make_level_model(metric, ground, probs, universe)

@@ -20,6 +20,7 @@ from .core import (
     AlternativeSet,
     Committee,
     Profile,
+    check_k,
     check_sets,
     committee_masks,
     feasible_pairs,
@@ -56,13 +57,6 @@ class AbccRule:
     k: int
     table: dict[tuple[int, int], Fraction]
 
-    def score(self, x: int, y: int) -> Fraction:
-        return self.table[(x, y)]
-
-    @property
-    def domain(self):
-        return feasible_pairs(self.m, self.k)
-
 
 class ScoreBreakdown(NamedTuple):
     committee: Committee
@@ -87,13 +81,18 @@ class TopJumpResult(NamedTuple):
 
 
 def _validate_table(m, k, table) -> dict[tuple[int, int], Fraction]:
-    domain = feasible_pairs(m, k).pairs
-    if set(table) != domain:
-        missing = domain - set(table)
-        extra = set(table) - domain
+    # The domain is walked in (x, y) order only up to its first pair missing
+    # from the table, never built, so a short table over a huge m fails at once.
+    check_k(m, k)
+    size = (k + 1) * (m - k + 1)
+    extra = [(x, y) for x, y in table if not (0 <= x <= k and x <= y <= m - k + x)]
+    domain = ((x, y) for x in range(k + 1) for y in range(x, m - k + x + 1))
+    missing = next((pair for pair in domain if pair not in table), None)
+    if extra or missing:
         raise InvalidRuleError(
-            f"table must be total on the feasible domain; missing={sorted(missing)}, "
-            f"extra={sorted(extra)}"
+            f"table must be total on the {size} feasible pairs; "
+            f"{size - len(table) + len(extra)} missing (first: {missing}), "
+            f"{len(extra)} extra (first: {min(extra, default=None)})"
         )
     clean = {}
     for (x, y), value in table.items():
@@ -101,8 +100,8 @@ def _validate_table(m, k, table) -> dict[tuple[int, int], Fraction]:
         if value < 0:
             raise InvalidRuleError(f"negative score f({x},{y})={value}")
         clean[(x, y)] = value
-    for (x, y) in sorted(domain):
-        if (x + 1, y) in domain and clean[(x + 1, y)] < clean[(x, y)]:
+    for (x, y) in sorted(clean):
+        if (x + 1, y) in clean and clean[(x + 1, y)] < clean[(x, y)]:
             raise InvalidRuleError(
                 f"score not non-decreasing in x: f({x + 1},{y}) < f({x},{y})"
             )
@@ -120,7 +119,11 @@ def make_rule(kind: str, m: int, k: int, *, weights=None, p=None, table=None) ->
         `table` mapping each feasible (x, y) to a non-negative rational.
         The two special m=4/k=2 rules reject other (m, k).
     """
-    domain = feasible_pairs(m, k).pairs
+    if kind == "custom":
+        if table is None:
+            raise InvalidRuleError("custom requires a table")
+        return AbccRule("custom", m, k, _validate_table(m, k, table))
+    domain = feasible_pairs(m, k)
 
     def from_fn(name, fn):
         return AbccRule(name, m, k, {(x, y): Fraction(fn(x, y)) for x, y in domain})
@@ -166,10 +169,6 @@ def make_rule(kind: str, m: int, k: int, *, weights=None, p=None, table=None) ->
         if (m, k) != (4, 2):
             raise InvalidRuleError("special6_fprime is defined only for m=4, k=2")
         return from_fn("special6_fprime", lambda x, y: 2 * x if y == 2 else x)
-    if kind == "custom":
-        if table is None:
-            raise InvalidRuleError("custom requires a table")
-        return AbccRule("custom", m, k, _validate_table(m, k, table))
     raise InvalidRuleError(f"unknown rule kind {kind!r}")
 
 

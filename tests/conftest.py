@@ -1,8 +1,11 @@
+import contextlib
+import io
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from abcc.cli import main
 from abcc.core import AlternativeSet, Committee, Profile, default_universe, feasible_pairs
 from abcc.metrics import level_structure
 from abcc.noise import make_level_model
@@ -13,7 +16,7 @@ def random_rule(m, k, rng, max_step=3):
     """Random valid rule: per vote size, a non-decreasing non-negative run."""
     table = {}
     by_y = {}
-    for x, y in sorted(feasible_pairs(m, k).pairs):
+    for x, y in sorted(feasible_pairs(m, k)):
         by_y.setdefault(y, []).append(x)
     for y, xs in by_y.items():
         value = Fraction(int(rng.integers(0, 3)), 2)
@@ -27,7 +30,7 @@ def huge_rule(m, k):
     """Scores near 2^70 with mixed denominators: the scaled table cannot be int64."""
     table = {
         (x, y): Fraction(x * (1 << 70) + y, 3 if y % 2 else 7)
-        for x, y in feasible_pairs(m, k).pairs
+        for x, y in feasible_pairs(m, k)
     }
     return make_rule("custom", m, k, table=table)
 
@@ -51,6 +54,15 @@ def random_strict_model(metric, ground, rng, zero_tail=False):
 def random_profile(m, n, rng):
     votes = tuple(AlternativeSet(int(v), m) for v in rng.integers(0, 1 << m, size=n))
     return Profile(votes)
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of `abcc.cli.main(argv)`; an exception
+    that escapes main is raised, as it would end the command in a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def committee_of(universe, names):

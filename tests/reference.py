@@ -17,14 +17,31 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from abcc.core import AlternativeSet, Profile, Universe, committee_masks
+from abcc.core import AlternativeSet, Profile, Universe, committee_masks, scaled_integers
 from abcc.errors import ProfileParseError
+from abcc.metrics import DistanceMetric
 from abcc.rules import ScoreBreakdown, vote_score
 
 
 def row(metric, umask):
     """d(U, S) for every set S, indexed by mask, one Fraction per cell."""
     return [metric.d(umask, s) for s in range(1 << metric.m)]
+
+
+class MatrixMetric(DistanceMetric):
+    """A distance given as a dense 2^m x 2^m Fraction matrix, which may be
+    asymmetric or non-zero on the diagonal: the negative cases of the axiom
+    checks that neither library form (signature or table) can express."""
+
+    def __init__(self, name, matrix):
+        super().__init__(name, len(matrix).bit_length() - 1, table={})
+        self.matrix = matrix
+
+    def d(self, xmask, ymask):
+        return self.matrix[xmask][ymask]
+
+    def rows(self, masks, terms=1):
+        return scaled_integers([self.matrix[x] for x in masks], terms)
 
 
 # The builtin distances as closed forms of the two masks.

@@ -2,14 +2,19 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from abcc.cli import main
-from abcc.core import parse_profile
-from abcc.metrics import DistanceMetric, metric_to_json, random_metric
+from abcc.core import frac_str, parse_profile
+from abcc.metrics import DistanceMetric, metric_from_json, metric_to_json, random_metric
+from abcc.noise import jump_counterexample, model_from_json
+from abcc.oracle import expected_gap
 from abcc.rules import make_rule, rule_to_json
+from conftest import committee_of
 
 PROFILE_AB = "alternatives: a,b,c\na\na,b\n"
 
@@ -101,11 +106,18 @@ class TestMetricCommands:
     @pytest.mark.parametrize("argv", [
         ["check-metric", "--metric", "jaccard", "--m", "13"],
         ["taxonomy", "--metric", "jaccard", "--m", "13", "--k", "2"],
+        # the digits of its pair count used to end in a traceback, after 2M labels
+        ["check-metric", "--metric-file", "{huge_table}", "--m", "3"],
+        ["counterexample", "--rule", "cc", "--m", "13", "--k", "2"],
     ])
     def test_full_matrix_over_budget_exits_3_at_once(self, argv, tmp_path, capsys, monkeypatch):
         # 4^13 cells are over the budget: refused before any distance row exists
         def no_rows(self, masks, terms=1):
             raise AssertionError("a distance row was built")
+
+        huge_table = tmp_path / "huge_table.json"
+        huge_table.write_text(json.dumps({"m": 2000000, "entries": []}))
+        argv = [arg.format(huge_table=huge_table) for arg in argv]
 
         monkeypatch.setattr(DistanceMetric, "rows", no_rows)
         tracemalloc.start()
@@ -211,6 +223,48 @@ class TestOracleCommands:
         assert parse_frac(json.loads(out)["expected_gap"]) < 0
         doc = json.loads((tmp_path / "counterexample_cc_m4k2.json").read_text())
         assert doc["jump"] == [1, 1]
+
+    @pytest.mark.parametrize("kind", [
+        "av", "cc", "pav", "sav", "sainte_lague", "p_geometric", "thiele", "special6_f",
+        "special6_fprime",
+    ])
+    def test_counterexample_file_reloads(self, kind, tmp_path, capsys):
+        # every catalog rule with a jump (all but mc), at 3 <= m <= 6 and each k < m
+        cases = [(4, 2)] if kind.startswith("special6") else [
+            (m, k) for m in range(3, 7) for k in range(1, m)
+        ]
+        for m, k in cases:
+            weights = list(range(1, k + 1))
+            rule = make_rule(kind, m, k, weights=weights, p=Fraction(1, 2))
+            spec = {
+                "thiele": "thiele:" + ";".join(map(str, weights)),
+                "p_geometric": "p_geometric:1/2",
+            }
+            code, _, err = run(
+                capsys, "counterexample", "--rule", spec.get(kind, kind),
+                "--m", str(m), "--k", str(k), "--out", str(tmp_path),
+            )
+            assert code == 0, err
+            (path,) = tmp_path.glob(f"counterexample_*_m{m}k{k}.json")
+            doc = json.loads(path.read_text())
+            assert doc["metric"]["default"] == "2" and len(doc["metric"]["entries"]) <= 2
+            want = jump_counterexample(rule).metric.rows(range(1 << m))
+            metric = metric_from_json(doc["metric"])
+            model = model_from_json(doc["model"])
+            for reloaded in (metric, model.metric):
+                rows, scale = reloaded.rows(range(1 << m))
+                assert scale == want[1] and np.array_equal(rows, want[0])
+            ground, rival = (committee_of(model.universe, doc[key]) for key in ("ground", "rival"))
+            assert frac_str(expected_gap(rule, model, ground, rival)) == doc["expected_gap"]
+
+    def test_counterexample_at_m10_is_small(self, tmp_path, capsys):
+        # the metric was written as its full pair table: 263 MB here
+        code, _, err = run(
+            capsys, "counterexample", "--rule", "cc", "--m", "10", "--k", "2",
+            "--out", str(tmp_path),
+        )
+        assert code == 0, err
+        assert (tmp_path / "counterexample_cc_m10k2.json").stat().st_size < 10_000
 
     def test_counterexample_mc_exits_5(self, tmp_path, capsys):
         code, _, err = run(
@@ -325,13 +379,13 @@ class TestSamplingCommands:
         assert code == 0
         assert out.strip() == "equivalent: 100/100"
 
-    def test_mle_check_negative_m_exits_3(self, tmp_path, capsys):
+    def test_mle_check_negative_m_exits_2(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
             "mle-check", "--p", "3/4", "--m", "-1", "--k", "1", "--profiles", "2",
             "--seed", "1", "--out", str(tmp_path),
         )
-        assert code == 3 and err.startswith("error: ")
+        assert code == 2 and err.startswith("error: ")
 
 
 class TestInputErrors:
@@ -486,6 +540,13 @@ class TestInputErrors:
             "--out", str(tmp_path),
         )
 
+    def test_metric_file_over_another_m(self, tmp_path, capsys):
+        # the m = 4 table used to be checked and reported as if --m were 4
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps(metric_to_json(random_metric(4, seed=0))))
+        err = self.assert_exit_2(capsys, "check-metric", "--m", "3", "--metric-file", str(path))
+        assert "m=4" in err
+
     def test_missing_input_files(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
         err = self.assert_exit_2(
@@ -509,6 +570,19 @@ class TestInputErrors:
         path.write_bytes(b"alternatives: a\n\xff\n")
         err = self.assert_exit_2(capsys, *argv, str(path), "--out", str(tmp_path))
         assert "UTF-8" in err
+
+    @pytest.mark.parametrize("argv", [
+        # they exited 3, the enumeration-cap code
+        ["winners", "--rule", "av", "--k", "5", "--profile", "{profile}"],
+        ["winners", "--rule", "av", "--k", "0", "--profile", "{profile}"],
+        ["robust", "--rule", "av", "--metric", "jaccard", "--m", "3", "--k", "0"],
+        ["hierarchy", "--rules", "av", "--metrics", "jaccard", "--m", "-1", "--k", "1"],
+    ])
+    def test_committee_size_out_of_range(self, argv, tmp_path, capsys):
+        profile = write_profile(tmp_path)
+        argv = [arg.format(profile=profile) for arg in argv]
+        err = self.assert_exit_2(capsys, *argv, "--out", str(tmp_path))
+        assert "0 < k <= m" in err
 
     def test_negative_m(self, tmp_path, capsys):
         self.assert_exit_2(capsys, "check-metric", "--metric", "jaccard", "--m", "-1")

@@ -73,11 +73,11 @@ class TestFeasiblePairs:
     def test_domain_4_2(self):
         # the displayed m=4, k=2 domain
         expected = {(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2), (1, 3), (2, 3), (2, 4)}
-        assert feasible_pairs(4, 2).pairs == expected
+        assert feasible_pairs(4, 2) == expected
 
     def test_m_equals_k_forces_full_overlap_at_top(self):
         for m in (2, 3, 4):
-            dom = feasible_pairs(m, m).pairs
+            dom = feasible_pairs(m, m)
             assert (m, m) in dom
             assert all(x == m for x, y in dom if y == m)
 
@@ -88,7 +88,7 @@ class TestFeasiblePairs:
             for x in range(max(1 + y - 3, 0), min(y, 1) + 1):
                 expected.add((x, y))
         assert expected == {(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (1, 3)}
-        assert feasible_pairs(3, 1).pairs == expected
+        assert feasible_pairs(3, 1) == expected
 
     def test_contains_corners(self):
         dom = feasible_pairs(5, 3)
@@ -97,7 +97,7 @@ class TestFeasiblePairs:
     @pytest.mark.parametrize("m,k", [(m, k) for m in range(1, 7) for k in range(1, m + 1)])
     def test_realizability_both_directions(self, m, k):
         # every (|U∩S|, |S|) lands in the domain, and every domain member is hit
-        dom = feasible_pairs(m, k).pairs
+        dom = feasible_pairs(m, k)
         seen = set()
         u = default_universe(m)
         umask = (1 << k) - 1

@@ -134,10 +134,10 @@ def test_product_model_gaps():
 def test_trivial_rule_witness_matches():
     # constant per vote size: no vote separates any pair
     m, k = 4, 2
-    table = {(x, y): Fraction(y, 3) for x, y in feasible_pairs(m, k).pairs}
+    table = {(x, y): Fraction(y, 3) for x, y in feasible_pairs(m, k)}
     assert_nontrivial_matches(make_rule("custom", m, k, table=table))
     # only singleton votes score: {a} with a in U \ V separates every pair
-    table = {(x, y): Fraction(x) if y == 1 else Fraction(0) for x, y in feasible_pairs(m, k).pairs}
+    table = {(x, y): Fraction(x) if y == 1 else Fraction(0) for x, y in feasible_pairs(m, k)}
     assert_nontrivial_matches(make_rule("custom", m, k, table=table))
 
 

@@ -99,6 +99,7 @@ CASES = {
     "robustness_verdict_committees": lambda: robustness_verdict(av(C, K), jaccard(C)),
     # the full distance matrix
     "check_metric_axioms": lambda: check_metric_axioms(jaccard(X)),
+    "jump_counterexample_matrix": lambda: jump_counterexample(make_rule("cc", X, 1)),
     "is_alternative_independent": lambda: is_alternative_independent(jaccard(X)),
     "random_metric_table": lambda: random_metric(X, seed=1),
     "random_metric_signature": lambda: random_metric(X, seed=1, family="signature"),

@@ -3,7 +3,7 @@ brute-force Fraction loops in reference.py: distance rows, axiom checks,
 level structures, neighborhood counts, every taxonomy flag with its
 witness and the monotonicity audit of noise models, on the builtin
 metrics up to m = 6 (rows also at m = 18), on every random-metric family,
-on raw tables and asymmetric closed forms that break each axiom, and on
+on raw tables and asymmetric matrices that break each axiom, and on
 distances whose scaled integers do not fit in int64."""
 
 import dataclasses
@@ -126,12 +126,13 @@ def raw_table(m, rng):
 
 
 def asymmetric(m, rng):
-    """Closed form with d(x, y) != d(y, x) for some pairs, and some of
-    them also zero, where symmetry is reported before positivity."""
+    """Matrix with d(x, y) != d(y, x) for some pairs, and some of them
+    also zero, where symmetry is reported before positivity."""
     n = 1 << m
     table = rng.integers(0, 5, size=(n, n))
     np.fill_diagonal(table, 0)
-    return DistanceMetric("asymmetric", m, fn=lambda x, y: Fraction(int(table[x, y]), 2))
+    matrix = [[Fraction(int(v), 2) for v in row] for row in table]
+    return reference.MatrixMetric("asymmetric", matrix)
 
 
 def test_raw_tables_and_asymmetric_metrics():
@@ -149,10 +150,8 @@ def test_raw_tables_and_asymmetric_metrics():
 
 def test_identity_witness():
     # d(x, x) != 0 on one set, which the diagonal scan must report first
-    def fn(x, y):
-        return Fraction(1 if x == 5 or x != y else 0)
-
-    metric = DistanceMetric("loop", 3, fn=fn)
+    matrix = [[Fraction(1 if x == 5 or x != y else 0) for y in range(8)] for x in range(8)]
+    metric = reference.MatrixMetric("loop", matrix)
     assert assert_axioms_match(metric) == ("identity", (5, 5))
 
 

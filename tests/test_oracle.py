@@ -63,7 +63,7 @@ class TestExpectedGap:
     def test_overlap_jump_rule_closed_form(self, u3, rng):
         # rule scoring only exact singletons and the full pair:
         # gap = 2 p({a,b}) - 2 p({a,c}) + p({b}) - p({c})
-        table = {xy: Fraction(0) for xy in feasible_pairs(3, 2).pairs}
+        table = {xy: Fraction(0) for xy in feasible_pairs(3, 2)}
         table[(1, 1)] = Fraction(1)
         table[(2, 2)] = Fraction(2)
         rule = make_rule("custom", 3, 2, table=table)
@@ -146,7 +146,7 @@ class TestAccuracyClassify:
 
     def test_identically_zero_gap_reported_as_tie(self, u4):
         # constant rule: every committee scores the same on every vote
-        table = {xy: Fraction(1) for xy in feasible_pairs(4, 2).pairs}
+        table = {xy: Fraction(1) for xy in feasible_pairs(4, 2)}
         flat = make_rule("custom", 4, 2, table=table)
         ground = committee_of(u4, ["a", "b"])
         model = staggered_level_model(make_metric("jaccard", 4), ground, u4)
@@ -316,7 +316,7 @@ class TestRobustnessVerdict:
         # non-trivial rule without the top jump: f capped below the top
         table = {
             (x, y): Fraction(min(x, 1)) + (Fraction(1, 2) if y == 1 and x == 1 else 0)
-            for x, y in feasible_pairs(4, 2).pairs
+            for x, y in feasible_pairs(4, 2)
         }
         rule = make_rule("custom", 4, 2, table=table)
         verdict = robustness_verdict(rule, make_metric("trivial", 4))

@@ -5,8 +5,6 @@ blank, commented and malformed lines; and the CLI's `score` and
 `winners` on malformed profile files, which must end with a documented
 exit code and no traceback."""
 
-import contextlib
-import io
 import string
 import tempfile
 from collections import Counter
@@ -19,7 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from abcc.cli import main
 from abcc.core import (
     AlternativeSet,
     Committee,
@@ -32,7 +29,7 @@ from abcc.core import (
 from abcc.errors import DomainMismatchError, ProfileParseError
 from abcc.noise import make_mp, sample_profile, sample_vote_masks
 from abcc.rules import integer_table, make_rule, profile_score, winners
-from conftest import huge_rule, random_rule
+from conftest import huge_rule, random_rule, run_cli
 
 NAMES = ["a", "b", "c", "d", "e"]
 
@@ -184,13 +181,6 @@ def profile_files(draw):
 
 
 RULES = st.sampled_from(["av", "cc", "pav", "sav", "mc", "thiele", "special6_f", "p_geometric"])
-
-
-def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=200, deadline=None)

@@ -82,17 +82,30 @@ class TestCatalog:
             make_rule("borda", 4, 2)
 
     def test_custom_rejects_non_monotone(self):
-        table = {xy: Fraction(0) for xy in feasible_pairs(3, 2).pairs}
+        table = {xy: Fraction(0) for xy in feasible_pairs(3, 2)}
         table[(1, 2)] = Fraction(1)  # then (2,2)=0 breaks monotonicity
         with pytest.raises(InvalidRuleError):
             make_rule("custom", 3, 2, table=table)
 
     def test_custom_rejects_negative_and_partial(self):
-        table = {xy: Fraction(-1) for xy in feasible_pairs(3, 2).pairs}
+        table = {xy: Fraction(-1) for xy in feasible_pairs(3, 2)}
         with pytest.raises(InvalidRuleError):
             make_rule("custom", 3, 2, table=table)
         with pytest.raises(InvalidRuleError):
             make_rule("custom", 3, 2, table={(0, 0): Fraction(0)})
+
+    def test_custom_table_error_names_counts_and_first_pairs(self):
+        table = {xy: Fraction(0) for xy in feasible_pairs(3, 2)}
+        del table[(1, 2)], table[(0, 1)]
+        table[(3, 3)] = table[(0, 3)] = Fraction(0)
+        with pytest.raises(InvalidRuleError, match=(
+            r"total on the 6 feasible pairs; 2 missing \(first: \(0, 1\)\), "
+            r"2 extra \(first: \(0, 3\)\)"
+        )):
+            make_rule("custom", 3, 2, table=table)
+        # the domain of a huge m is never built: the error comes at once and stays short
+        with pytest.raises(InvalidRuleError, match=r"^.{0,200}$"):
+            make_rule("custom", 10**12, 1, table={(0, 0): Fraction(0)})
 
     @pytest.mark.parametrize("kind", CATALOG)
     @pytest.mark.parametrize("m,k", [(3, 2), (4, 2), (5, 3)])
@@ -204,7 +217,7 @@ class TestPredicates:
         assert is_nontrivial(make_rule("mc", 4, 2))
 
     def test_constant_rule_trivial_with_witness(self):
-        table = {xy: Fraction(0) for xy in feasible_pairs(3, 2).pairs}
+        table = {xy: Fraction(0) for xy in feasible_pairs(3, 2)}
         rule = make_rule("custom", 3, 2, table=table)
         result = is_nontrivial(rule)
         assert not result
