@@ -23,6 +23,7 @@ from pathlib import Path
 from . import __version__
 from .core import (
     Committee,
+    check_sets,
     default_universe,
     format_profile,
     frac_str,
@@ -154,7 +155,11 @@ class Runner:
 # Shared argument resolution.
 
 def _universe(m):
-    """default_universe for --m, with a missing or negative value as an input error."""
+    """default_universe for --m, with a missing or negative value as an input error.
+
+    The commands that sweep all 2^m sets call `check_sets` first, so an
+    m over the cap is refused before its labels or a rule table are built.
+    """
     if m is None or m < 0:
         raise ProfileParseError(f"--m must be a non-negative integer, got {m}")
     return default_universe(m)
@@ -277,6 +282,7 @@ def _resolve_metric_or_report(args, runner, universe):
 
 def cmd_check_metric(args):
     runner = Runner(args)
+    check_sets(args.m)
     universe = _universe(args.m)
     metric = _resolve_metric_or_report(args, runner, universe)
     check = check_metric_axioms(metric)
@@ -292,6 +298,7 @@ def cmd_check_metric(args):
 
 def cmd_taxonomy(args):
     runner = Runner(args)
+    check_sets(args.m)
     universe = _universe(args.m)
     metric = _resolve_metric_or_report(args, runner, universe)
     report = taxonomy_report(metric, args.k)
@@ -319,6 +326,7 @@ def _witness_doc(witness, universe):
 
 def cmd_robust(args):
     runner = Runner(args)
+    check_sets(args.m)
     universe = _universe(args.m)
     rule = _resolve_rule(args, args.m, args.k, runner)
     metric = _resolve_metric(args, args.m, runner)
@@ -335,6 +343,7 @@ def cmd_robust(args):
 
 def cmd_counterexample(args):
     runner = Runner(args)
+    check_sets(args.m)
     universe = _universe(args.m)
     rule = _resolve_rule(args, args.m, args.k, runner)
     package = jump_counterexample(rule)
@@ -363,6 +372,7 @@ def cmd_counterexample(args):
 
 def cmd_hierarchy(args):
     runner = Runner(args)
+    check_sets(args.m)
     rules = [
         _resolve_rule(argparse.Namespace(rule=token), args.m, args.k, runner)
         for token in args.rules.split(",")

@@ -31,7 +31,7 @@ from .errors import (
 MAX_M = 16  # all 2^m sets
 MAX_COMMITTEES = 100_000  # all C(m, k) committees
 # Cells of a full 2^m x 2^m distance matrix (m <= 12): one int64 copy is
-# 128 MiB here, and the triangle check is cubic in 2^m.
+# 128 MiB here, and a table metric's triangle check is cubic in 2^m.
 MAX_MATRIX_CELLS = 4**12
 
 

@@ -103,14 +103,18 @@ class DistanceMetric:
         rows by signature code, table metrics scale their table once into a
         dense 2^m x 2^m matrix.
         """
-        if self._ints is None:
-            self._ints = self._signature_grid() if self._table is None else self._table_matrix()
-        ints, scale = self._ints
+        ints, scale = self._integers()
         if self._signature is not None:
             gathered = ints[_signature_codes(masks, self.m)]
         else:
             gathered = ints[np.asarray(masks)]
         return int64_if_fits(gathered, terms), scale
+
+    def _integers(self) -> tuple[np.ndarray, int]:
+        """The scaled signature grid or table matrix, built once."""
+        if self._ints is None:
+            self._ints = self._signature_grid() if self._table is None else self._table_matrix()
+        return self._ints
 
     def _signature_grid(self) -> tuple[np.ndarray, int]:
         # cells with a + b + c > m are the signature of no pair of sets; 0
@@ -217,13 +221,18 @@ class AxiomCheck:
 def check_metric_axioms(metric: DistanceMetric) -> AxiomCheck:
     """Verify identity, positivity, symmetry, and the triangle inequality.
 
-    Exhaustive over all pairs and triples of the 2^m subsets, on the
-    distance matrix scaled to exact integers. The witness is the first
+    A signature metric is decided on its signature grid and on the sizes of
+    the Venn regions of three sets (`_signature_axioms_hold`), without a
+    distance row. A table metric, or a signature metric that grid check
+    refutes, is scanned over all pairs and triples of the 2^m subsets, on
+    the distance matrix scaled to exact integers. The witness is the first
     violation in (i, j) order (diagonal first), then in (pivot j, i, k)
     order for the triangle inequality.
     """
     m = metric.m
     check_matrix(m)
+    if metric._signature is not None and _signature_axioms_hold(metric):
+        return AxiomCheck(True)
     n = 1 << m
     D = metric.rows(range(n), terms=2)[0]
 
@@ -243,6 +252,29 @@ def check_metric_axioms(metric: DistanceMetric) -> AxiomCheck:
             i, k = np.argwhere(shortcut)[0]
             return AxiomCheck(False, "triangle", sets(i, j, k))
     return AxiomCheck(True)
+
+
+def _signature_axioms_hold(metric: DistanceMetric) -> bool:
+    """Whether the signature grid g of a signature metric is a metric.
+
+    Identity: g(0, 0, c) = 0. Symmetry and positivity: g(a, b, c) =
+    g(b, a, c), and g > 0 when a + b > 0, on the cells with a + b + c <= m.
+    Triangle: the sizes of the 7 Venn regions of (X, Y, Z), summing to at
+    most m, fix the signatures of (X, Y), (Y, Z) and (X, Z); all C(m+7, 7)
+    such size vectors come from one stars-and-bars enumeration.
+    """
+    m = metric.m
+    grid = int64_if_fits(metric._integers()[0], terms=2).reshape((m + 1,) * 3)
+    a, b, c = np.indices(grid.shape)
+    bad = (grid != grid.transpose(1, 0, 2)) | ((grid <= 0) & (a + b > 0))
+    if (grid[0, 0] != 0).any() or (bad & (a + b + c <= m)).any():
+        return False
+    bars = np.array(list(combinations(range(m + 7), 7)))
+    x, y, z, xy, xz, yz, xyz = (np.diff(bars, axis=1, prepend=-1) - 1).T
+    d_xy = grid[x + xz, y + yz, xy + xyz]
+    d_yz = grid[y + xy, z + xz, yz + xyz]
+    d_xz = grid[x + xy, z + yz, xz + xyz]
+    return bool((d_xz <= d_xy + d_yz).all())
 
 
 @dataclass(frozen=True)
@@ -390,6 +422,8 @@ def is_alternative_independent(metric: DistanceMetric) -> MetricPropertyCheck:
     """
     m = metric.m
     check_matrix(m)
+    if metric._signature is not None:  # a function of the signature by construction
+        return MetricPropertyCheck(True)
     n = 1 << m
     dist = metric.rows(range(n))[0]
     # (|X∖Y|, |Y∖X|, |X∩Y|) fixes (|X∖Y|, |Y∖X|, |X|, |Y|) and back; for

@@ -396,7 +396,10 @@ def model_from_json(doc: dict, m: int | None = None) -> NoiseModel:
             universe = default_universe(m)
         else:
             raise ProfileParseError("model file needs 'alternatives' or an explicit m")
-        ground_set = universe.set_of(doc["ground"])
+        labels = list(doc["ground"])
+        if len(set(labels)) != len(labels):
+            raise ProfileParseError(f"duplicate label in ground {labels!r}")
+        ground_set = universe.set_of(labels)
         ground = Committee(ground_set, ground_set.size)
         if doc["type"] == "mp":
             return make_mp(parse_frac(str(doc["p"])), universe, ground)

@@ -104,6 +104,26 @@ class TestMetricCommands:
         assert code == 3
 
     @pytest.mark.parametrize("argv", [
+        ["check-metric", "--metric", "jaccard"],
+        ["taxonomy", "--metric", "jaccard", "--k", "3"],
+        ["robust", "--rule", "pav", "--metric", "jaccard", "--k", "3"],
+        ["counterexample", "--rule", "pav", "--k", "3"],
+        ["hierarchy", "--rules", "av,pav", "--metrics", "jaccard", "--k", "3"],
+    ])
+    def test_set_cap_before_labels_and_rules(self, argv, tmp_path, capsys):
+        # the 2M labels, or a rule table over 2M alternatives, used to be
+        # built before any cap was checked
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv, "--m", "2000000", "--out", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "2^m sets" in err
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("argv", [
         ["check-metric", "--metric", "jaccard", "--m", "13"],
         ["taxonomy", "--metric", "jaccard", "--m", "13", "--k", "2"],
         # the digits of its pair count used to end in a traceback, after 2M labels
@@ -425,6 +445,18 @@ class TestInputErrors:
             capsys, "sample", "--model-file", str(path), "--n", "3", "--seed", "1",
             "--out", str(tmp_path),
         )
+
+    def test_duplicate_ground_label_in_model_file(self, tmp_path, capsys):
+        # used to be read as the committee {a} and sampled with exit 0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(
+            {"type": "mp", "p": "3/4", "alternatives": ["a", "b", "c"], "ground": ["a", "a"]}
+        ))
+        err = self.assert_exit_2(
+            capsys, "sample", "--model-file", str(path), "--n", "3", "--seed", "1",
+            "--out", str(tmp_path),
+        )
+        assert "duplicate" in err
 
     def test_unknown_metric_kind_in_level_model_file(self, tmp_path, capsys):
         path = tmp_path / "model.json"

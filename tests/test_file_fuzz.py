@@ -92,6 +92,8 @@ def mutated(draw, bases):
 # a short rule table over a huge m ran for seconds and printed every missing pair
 @example(("rule", {"m": 2000000, "k": 1, "table": []}))
 @example(("metric", {**DEFAULT_TABLE, "default": "0"}))
+# a repeated ground label was read as a smaller committee and sampled
+@example(("model", {**MODELS[0], "ground": ["a", "a"]}))
 @example(("metric", {**DEFAULT_TABLE, "m": -1}))
 # a table over another m than --m, with a witness that holds a label --m lacks
 @example(("metric", {"m": 4, "default": "1", "entries": [{"x": ["d"], "y": ["b"], "d": "3"}]}))

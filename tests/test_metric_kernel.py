@@ -4,10 +4,13 @@ level structures, neighborhood counts, every taxonomy flag with its
 witness and the monotonicity audit of noise models, on the builtin
 metrics up to m = 6 (rows also at m = 18), on every random-metric family,
 on raw tables and asymmetric matrices that break each axiom, and on
-distances whose scaled integers do not fit in int64."""
+distances whose scaled integers do not fit in int64. The axioms of
+signature metrics, decided on Venn-region counts, are checked against the
+matrix scan up to m = 8 and on signature forms that break each axiom."""
 
 import dataclasses
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -285,12 +288,84 @@ def test_full_matrix_budget(check, monkeypatch):
     def built(self, masks, terms=1):
         raise Built
 
+    def table_metric(m):
+        return DistanceMetric("table", m, table={}, default=Fraction(1))
+
     monkeypatch.setattr(DistanceMetric, "rows", built)
     assert 1 << 2 * 12 == MAX_MATRIX_CELLS
     with pytest.raises(Built):  # m = 12 passes the budget and builds rows
-        check(make_metric("jaccard", 12))
-    with pytest.raises(CapExceededError):
-        check(make_metric("jaccard", 13))
+        check(table_metric(12))
+    for metric in (table_metric(13), make_metric("jaccard", 13)):
+        with pytest.raises(CapExceededError):
+            check(metric)
+
+
+# ---------------------------------------------------------------------------
+# Axioms of signature metrics, decided on the signature grid and the Venn
+# region sizes of three sets, against the matrix scan of the same distances.
+
+def matrix_twin(metric):
+    """The same distances as a dense matrix, which the matrix scan checks."""
+    n = 1 << metric.m
+    return reference.MatrixMetric(
+        metric.name, [[metric.d(x, y) for y in range(n)] for x in range(n)]
+    )
+
+
+def no_rows(self, masks, terms=1):
+    raise AssertionError("a distance row was built")
+
+
+# (first violated axiom, signature form); None for a metric
+SIGNATURE_FORMS = [
+    ("identity", lambda a, b, c: Fraction(a + b or int(c == 1))),  # d(X, X) = 1 if |X| = 1
+    ("symmetry", lambda a, b, c: Fraction(a + 2 * b)),
+    ("positivity", lambda a, b, c: Fraction(0 if a == b == 1 else a + b)),
+    ("triangle", lambda a, b, c: Fraction((a + b) ** 2)),
+    ("triangle", lambda a, b, c: Fraction(a + b + 2 if a + b > 1 else a + b)),
+    # scaled grids over the int64 guard: the object path
+    (None, lambda a, b, c: Fraction((1 << 62) * (a + b), 3)),
+    ("triangle", lambda a, b, c: Fraction((1 << 62) * (a + b) ** 2, 3)),
+]
+
+
+def assert_signature_axioms_match(metric, monkeypatch, expected_axiom):
+    twin = matrix_twin(metric)
+    expected = check_metric_axioms(twin)
+    with monkeypatch.context() as patch:
+        if expected.ok:  # decided on the grid alone
+            patch.setattr(DistanceMetric, "rows", no_rows)
+        check = check_metric_axioms(metric)
+        assert is_alternative_independent(metric).ok
+    assert check == expected
+    assert check.axiom == expected_axiom
+    assert is_alternative_independent(twin).ok
+    if metric.m <= 5:  # the reference loops are cubic in 2^m
+        assert_axioms_match(metric)
+        assert reference.alternative_independent(metric) is None
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_signature_axioms_of_builtins(m, monkeypatch):
+    kinds = BUILTIN_METRICS + (["example2"] if m == 3 else [])
+    for kind in kinds:
+        assert_signature_axioms_match(make_metric(kind, m), monkeypatch, None)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_signature_forms_that_break_each_axiom(m, monkeypatch):
+    for axiom, form in SIGNATURE_FORMS:
+        metric = DistanceMetric(axiom or "metric", m, signature=form)
+        assert_signature_axioms_match(metric, monkeypatch, axiom)
+
+
+def test_signature_axioms_at_m12_build_no_row(monkeypatch):
+    monkeypatch.setattr(DistanceMetric, "rows", no_rows)
+    metric = make_metric("jaccard", 12)
+    start = time.perf_counter()
+    assert check_metric_axioms(metric).ok
+    assert is_alternative_independent(metric).ok
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
