@@ -18,11 +18,13 @@ import sys
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
 from .core import (
     Committee,
+    check_committees,
     check_sets,
     default_universe,
     format_profile,
@@ -123,7 +125,7 @@ class Runner:
         return path
 
     def write_json(self, name: str, doc) -> Path:
-        return self.write(name, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        return self.write(name, _pretty_json(doc) + "\n")
 
     def finish_manifest(self):
         """Append one manifest record; called only by commands that wrote files."""
@@ -149,6 +151,51 @@ class Runner:
         self.out.mkdir(parents=True, exist_ok=True)
         with open(self.out / "manifest.jsonl", "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _pretty_json(doc) -> str:
+    """`json.dumps(doc, indent=2, sort_keys=True)`, byte for byte, for a
+    document of JSON values with string keys.
+
+    The standard encoder takes its pure-Python path whenever it indents.
+    Here strings go through the C escaper, and each list or tuple object is
+    rendered once per depth: result files share one label list per
+    committee across all the rows that name it.
+    """
+    rendered = {}
+
+    def render(value, depth):
+        kind = type(value)
+        if kind is str:
+            return encode_basestring_ascii(value)
+        if kind is bool:
+            return "true" if value else "false"
+        if kind is int:
+            return int.__repr__(value)
+        inner = "\n" + "  " * (depth + 1)
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            items = []
+            for key in sorted(value):
+                item = value[key]  # a list seen before needs no call
+                text = rendered.get((id(item), depth + 1)) or render(item, depth + 1)
+                items.append(encode_basestring_ascii(key) + ": " + text)
+            return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
+        if isinstance(value, (list, tuple)):
+            key = (id(value), depth)
+            text = rendered.get(key)
+            if text is None:
+                if not value:
+                    text = "[]"
+                else:
+                    items = [render(item, depth + 1) for item in value]
+                    text = "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
+                rendered[key] = text
+            return text
+        return json.dumps(value)  # None, floats, and subclasses of str and int
+
+    return render(doc, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +382,7 @@ def cmd_robust(args):
     stem = f"robust_{_slug(rule.name)}_{_slug(metric.name)}_m{args.m}k{args.k}"
     runner.write_json(stem + ".json", doc)
     if verdict.witness is not None:
-        runner.write_json(stem + "_witness_model.json", model_to_json(verdict.witness.model))
+        runner.write_json(stem + "_witness_model.json", doc["witness"]["model"])
     runner.finish_manifest()
     print(json.dumps({"status": verdict.status}, sort_keys=True))
     return 0
@@ -400,7 +447,12 @@ def cmd_sample(args):
 
 def cmd_converge(args):
     runner = Runner(args)
+    # every trial's argmax sweeps the C(m, k) committees: refuse too many
+    # before the labels, the model or the rule table are built
+    if args.model_file is None and args.m is not None and args.ground is not None:
+        check_committees(args.m, len(set(args.ground.split(","))))
     model = _resolve_model(args, runner)
+    check_committees(model.m, model.ground.k)
     rule = _resolve_rule(args, args.m or model.m, model.ground.k, runner)
     try:
         n_grid = tuple(int(tok) for tok in args.n_grid.split(","))

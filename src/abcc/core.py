@@ -26,7 +26,7 @@ from .errors import (
 )
 
 # The limits of exact enumeration. Each has one check (check_sets,
-# committee_masks, check_matrix) that every exhaustive sweep calls on entry,
+# check_committees, check_matrix) that every exhaustive sweep calls on entry,
 # before it allocates anything; sampling paths are not subject to them.
 MAX_M = 16  # all 2^m sets
 MAX_COMMITTEES = 100_000  # all C(m, k) committees
@@ -231,14 +231,20 @@ def enumerate_committees(universe: Universe, k: int) -> list[Committee]:
     return [Committee(AlternativeSet(mask, m), k) for mask in committee_masks(m, k)]
 
 
+def check_committees(m: int, k: int) -> None:
+    """Refuse a sweep over the C(m, k) committees when there are more than
+    MAX_COMMITTEES; a k outside 0..m is left to `check_k`."""
+    count = comb(m, k) if 0 <= k <= m else 0
+    if count > MAX_COMMITTEES:
+        raise CapExceededError(f"C({m},{k})={count} exceeds committee cap {MAX_COMMITTEES}")
+
+
 def committee_masks(m: int, k: int) -> list[int]:
     """Raw bitmasks of all size-k committees, ascending; refused when
     C(m, k) exceeds MAX_COMMITTEES. It never lists the 2^m sets, so m
     itself is not capped here."""
     check_k(m, k)
-    count = comb(m, k)
-    if count > MAX_COMMITTEES:
-        raise CapExceededError(f"C({m},{k})={count} exceeds committee cap {MAX_COMMITTEES}")
+    check_committees(m, k)
     return sorted(sum(1 << i for i in combo) for combo in combinations(range(m), k))
 
 
@@ -278,6 +284,19 @@ def frac_str(value: Fraction | int) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+class Memo(dict):
+    """`memo[key]` is `f(key)`, computed once per distinct key: serializers
+    share one label list per set and one "p/q" string per rational."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
 
 
 def parse_frac(text: str) -> Fraction:

@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     AlternativeSet,
     Committee,
+    Memo,
     Universe,
     check_matrix,
     check_sets,
@@ -66,7 +67,8 @@ class DistanceMetric:
     Backed by a closed form of the signature (|X∖Y|, |Y∖X|, |X∩Y|)
     (builtins) or by a table keyed on unordered mask pairs (custom, random
     and constructed metrics) with a `default` distance for the pairs it
-    omits. Immutable after construction; level structures are cached per ground set.
+    omits. Immutable after construction; the axiom check and the level
+    structures (per ground set) are cached.
     """
 
     def __init__(self, name, m, *, table=None, default=None, signature=None):
@@ -78,6 +80,7 @@ class DistanceMetric:
         self._default = default
         self._signature = signature
         self._ints = None  # (integer grid or matrix, scale), built by the first rows()
+        self._axioms = None  # the AxiomCheck, made by the first check_metric_axioms()
         self._level_cache: dict[int, LevelStructure] = {}
 
     def d(self, xmask: int, ymask: int) -> Fraction:
@@ -192,7 +195,7 @@ def _normalize_table(m, table, default=None) -> dict[tuple[int, int], Fraction]:
                 )
             continue
         key = (a, b) if a < b else (b, a)
-        value = Fraction(value)
+        value = value if type(value) is Fraction else Fraction(value)  # keep shared values shared
         if key in clean and clean[key] != value:
             raise MetricAxiomError(
                 "conflicting symmetric entries",
@@ -227,10 +230,16 @@ def check_metric_axioms(metric: DistanceMetric) -> AxiomCheck:
     refutes, is scanned over all pairs and triples of the 2^m subsets, on
     the distance matrix scaled to exact integers. The witness is the first
     violation in (i, j) order (diagonal first), then in (pivot j, i, k)
-    order for the triangle inequality.
+    order for the triangle inequality. The check is made once per metric.
     """
+    check_matrix(metric.m)
+    if metric._axioms is None:
+        metric._axioms = _axiom_check(metric)
+    return metric._axioms
+
+
+def _axiom_check(metric: DistanceMetric) -> AxiomCheck:
     m = metric.m
-    check_matrix(m)
     if metric._signature is not None and _signature_axioms_hold(metric):
         return AxiomCheck(True)
     n = 1 << m
@@ -589,12 +598,11 @@ def metric_to_json(metric: DistanceMetric, universe: Universe | None = None) -> 
     universe = universe or default_universe(metric.m)
     if metric._signature is not None:  # only the builtins have one
         return {"kind": metric.name, "m": metric.m}
+    # one label list per set and one "p/q" string per distinct value
+    names = Memo(lambda mask: list(AlternativeSet(mask, metric.m).labels(universe)))
+    fracs = Memo(frac_str)
     entries = [
-        {
-            "x": list(AlternativeSet(a, metric.m).labels(universe)),
-            "y": list(AlternativeSet(b, metric.m).labels(universe)),
-            "d": frac_str(value),
-        }
+        {"x": names[a], "y": names[b], "d": fracs[value]}
         for (a, b), value in sorted(metric._table.items())
     ]
     doc = {
@@ -628,16 +636,29 @@ def metric_from_json(doc: dict, m: int | None = None) -> DistanceMetric:
         universe = Universe(tuple(names)) if names else default_universe(size)
         if universe.m != size:
             raise ProfileParseError("alternatives list does not match m")
+        # each distinct label list and "d" text is read once; the first
+        # bad one raises as it would have alone
+        masks = Memo(lambda names: universe.set_of(names).mask)
+        values = Memo(parse_frac)
         table = {}
         for row in doc["entries"]:
-            x = universe.set_of(row["x"]).mask
-            y = universe.set_of(row["y"]).mask
-            table[(x, y)] = parse_frac(str(row["d"]))
+            x = _mask_of(row["x"], masks)
+            y = _mask_of(row["y"], masks)
+            table[(x, y)] = values[str(row["d"])]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ProfileParseError(f"bad metric file: {exc}") from None
     return make_metric(
         "custom", size, table=table, default=default, name=doc.get("name", "custom")
     )
+
+
+def _mask_of(names, masks: Memo) -> int:
+    """`masks[tuple(names)]`; a value that is no hashable sequence goes
+    to `set_of` uncached, so that it fails there as it always did."""
+    try:
+        return masks[tuple(names)]
+    except TypeError:
+        return masks.f(names)
 
 
 def load_metric_file(path, m: int | None = None) -> DistanceMetric:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import AlternativeSet, Committee, committee_masks, frac_str
+from .core import AlternativeSet, Committee, Memo, committee_masks, frac_str
 from .errors import NotAccurateError, PreconditionError, SizeMismatchError
 from .metrics import DistanceMetric, LevelStructure, level_structure
 from .noise import NoiseModel, make_level_model, staggered_level_model
@@ -274,26 +274,26 @@ def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerd
         raise PreconditionError("rule and metric universe sizes differ")
     m, k = rule.m, rule.k
     masks = committee_masks(m, k)
+    committees = [Committee(AlternativeSet(mask, m), k) for mask in masks]
+    fractions = Memo(lambda key: Fraction(*key))  # one per distinct (min_prefix, scale)
     summaries = []
     first_negative = None  # (ground, rival, j, levels, coeffs)
     first_degenerate = None  # (ground, rival)
-    for umask in masks:
-        ground = Committee(AlternativeSet(umask, m), k)
+    for ground in committees:
         levels = level_structure(metric, ground)
         coeffs, prefix, scale = _level_gaps(rule, levels, masks)
-        lowest = prefix.min(axis=1)
-        positive = (prefix[:, : levels.spn] > 0).any(axis=1)
-        for i, vmask in enumerate(masks):
-            if vmask == umask:
+        lowest = prefix.min(axis=1).tolist()
+        positive = (prefix[:, : levels.spn] > 0).any(axis=1).tolist()
+        for i, rival in enumerate(committees):
+            if rival is ground:
                 continue
-            rival = Committee(AlternativeSet(vmask, m), k)
-            min_prefix = Fraction(int(lowest[i]), scale)
-            positive_below_last = bool(positive[i])
-            degenerate = min_prefix >= 0 and not positive_below_last
+            min_prefix = fractions[lowest[i], scale]
+            positive_below_last = positive[i]
+            degenerate = lowest[i] >= 0 and not positive_below_last
             summaries.append(
                 PairSummary(ground, rival, min_prefix, positive_below_last, degenerate)
             )
-            if min_prefix < 0 and first_negative is None:
+            if lowest[i] < 0 and first_negative is None:
                 j = next(t for t, e in enumerate(prefix[i]) if e < 0)
                 first_negative = (ground, rival, j, levels, _fractions(coeffs[i], scale))
             elif degenerate and first_degenerate is None:
@@ -387,11 +387,12 @@ def sample_size_bound(rule: AbccRule, model: NoiseModel, eps) -> SampleSizeBound
 # Verdict serialization (exact rationals as "p/q" strings).
 
 def verdict_to_json(verdict: RobustnessVerdict, universe) -> dict:
+    """The verdict document; rows that name the same committee share its
+    label list, and equal rationals share their "p/q" string."""
     from .noise import model_to_json
 
-    def labels(committee):
-        return list(committee.labels(universe))
-
+    names = Memo(lambda mask: list(AlternativeSet(mask, verdict.m).labels(universe)))
+    fracs = Memo(frac_str)
     doc = {
         "status": verdict.status,
         "rule": verdict.rule_name,
@@ -401,9 +402,9 @@ def verdict_to_json(verdict: RobustnessVerdict, universe) -> dict:
         "witness": None,
         "per_pair_summary": [
             {
-                "ground": labels(p.ground),
-                "rival": labels(p.rival),
-                "min_prefix": frac_str(p.min_prefix),
+                "ground": names[p.ground.mask],
+                "rival": names[p.rival.mask],
+                "min_prefix": fracs[p.min_prefix],
                 "positive_below_last": p.positive_below_last,
                 "degenerate": p.degenerate,
             }
@@ -413,16 +414,16 @@ def verdict_to_json(verdict: RobustnessVerdict, universe) -> dict:
     w = verdict.witness
     if isinstance(w, NotRobustWitness):
         doc["witness"] = {
-            "ground": labels(w.ground),
-            "rival": labels(w.rival),
+            "ground": names[w.ground.mask],
+            "rival": names[w.rival.mask],
             "level_index": w.level_index,
             "gap": frac_str(w.gap),
             "model": model_to_json(w.model),
         }
     elif isinstance(w, DegenerateWitness):
         doc["witness"] = {
-            "ground": labels(w.ground),
-            "rival": labels(w.rival),
+            "ground": names[w.ground.mask],
+            "rival": names[w.rival.mask],
             "identically_zero": w.identically_zero,
             "gap": "0",
             "model": model_to_json(w.model),

@@ -10,11 +10,13 @@ one Fraction per cell from metric.d, and the builtin metrics are also
 given here in their mask form, the form they had before they became
 functions of the signature (|X∖Y|, |Y∖X|, |X∩Y|). The profile text
 format is parsed and written one line per vote, and a profile is scored
-one vote at a time.
+one vote at a time. Result files are written by the standard library's
+JSON encoder.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from abcc.core import AlternativeSet, Profile, Universe, committee_masks, scaled_integers
@@ -337,3 +339,8 @@ def audit_d_monotonic(model, metric):
         if not same_distance and table[prev] <= table[cur]:
             return False, (AlternativeSet(prev, model.m), AlternativeSet(cur, model.m))
     return True, None
+
+
+def pretty_json(doc):
+    """A result file's text, without its trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True)

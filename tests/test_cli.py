@@ -99,6 +99,27 @@ class TestMetricCommands:
         report = json.loads(out)
         assert report["is_metric"] is False and "witness" in report
 
+    @pytest.mark.parametrize("argv", [
+        ["check-metric", "--m", "4"],
+        ["taxonomy", "--m", "4", "--k", "2"],
+    ])
+    def test_metric_file_is_axiom_checked_once(self, argv, tmp_path, capsys, monkeypatch):
+        # loading the table checks its axioms; the command used to scan the
+        # full matrix for them a second time
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps(metric_to_json(random_metric(4, seed=5))))
+        scans = []
+        rows = DistanceMetric.rows
+
+        def spy(self, masks, terms=1):
+            scans.append(terms)
+            return rows(self, masks, terms)
+
+        monkeypatch.setattr(DistanceMetric, "rows", spy)
+        code, _, _ = run(capsys, *argv, "--metric-file", str(path), "--out", str(tmp_path))
+        assert code == 0
+        assert scans.count(2) == 1
+
     def test_cap_exit_3(self, capsys):
         code, _, err = run(capsys, "check-metric", "--metric", "trivial", "--m", "17")
         assert code == 3

@@ -2,7 +2,7 @@
 
 The three limits and their checks live in `abcc.core`: m <= MAX_M for the
 2^m sets (`check_sets`), C(m, k) <= MAX_COMMITTEES for the committees
-(`committee_masks`) and 4^m <= MAX_MATRIX_CELLS for the full distance
+(`check_committees`, which `committee_masks` calls) and 4^m <= MAX_MATRIX_CELLS for the full distance
 matrix (`check_matrix`). Each public function that enumerates must raise
 CapExceededError before it builds a distance row or allocates anything
 sizeable.
@@ -50,6 +50,7 @@ from abcc.noise import (
 )
 from abcc.oracle import accuracy_classify, expected_gap, gap_analysis, robustness_verdict
 from abcc.rules import is_nontrivial, make_rule, winners
+from conftest import run_cli
 
 S = MAX_M + 1  # 2^17 sets
 C, K = 20, 10  # C(20, 10) = 184,756 committees
@@ -127,3 +128,28 @@ def test_refused_on_entry(call, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 18
+
+
+def test_converge_refuses_committees_before_labels(tmp_path):
+    # the 2M labels and a pav table over 2M alternatives used to be built,
+    # and the first trial's argmax to start on C(2M, 3) committees
+    argv = ["converge", "--rule", "pav", "--model", "mp", "--p", "3/4", "--m", "2000000",
+            "--ground", "x0,x1,x2", "--trials", "1", "--n-grid", "1", "--seed", "1"]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli([*argv, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert err.startswith("error: C(2000000,3)=") and err.count("\n") == 1
+    assert peak < 1 << 20
+
+
+def test_sample_is_not_capped_by_committees(tmp_path):
+    # C(200, 5) is over the committee cap; sampling never enumerates them
+    model = ["--model", "mp", "--p", "3/4", "--m", "200", "--ground", "x0,x1,x2,x3,x4",
+             "--seed", "1", "--out", str(tmp_path)]
+    assert comb(200, 5) > MAX_COMMITTEES
+    assert run_cli(["sample", *model, "--n", "3"])[0] == 0
+    assert run_cli(["converge", "--rule", "av", *model, "--trials", "1", "--n-grid", "3"])[0] == 3

@@ -1,0 +1,111 @@
+"""Result files stay byte for byte what they were.
+
+Each command below writes its result files into a fresh directory; the
+sha256 of every file but the manifest (which holds timestamps) is pinned.
+A change to the writer, the serializers or the numbers they write shows
+here as a changed or missing hash.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from conftest import run_cli
+
+# A 4-alternative table metric with entries in {1, 9/8, ..., 2}, so it
+# satisfies the triangle inequality; pav is not robust under it.
+TABLE_M4 = {
+    "m": 4,
+    "name": "t4",
+    "entries": [
+        {
+            "x": [label for i, label in enumerate("abcd") if a >> i & 1],
+            "y": [label for i, label in enumerate("abcd") if b >> i & 1],
+            "d": str(1 + Fraction((7 * a + 3 * b) % 9, 8)),
+        }
+        for a, b in combinations(range(16), 2)
+    ],
+}
+
+CONVERGE = ["converge", "--rule", "av", "--model", "mp", "--p", "3/5", "--m", "5", "--k", "2",
+            "--ground", "a,b", "--n-grid", "3,12", "--trials", "3", "--seed", "3"]
+
+CASES = {
+    "robust": (
+        ["robust", "--rule", "pav", "--metric", "jaccard", "--m", "5", "--k", "2"],
+        {"robust_pav_jaccard_m5k2.json":
+         "b3b434caa384cd78ae2e42a35d5570512b0058433b285f9dd83b472567de2c14"},
+    ),
+    "robust-degenerate": (
+        ["robust", "--rule", "cc", "--metric", "trivial", "--m", "4", "--k", "2"],
+        {"robust_cc_trivial_m4k2.json":
+         "8b4c299637f18640ac6e25fd0c3998467aaa5999e516c1548af4e59b31c2ab4e",
+         "robust_cc_trivial_m4k2_witness_model.json":
+         "ca6fb0ff5f187a04ac3fcd36f8c215a9ab655fd4661ebb7351a737e21f28ad28"},
+    ),
+    "robust-not-robust-table": (
+        ["robust", "--rule", "pav", "--metric-file", "{table}", "--m", "4", "--k", "2"],
+        {"robust_pav_t4_m4k2.json":
+         "a0877d1e0590bd6222d4418b0cb9d2ce10202ea189a64073378bfb7f588b8c9e",
+         "robust_pav_t4_m4k2_witness_model.json":
+         "49e8b52baa9d0ca4c95fda0deb9b472e5b8755ff66b0a972e99f30fcdb9d1b31"},
+    ),
+    "counterexample": (
+        ["counterexample", "--rule", "pav", "--m", "4", "--k", "2"],
+        {"counterexample_pav_m4k2.json":
+         "4ca651ccdd2c9b7c9909cdc247384116fe75d38f1f4942fba94797068ef4c8de"},
+    ),
+    "taxonomy-failing": (
+        ["taxonomy", "--metric-file", "{table}", "--m", "4", "--k", "2"],
+        {"taxonomy_t4_m4k2.json":
+         "020e8fe685d235870e2520605f2ea5ce97e4deffe227d687bc8b8aa8201d8f24"},
+    ),
+    "hierarchy": (
+        ["hierarchy", "--rules", "av,cc,pav", "--metrics", "jaccard,trivial", "--m", "4", "--k", "2"],
+        {"hierarchy_m4k2.csv":
+         "1d57b2d1ba3a1f81376ba2ecb6d325fc7f4dab8dc731bb69e55fd7654e4a9b8b",
+         "hierarchy_m4k2.json":
+         "a819f540e73e69e105cb989424839c5502d4bde2dc95844f9fccb9b5933c7673"},
+    ),
+    "converge": (
+        CONVERGE,
+        {"converge_av_seed3.csv":
+         "767ea3ea8f6724a64cd1353a46b82bee94f16c1b17b54b832855ac7b12682c4e",
+         "converge_av_seed3.json":
+         "51263d3eed58227230d05760aeff81070511a8e979936ceab16097abd9bc23ef"},
+    ),
+    "converge-approx": (
+        [*CONVERGE, "--approx"],
+        {"converge_av_seed3.csv":
+         "89859df911232efb2059f5506b7df37cd4d440dc1649a777e58dceb66229cd0a",
+         "converge_av_seed3.json":
+         "c1d349adf0cd1772d4d88ef43f563636b7d909eaeeb154d2abb087a8ec5d7637"},
+    ),
+    "mle-check": (
+        ["mle-check", "--p", "3/4", "--m", "4", "--k", "2", "--profiles", "6", "--seed", "2"],
+        {"mle_check_m4k2_seed2.json":
+         "9d533e1516803481941c48bf650fa4fdc12e33c172b52a34797dbe8cfaff0912"},
+    ),
+}
+
+
+def file_hashes(out):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+        if path.name != "manifest.jsonl"
+    }
+
+
+@pytest.mark.parametrize("argv, hashes", CASES.values(), ids=CASES.keys())
+def test_result_file_bytes(argv, hashes, tmp_path):
+    metric_file = tmp_path / "t4.json"
+    metric_file.write_text(json.dumps(TABLE_M4), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [arg.format(table=metric_file) for arg in argv]
+    code, _, err = run_cli([*argv, "--out", str(out)])
+    assert code == 0, err
+    assert file_hashes(out) == hashes
