@@ -21,8 +21,11 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import __version__
+from . import __version__, experiments, metrics, noise, oracle, rules
 from .core import (
+    METRIC_KINDS,
+    RNG_SCHEME,
+    RULE_KINDS,
     Committee,
     check_committees,
     check_sets,
@@ -48,36 +51,6 @@ from .errors import (
     ProfileParseError,
     SizeMismatchError,
 )
-from .experiments import (
-    TrialConfig,
-    convergence_curve,
-    curve_to_csv,
-    curve_to_json,
-    hierarchy_report,
-    hierarchy_to_csv,
-    hierarchy_to_json,
-    mle_equivalence_check,
-)
-from .metrics import (
-    METRIC_KINDS,
-    check_metric_axioms,
-    load_metric_file,
-    make_metric,
-    metric_to_json,
-    taxonomy_report,
-)
-from .noise import (
-    RNG_SCHEME,
-    audit_d_monotonic,
-    load_model_file,
-    make_level_model,
-    make_mp,
-    model_to_json,
-    sample_profile,
-    jump_counterexample,
-)
-from .oracle import expected_gap, robustness_verdict, verdict_to_json
-from .rules import RULE_KINDS, load_rule_file, make_rule, profile_score, winners
 
 EXIT_PARSE = 2
 EXIT_CAPS = 3
@@ -124,8 +97,8 @@ class Runner:
         self.outputs.append(str(path))
         return path
 
-    def write_json(self, name: str, doc) -> Path:
-        return self.write(name, _pretty_json(doc) + "\n")
+    def write_json(self, name: str, doc, known=None) -> Path:
+        return self.write(name, _pretty_json(doc, known) + "\n")
 
     def finish_manifest(self):
         """Append one manifest record; called only by commands that wrote files."""
@@ -153,16 +126,18 @@ class Runner:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _pretty_json(doc) -> str:
+def _pretty_json(doc, known=None) -> str:
     """`json.dumps(doc, indent=2, sort_keys=True)`, byte for byte, for a
     document of JSON values with string keys.
 
     The standard encoder takes its pure-Python path whenever it indents.
     Here strings go through the C escaper, and each list or tuple object is
     rendered once per depth: result files share one label list per
-    committee across all the rows that name it.
+    committee across all the rows that name it. `known` may map
+    (id, depth) of values in `doc` to their text, which is then used as is;
+    it is not changed.
     """
-    rendered = {}
+    rendered = dict(known or ())
 
     def render(value, depth):
         kind = type(value)
@@ -227,7 +202,7 @@ def _committee(universe, labels: str) -> Committee:
 def _resolve_rule(args, m: int, k: int, runner: Runner):
     """The rule of --rule or --rule-file for committees of k among m alternatives."""
     if getattr(args, "rule_file", None):
-        rule = load_rule_file(runner.track_input(args.rule_file))
+        rule = rules.load_rule_file(runner.track_input(args.rule_file))
         if (rule.m, rule.k) != (m, k):
             raise DomainMismatchError(f"rule file has m={rule.m}, k={rule.k}; need m={m}, k={k}")
         return rule
@@ -236,28 +211,28 @@ def _resolve_rule(args, m: int, k: int, runner: Runner):
         raise ProfileParseError("no rule given (use --rule or --rule-file)")
     kind, _, param = spec.partition(":")
     if kind == "p_geometric":
-        return make_rule(kind, m, k, p=parse_frac(param or "1/2"))
+        return rules.make_rule(kind, m, k, p=parse_frac(param or "1/2"))
     if kind == "thiele":
         weights_arg = param or getattr(args, "weights", None)
         if not weights_arg:
             raise ProfileParseError("thiele requires --weights or thiele:w1;w2;...")
         weights = [parse_frac(w) for w in re.split(r"[;,]", weights_arg)]
-        return make_rule(kind, m, k, weights=weights)
+        return rules.make_rule(kind, m, k, weights=weights)
     if kind == "custom":
         raise ProfileParseError("custom rules need --rule-file")
-    return make_rule(kind, m, k)
+    return rules.make_rule(kind, m, k)
 
 
 def _builtin_metric(name: str, m: int):
     try:
-        return make_metric(name, m)
+        return metrics.make_metric(name, m)
     except ValueError as exc:
         raise ProfileParseError(str(exc)) from None
 
 
 def _resolve_metric(args, m: int, runner: Runner):
     if args.metric_file:
-        return load_metric_file(runner.track_input(args.metric_file), m)
+        return metrics.load_metric_file(runner.track_input(args.metric_file), m)
     if args.metric is None:
         raise ProfileParseError("no metric given (use --metric or --metric-file)")
     return _builtin_metric(args.metric, m)
@@ -265,7 +240,7 @@ def _resolve_metric(args, m: int, runner: Runner):
 
 def _resolve_model(args, runner: Runner):
     if args.model_file:
-        return load_model_file(runner.track_input(args.model_file), args.m)
+        return noise.load_model_file(runner.track_input(args.model_file), args.m)
     universe = _universe(args.m)
     if args.ground is None:
         raise ProfileParseError("--ground is required without --model-file")
@@ -275,13 +250,13 @@ def _resolve_model(args, runner: Runner):
     if args.model == "mp":
         if args.p is None:
             raise ProfileParseError("model mp requires --p")
-        return make_mp(parse_frac(args.p), universe, ground)
+        return noise.make_mp(parse_frac(args.p), universe, ground)
     if args.model == "level":
         metric = _resolve_metric(args, args.m, runner)
         if not args.probs:
             raise ProfileParseError("model level requires --probs p0,p1,...")
         probs = [parse_frac(q) for q in args.probs.split(",")]
-        return make_level_model(metric, ground, probs, universe)
+        return noise.make_level_model(metric, ground, probs, universe)
     raise ProfileParseError(f"unknown model {args.model!r}")
 
 
@@ -301,7 +276,7 @@ def cmd_score(args):
     universe, profile = _load_profile(args, runner)
     committee = _committee(universe, args.committee)
     rule = _resolve_rule(args, universe.m, committee.k, runner)
-    breakdown = profile_score(rule, committee, profile)
+    breakdown = rules.profile_score(rule, committee, profile)
     print(runner.fmt(breakdown.total))
     return 0
 
@@ -310,7 +285,7 @@ def cmd_winners(args):
     runner = Runner(args)
     universe, profile = _load_profile(args, runner)
     rule = _resolve_rule(args, universe.m, args.k, runner)
-    result = winners(rule, profile)
+    result = rules.winners(rule, profile)
     print(json.dumps({"winners": [_labels(c, universe) for c in result]}))
     return 0
 
@@ -332,7 +307,7 @@ def cmd_check_metric(args):
     check_sets(args.m)
     universe = _universe(args.m)
     metric = _resolve_metric_or_report(args, runner, universe)
-    check = check_metric_axioms(metric)
+    check = metrics.check_metric_axioms(metric)
     doc = {"is_metric": check.ok, "metric": metric.name, "m": metric.m}
     if not check.ok:
         doc["axiom"] = check.axiom
@@ -348,7 +323,7 @@ def cmd_taxonomy(args):
     check_sets(args.m)
     universe = _universe(args.m)
     metric = _resolve_metric_or_report(args, runner, universe)
-    report = taxonomy_report(metric, args.k)
+    report = metrics.taxonomy_report(metric, args.k)
     doc = {"metric": report.metric_name, "m": report.m, "k": report.k}
     doc.update(report.flags())
     doc["witnesses"] = {
@@ -377,12 +352,20 @@ def cmd_robust(args):
     universe = _universe(args.m)
     rule = _resolve_rule(args, args.m, args.k, runner)
     metric = _resolve_metric(args, args.m, runner)
-    verdict = robustness_verdict(rule, metric)
-    doc = verdict_to_json(verdict, universe)
+    verdict = oracle.robustness_verdict(rule, metric)
+    doc = oracle.verdict_to_json(verdict, universe)
     stem = f"robust_{_slug(rule.name)}_{_slug(metric.name)}_m{args.m}k{args.k}"
-    runner.write_json(stem + ".json", doc)
+    nested = {}
     if verdict.witness is not None:
-        runner.write_json(stem + "_witness_model.json", doc["witness"]["model"])
+        # render the witness model once: at depth 2 its text has 4 more
+        # spaces after each newline (no string holds a raw newline), and
+        # only that copy is held while the verdict renders
+        model = doc["witness"]["model"]
+        nested[(id(model), 2)] = _pretty_json(model).replace("\n", "\n    ")
+    runner.write_json(stem + ".json", doc, nested)
+    if nested:
+        (text,) = nested.values()
+        runner.write(stem + "_witness_model.json", text.replace("\n    ", "\n") + "\n")
     runner.finish_manifest()
     print(json.dumps({"status": verdict.status}, sort_keys=True))
     return 0
@@ -393,10 +376,10 @@ def cmd_counterexample(args):
     check_sets(args.m)
     universe = _universe(args.m)
     rule = _resolve_rule(args, args.m, args.k, runner)
-    package = jump_counterexample(rule)
+    package = noise.jump_counterexample(rule)
     # re-verify the package before writing anything
-    gap = expected_gap(rule, package.model, package.ground, package.rival)
-    ok, _ = audit_d_monotonic(package.model, package.metric)
+    gap = oracle.expected_gap(rule, package.model, package.ground, package.rival)
+    ok, _ = noise.audit_d_monotonic(package.model, package.metric)
     if gap != package.expected_gap or gap >= 0 or not ok:
         raise RuntimeError("counterexample failed re-verification")
     doc = {
@@ -408,8 +391,8 @@ def cmd_counterexample(args):
         "expected_gap": frac_str(package.expected_gap),
         "ground": _labels(package.ground, universe),
         "rival": _labels(package.rival, universe),
-        "metric": metric_to_json(package.metric, universe),
-        "model": model_to_json(package.model),
+        "metric": metrics.metric_to_json(package.metric, universe),
+        "model": noise.model_to_json(package.model),
     }
     runner.write_json(f"counterexample_{_slug(rule.name)}_m{args.m}k{args.k}.json", doc)
     runner.finish_manifest()
@@ -420,24 +403,24 @@ def cmd_counterexample(args):
 def cmd_hierarchy(args):
     runner = Runner(args)
     check_sets(args.m)
-    rules = [
+    rule_list = [
         _resolve_rule(argparse.Namespace(rule=token), args.m, args.k, runner)
         for token in args.rules.split(",")
     ]
-    metrics = [_builtin_metric(token, args.m) for token in args.metrics.split(",")]
-    report = hierarchy_report(rules, metrics)
+    metric_list = [_builtin_metric(token, args.m) for token in args.metrics.split(",")]
+    report = experiments.hierarchy_report(rule_list, metric_list)
     stem = f"hierarchy_m{args.m}k{args.k}"
-    runner.write(stem + ".csv", hierarchy_to_csv(report))
-    runner.write_json(stem + ".json", hierarchy_to_json(report))
+    runner.write(stem + ".csv", experiments.hierarchy_to_csv(report))
+    runner.write_json(stem + ".json", experiments.hierarchy_to_json(report))
     runner.finish_manifest()
-    print(hierarchy_to_csv(report), end="")
+    print(experiments.hierarchy_to_csv(report), end="")
     return 0
 
 
 def cmd_sample(args):
     runner = Runner(args)
     model = _resolve_model(args, runner)
-    profile = sample_profile(model, args.n, args.seed)
+    profile = noise.sample_profile(model, args.n, args.seed)
     text = format_profile(model.universe, profile)
     path = runner.write(f"sample_n{args.n}_seed{args.seed}.txt", text)
     runner.finish_manifest()
@@ -458,19 +441,19 @@ def cmd_converge(args):
         n_grid = tuple(int(tok) for tok in args.n_grid.split(","))
     except ValueError:
         raise ProfileParseError(f"--n-grid must list integers, got {args.n_grid!r}") from None
-    config = TrialConfig(rule, model, n_grid, args.trials, args.seed)
-    curve = convergence_curve(config)
+    config = experiments.TrialConfig(rule, model, n_grid, args.trials, args.seed)
+    curve = experiments.convergence_curve(config)
     stem = f"converge_{_slug(rule.name)}_seed{args.seed}"
-    runner.write(stem + ".csv", curve_to_csv(curve, runner.approx))
-    runner.write_json(stem + ".json", curve_to_json(curve, runner.approx))
+    runner.write(stem + ".csv", experiments.curve_to_csv(curve, runner.approx))
+    runner.write_json(stem + ".json", experiments.curve_to_json(curve, runner.approx))
     runner.finish_manifest()
-    print(curve_to_csv(curve, runner.approx), end="")
+    print(experiments.curve_to_csv(curve, runner.approx), end="")
     return 0
 
 
 def cmd_mle_check(args):
     runner = Runner(args)
-    agree, total = mle_equivalence_check(
+    agree, total = experiments.mle_equivalence_check(
         parse_frac(args.p), args.m, args.k, args.profiles, args.seed, args.n_max
     )
     doc = {
@@ -578,6 +561,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # sample, converge, mle-check
+            raise ProfileParseError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except AbccError as exc:
         print(f"error: {exc}", file=sys.stderr)

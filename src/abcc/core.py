@@ -34,6 +34,32 @@ MAX_COMMITTEES = 100_000  # all C(m, k) committees
 # 128 MiB here, and a table metric's triangle check is cubic in 2^m.
 MAX_MATRIX_CELLS = 4**12
 
+# The names the CLI lists in its help and manifest, kept here so that
+# building the parser loads no layer; rules, metrics and noise re-export them.
+RULE_KINDS = (
+    "av",
+    "cc",
+    "pav",
+    "sav",
+    "mc",
+    "thiele",
+    "p_geometric",
+    "sainte_lague",
+    "special6_f",
+    "special6_fprime",
+    "custom",
+)
+METRIC_KINDS = (
+    "set_difference",
+    "jaccard",
+    "zelinka",
+    "bunke_shearer",
+    "trivial",
+    "example2",
+    "custom",
+)
+RNG_SCHEME = "numpy-pcg64; per-trial streams via SeedSequence(seed).spawn"
+
 
 @dataclass(frozen=True)
 class Universe:

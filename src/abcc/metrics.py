@@ -13,7 +13,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .core import (
+from .core import (  # METRIC_KINDS is re-exported
+    METRIC_KINDS,
     AlternativeSet,
     Committee,
     Memo,
@@ -36,16 +37,6 @@ from .errors import (
     MetricGenerationError,
     PreconditionError,
     ProfileParseError,
-)
-
-METRIC_KINDS = (
-    "set_difference",
-    "jaccard",
-    "zelinka",
-    "bunke_shearer",
-    "trivial",
-    "example2",
-    "custom",
 )
 
 

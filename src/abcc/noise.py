@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (
+from .core import (  # RNG_SCHEME is re-exported
+    RNG_SCHEME,
     AlternativeSet,
     Committee,
     Profile,
@@ -47,8 +48,6 @@ from .metrics import (
     neighborhood_count,
 )
 from .rules import AbccRule, expected_scores, make_rule
-
-RNG_SCHEME = "numpy-pcg64; per-trial streams via SeedSequence(seed).spawn"
 
 
 @dataclass(frozen=True)

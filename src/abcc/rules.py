@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
+from .core import (  # RULE_KINDS is re-exported
+    RULE_KINDS,
     AlternativeSet,
     Committee,
     Profile,
@@ -32,20 +33,6 @@ from .core import (
     scaled_integers,
 )
 from .errors import DomainMismatchError, InvalidRuleError, ProfileParseError
-
-RULE_KINDS = (
-    "av",
-    "cc",
-    "pav",
-    "sav",
-    "mc",
-    "thiele",
-    "p_geometric",
-    "sainte_lague",
-    "special6_f",
-    "special6_fprime",
-    "custom",
-)
 
 
 @dataclass(frozen=True)

@@ -654,6 +654,23 @@ class TestInputErrors:
         )
         assert "n_max" in err
 
+    @pytest.mark.parametrize("argv", [
+        # each ended in numpy's ValueError traceback
+        ["sample", "--model", "mp", "--p", "3/4", "--m", "3", "--ground", "a", "--n", "3"],
+        ["converge", "--rule", "av", "--model", "mp", "--p", "3/4", "--m", "3", "--ground", "a"],
+        ["mle-check", "--p", "3/4", "--m", "3", "--k", "1", "--profiles", "2"],
+    ])
+    def test_negative_seed(self, argv, tmp_path, capsys, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("built before the seed was checked")
+
+        for name in ("abcc.cli.default_universe", "abcc.rules.make_rule",
+                     "abcc.experiments.mle_equivalence_check"):
+            monkeypatch.setattr(name, built)
+        err = self.assert_exit_2(capsys, *argv, "--seed", "-1", "--out", str(tmp_path / "out"))
+        assert "--seed" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestManifests:
     def test_every_output_referenced_once(self, tmp_path, capsys):
