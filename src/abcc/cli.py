@@ -90,15 +90,16 @@ class Runner:
             raise ProfileParseError(f"cannot read {path}: {exc.strerror}") from None
         return path
 
-    def write(self, name: str, text: str) -> Path:
+    def write(self, name: str, *pieces: str) -> Path:
         self.out.mkdir(parents=True, exist_ok=True)
         path = self.out / name
-        path.write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
         self.outputs.append(str(path))
         return path
 
     def write_json(self, name: str, doc, known=None) -> Path:
-        return self.write(name, _pretty_json(doc, known) + "\n")
+        return self.write(name, *_json_pieces(doc, known), "\n")
 
     def finish_manifest(self):
         """Append one manifest record; called only by commands that wrote files."""
@@ -137,6 +138,11 @@ def _pretty_json(doc, known=None) -> str:
     (id, depth) of values in `doc` to their text, which is then used as is;
     it is not changed.
     """
+    return "".join(_json_pieces(doc, known))
+
+
+def _json_pieces(doc, known=None):
+    """The text of `_pretty_json(doc, known)`, a dict's top-level items one by one."""
     rendered = dict(known or ())
 
     def render(value, depth):
@@ -170,7 +176,13 @@ def _pretty_json(doc, known=None) -> str:
             return text
         return json.dumps(value)  # None, floats, and subclasses of str and int
 
-    return render(doc, 0)
+    if not isinstance(doc, dict) or not doc:
+        yield render(doc, 0)
+        return
+    for i, key in enumerate(sorted(doc)):
+        yield (",\n  " if i else "{\n  ") + encode_basestring_ascii(key) + ": "
+        yield rendered.get((id(doc[key]), 1)) or render(doc[key], 1)
+    yield "\n}"
 
 
 # ---------------------------------------------------------------------------

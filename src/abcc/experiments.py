@@ -129,16 +129,12 @@ def mle_committees(profile: Profile, p, m: int, k: int) -> MleResult:
     if not Fraction(1, 2) < p <= 1:
         raise InvalidNoiseParamError(f"p must be in (1/2, 1], got {frac_str(p)}")
     counts = Counter(v.mask for v in profile)
-    best = None
-    best_masks = []
-    for cmask in committee_masks(m, k):
-        total = sum(((cmask ^ vmask).bit_count()) * mult for vmask, mult in counts.items())
-        if best is None or total < best:
-            best, best_masks = total, [cmask]
-        elif total == best:
-            best_masks.append(cmask)
-    by_distance = tuple(Committee(AlternativeSet(mask, m), k) for mask in best_masks)
-    by_score = tuple(winners(make_rule("av", m, k), profile))
+    av = make_rule("av", m, k)
+    # |C △ S| = k + |S| - 2|C ∩ S|: the minimizers maximize 2|C ∩ S| - |S|
+    closeness = AbccRule("closeness", m, k, {(x, y): Fraction(2 * x - y) for x, y in av.table})
+    best = argmax_committees(closeness, counts, committee_masks(m, k))
+    by_distance = tuple(Committee(AlternativeSet(mask, m), k) for mask in best)
+    by_score = tuple(winners(av, profile))
     return MleResult(by_distance, by_score)
 
 
@@ -149,6 +145,8 @@ def mle_equivalence_check(
     check_k(m, k)
     if profiles < 0 or n_max < 1:
         raise PreconditionError(f"need profiles >= 0 and n_max >= 1, got {profiles}, {n_max}")
+    if m > 63:  # each vote is one draw below 2^m, which numpy bounds by 2^63
+        raise PreconditionError(f"m={m}: random profiles are drawn for m <= 63 only")
     agree = 0
     for i in range(profiles):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))

@@ -5,7 +5,8 @@ membership independently and supports sampling at any m; its exact
 probabilities decay geometrically in the symmetric-difference distance
 from the ground committee. Level-table models assign one exact
 probability per distance level of an arbitrary metric and require the
-full 2^m table, so they are capped at desk scale.
+full 2^m table, so they are capped at desk scale. Expectations run on
+the level form, where a product model is the `set_difference` level model.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .metrics import (
     metric_to_json,
     neighborhood_count,
 )
-from .rules import AbccRule, expected_scores, make_rule
+from .rules import AbccRule, gap_rows, make_rule
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,16 @@ class NoiseModel:
         """Exact probabilities indexed by vote mask."""
         check_sets(self.m)
         return [self.probability(mask) for mask in range(1 << self.m)]
+
+    def level_form(self) -> tuple[LevelStructure, tuple[Fraction, ...]]:
+        """(levels, probs): each set at level t has probability probs[t]. A
+        product model is the level model of `set_difference`: its level d
+        holds the sets at distance d = 0..m, each with p^(m-d) * (1-p)^d."""
+        if self.kind == "level":
+            return self.levels, self.level_probs
+        m, p = self.m, self.p
+        levels = level_structure(make_metric("set_difference", m), self.ground)
+        return levels, tuple(p ** (m - d) * (1 - p) ** d for d in range(m + 1))
 
 
 def make_mp(p, universe: Universe, ground: Committee) -> NoiseModel:
@@ -155,15 +166,14 @@ def audit_d_monotonic(
     """Pairwise audit of the strict-iff condition.
 
     Checks Pr[S1|U] > Pr[S2|U] exactly when d(U, S1) < d(U, S2) over all
-    ordered pairs of subsets. Product models audit against the
-    symmetric-difference metric by default.
+    ordered pairs of subsets. By default d is the model's own metric, and
+    a product model's is the symmetric-difference metric.
     """
-    if metric is None:
-        metric = model.metric if model.kind == "level" else make_metric(
-            "set_difference", model.m
-        )
-    probs = scaled_integers(model.prob_table())[0]
-    dist = metric.rows([model.ground.mask])[0][0]
+    levels, level_probs = model.level_form()
+    level_of = np.asarray(levels.level_of)
+    probs = scaled_integers(level_probs)[0][level_of]
+    # a level index ranks the distances of its sets, so it can stand for them
+    dist = level_of if metric is None else metric.rows([model.ground.mask])[0][0]
     # Pairwise iff-condition, checked on the sorted-by-distance order:
     # probability must be constant within a distance class and strictly
     # decreasing across classes. Equivalent to the all-pairs comparison.
@@ -174,6 +184,16 @@ def audit_d_monotonic(
         i = int(np.argmax(bad))
         return False, tuple(AlternativeSet(int(s), model.m) for s in order[i : i + 2])
     return True, None
+
+
+def expected_gaps(rule: AbccRule, model: NoiseModel, umask: int, vmasks) -> list[Fraction]:
+    """Exact E[f(U, S) - f(V_i, S)] per rival mask V_i, S drawn from the
+    model: the level gap coefficients weighed by the level probabilities."""
+    levels, probs = model.level_form()
+    coeffs, scale = gap_rows(rule, umask, vmasks, levels.level_of)
+    weights, den = scaled_integers(probs)
+    totals = coeffs.astype(object) @ weights.astype(object)
+    return [Fraction(int(total), scale * den) for total in totals]
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +212,8 @@ def sample_vote_masks(model: NoiseModel, n: int, rng: np.random.Generator) -> li
         )
         weights = np.array([1 << i for i in range(m)], dtype=np.int64 if m <= 62 else object)
         return ((uniforms < thresholds) @ weights).tolist()
-    table = model.prob_table()
-    cumulative = np.cumsum([float(q) for q in table])
+    levels, probs = model.level_form()
+    cumulative = np.cumsum(np.array([float(q) for q in probs])[np.asarray(levels.level_of)])
     cumulative[-1] = 1.0  # guard against float round-off at the top
     draws = rng.random(n)
     return np.searchsorted(cumulative, draws, side="right").tolist()
@@ -211,12 +231,6 @@ def sample_profile(model: NoiseModel, n: int, seed) -> Profile:
 
 # ---------------------------------------------------------------------------
 # Adversarial constructions.
-
-def _direct_gap(rule: AbccRule, model: NoiseModel, umask: int, vmask: int) -> Fraction:
-    # computed here, not through the oracle, so constructions don't depend on it
-    ours, theirs = expected_scores(rule, model.prob_table(), [umask, vmask])
-    return ours - theirs
-
 
 @dataclass(frozen=True)
 class CounterexamplePackage:
@@ -287,7 +301,7 @@ def jump_counterexample(rule: AbccRule) -> CounterexamplePackage:
             2 * delta / (sets_total - 3),
         ]
         model = make_level_model(metric, ground, probs)
-        gap = _direct_gap(rule, model, umask, vmask)
+        (gap,) = expected_gaps(rule, model, umask, [vmask])
         if gap < 0:
             audited, pair = audit_d_monotonic(model, metric)
             if not audited:
@@ -357,7 +371,7 @@ def av_refutation_model(
 
     av = make_rule("av", m, ground.k)
     vmask = ground.mask & ~(1 << a) | (1 << b)
-    gap = _direct_gap(av, model, ground.mask, vmask)
+    (gap,) = expected_gaps(av, model, ground.mask, [vmask])
     if gap >= 0:
         raise DeltaSearchError(
             f"refutation model failed to produce a negative gap ({frac_str(gap)})"

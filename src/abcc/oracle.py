@@ -31,8 +31,8 @@ import numpy as np
 from .core import AlternativeSet, Committee, Memo, committee_masks, frac_str
 from .errors import NotAccurateError, PreconditionError, SizeMismatchError
 from .metrics import DistanceMetric, LevelStructure, level_structure
-from .noise import NoiseModel, make_level_model, staggered_level_model
-from .rules import AbccRule, expected_scores, group_score_sums, integer_table, scores_differ
+from .noise import NoiseModel, expected_gaps, make_level_model, staggered_level_model
+from .rules import AbccRule, gap_rows
 
 ACCURATE = "accurate_in_limit"
 NOT_ACCURATE = "not_accurate"
@@ -49,8 +49,7 @@ def expected_gap(rule: AbccRule, model: NoiseModel, ground: Committee, rival: Co
         raise PreconditionError("model ground truth differs from the given committee")
     if rival.k != rule.k or rival.m != rule.m or ground.k != rule.k:
         raise PreconditionError("committees do not match the rule's (m, k)")
-    ours, theirs = expected_scores(rule, model.prob_table(), [ground.mask, rival.mask])
-    return ours - theirs
+    return expected_gaps(rule, model, ground.mask, [rival.mask])[0]
 
 
 @dataclass(frozen=True)
@@ -74,30 +73,22 @@ def accuracy_classify(rule: AbccRule, model: NoiseModel) -> AccuracyReport:
     identically zero on the support, a zero-mean fluctuation otherwise).
     """
     ground = model.ground
-    table = model.prob_table()
     masks = committee_masks(rule.m, rule.k)
     if ground.mask not in masks:
         raise PreconditionError("model ground truth does not match the rule's (m, k)")
-    scores = dict(zip(masks, expected_scores(rule, table, masks)))
-    support = [s for s, prob in enumerate(table) if prob]
-    gaps: dict[Committee, Fraction] = {}
+    rivals = [cmask for cmask in masks if cmask != ground.mask]
+    rows = zip(rivals, expected_gaps(rule, model, ground.mask, rivals))
+    gaps = {Committee(AlternativeSet(cmask, rule.m), rule.k): gap for cmask, gap in rows}
+    levels, probs = model.level_form()
+    support = np.array([q != 0 for q in probs])[np.asarray(levels.level_of)]
     rival_status: dict[Committee, str] = {}
-    status = ACCURATE
-    for cmask in masks:
-        if cmask == ground.mask:
-            continue
-        rival = Committee(AlternativeSet(cmask, rule.m), rule.k)
-        gap = scores[ground.mask] - scores[cmask]
-        gaps[rival] = gap
-        if gap > 0:
-            rival_status[rival] = "positive"
-        elif gap < 0:
-            rival_status[rival] = "negative"
-            status = NOT_ACCURATE
-        else:
-            differ = scores_differ(rule, ground.mask, cmask, support)
-            rival_status[rival] = "zero_mean" if differ else "zero_tie"
-            status = NOT_ACCURATE
+    for rival, gap in gaps.items():
+        if gap:
+            rival_status[rival] = "positive" if gap > 0 else "negative"
+        else:  # the gap vote by vote: one vote per group
+            per_vote = gap_rows(rule, ground.mask, [rival.mask], range(1 << rule.m))[0][0]
+            rival_status[rival] = "zero_mean" if per_vote[support].any() else "zero_tie"
+    status = ACCURATE if all(gap > 0 for gap in gaps.values()) else NOT_ACCURATE
     return AccuracyReport(status, ground, gaps, rival_status)
 
 
@@ -178,9 +169,7 @@ class GapAnalysis:
 def _level_gaps(rule, levels, rivals):
     """Level gap coefficients c_t of the ground against each rival, one row
     per rival, and their prefix sums E_j, both as integers over `scale`."""
-    table, scale = integer_table(rule, 1 << rule.m)
-    sums = group_score_sums(table, rule.m, [levels.ground.mask, *rivals], levels.level_of)
-    coeffs = sums[0] - sums[1:]
+    coeffs, scale = gap_rows(rule, levels.ground.mask, rivals, levels.level_of)
     return coeffs, np.cumsum(coeffs, axis=1), scale
 
 
@@ -311,7 +300,8 @@ def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerd
         model = staggered_level_model(metric, ground, zero_tail=True)
         # whether the per-vote gap variable itself vanishes everywhere
         # (permanent tie) or only its level aggregates cancel (zero mean)
-        identically_zero = not scores_differ(rule, ground.mask, rival.mask, range(1 << m))
+        votes = range(1 << m)  # one vote per group
+        identically_zero = not gap_rows(rule, ground.mask, [rival.mask], votes)[0].any()
         witness = DegenerateWitness(ground, rival, model, identically_zero)
         status = DEGENERATE_NOT_ROBUST
     else:

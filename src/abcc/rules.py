@@ -205,7 +205,7 @@ def profile_score(rule: AbccRule, committee: Committee, profile: Profile) -> Sco
 
 # ---------------------------------------------------------------------------
 # The exact integer kernel. Every sweep over votes (winner determination,
-# expected scores, level gap coefficients, separating votes) scores a
+# distance totals, score gaps by level or by vote) scores a
 # block of committees against a block of votes in one numpy expression on
 # the rule table scaled to integers, so no decision touches a float.
 
@@ -284,29 +284,13 @@ def group_score_sums(table: np.ndarray, m: int, cmasks, groups) -> np.ndarray:
     return sums
 
 
-def expected_scores(rule: AbccRule, probs, cmasks) -> list[Fraction]:
-    """Exact E[f(|C ∩ S|, |S|)] per committee when vote S has probability probs[S].
-
-    `probs` lists all 2^m vote probabilities by mask. Votes are grouped by
-    distinct probability, so the only rational arithmetic is one integer
-    dot product per committee over those groups.
-    """
-    values = sorted(set(probs))
-    index = {q: g for g, q in enumerate(values)}
-    table, scale = integer_table(rule, len(probs))
-    sums = group_score_sums(table, rule.m, cmasks, [index[q] for q in probs])
-    weights, den = scaled_integers(values)
-    totals = sums.astype(object) @ weights.astype(object)
-    return [Fraction(int(total), den * scale) for total in totals]
-
-
-def scores_differ(rule: AbccRule, umask: int, vmask: int, vmasks) -> bool:
-    """Whether some vote among `vmasks` gives the two committees different scores."""
-    table, _ = integer_table(rule, 1)
-    return any(
-        (scores[0] != scores[1]).any()
-        for _, scores in score_blocks(table, rule.m, [umask, vmask], vmasks)
-    )
+def gap_rows(rule: AbccRule, umask: int, vmasks, groups) -> tuple[np.ndarray, int]:
+    """G[i, g] = scale * sum of f(U, S) - f(V_i, S) over the votes S in group g,
+    with `groups` as `group_score_sums` takes it. The table is scaled for
+    2^m terms, so every entry and every partial sum of a row is exact."""
+    table, scale = integer_table(rule, 1 << rule.m)
+    sums = group_score_sums(table, rule.m, [umask, *vmasks], groups)
+    return sums[0] - sums[1:], scale
 
 
 def winners(rule: AbccRule, profile: Profile) -> list[Committee]:

@@ -10,8 +10,10 @@ one Fraction per cell from metric.d, and the builtin metrics are also
 given here in their mask form, the form they had before they became
 functions of the signature (|X∖Y|, |Y∖X|, |X∩Y|). The profile text
 format is parsed and written one line per vote, and a profile is scored
-one vote at a time. Result files are written by the standard library's
-JSON encoder.
+one vote at a time. Expected gaps weigh each vote by the model's per-vote
+probability table, and the product model's most likely committees sum
+|C △ S| one committee at a time. Result files are written by the
+standard library's JSON encoder.
 """
 
 from __future__ import annotations
@@ -169,6 +171,20 @@ def winner_masks(rule, masks, counts):
     for cmask in masks:
         total = score_from_counts(rule, cmask, counts)
         if best is None or total > best:
+            best, best_masks = total, [cmask]
+        elif total == best:
+            best_masks.append(cmask)
+    return best_masks
+
+
+def distance_minimizers(masks, counts):
+    """Committee masks of minimum total |C △ S| over a {vote mask: count}
+    tally, in the order of `masks`."""
+    best = None
+    best_masks = []
+    for cmask in masks:
+        total = sum(((cmask ^ vmask).bit_count()) * mult for vmask, mult in counts.items())
+        if best is None or total < best:
             best, best_masks = total, [cmask]
         elif total == best:
             best_masks.append(cmask)

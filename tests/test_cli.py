@@ -654,6 +654,20 @@ class TestInputErrors:
         )
         assert "n_max" in err
 
+    @pytest.mark.parametrize("m", [64, 70])
+    def test_mle_check_wider_than_63(self, m, tmp_path, capsys, monkeypatch):
+        # each vote was one numpy draw below 2^m, which ended in a ValueError traceback
+        def drawn(*args, **kwargs):
+            raise AssertionError("a profile was drawn")
+
+        monkeypatch.setattr("numpy.random.default_rng", drawn)
+        err = self.assert_exit_2(
+            capsys, "mle-check", "--p", "3/4", "--m", str(m), "--k", "2", "--profiles", "2",
+            "--seed", "1", "--out", str(tmp_path / "out"),
+        )
+        assert "m <= 63" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         # each ended in numpy's ValueError traceback
         ["sample", "--model", "mp", "--p", "3/4", "--m", "3", "--ground", "a", "--n", "3"],

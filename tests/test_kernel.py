@@ -1,8 +1,9 @@
 """The exact integer kernel against the brute-force Fraction loops in
-reference.py: level gap coefficients, expected gaps, winner sets and
-nontriviality, on every catalog rule and builtin metric up to m = 6, on
-seeded random rules and table metrics, on scores too large for int64,
-and on masks wider than 62 bits."""
+reference.py: level gap coefficients, expected gaps under level and
+product models, winner sets, distance minimizers and nontriviality, on
+every catalog rule and builtin metric up to m = 6, on seeded random rules
+and table metrics, on scores too large for int64, and on masks wider
+than 62 bits."""
 
 from collections import Counter
 from fractions import Fraction
@@ -21,7 +22,8 @@ from abcc.core import (
     feasible_pairs,
 )
 from abcc.metrics import level_structure, make_metric, random_metric
-from abcc.noise import _direct_gap, make_mp
+from abcc.experiments import mle_committees
+from abcc.noise import expected_gaps, make_mp
 from abcc.oracle import _fractions, _level_gaps, accuracy_classify, robustness_verdict
 from abcc.rules import argmax_committees, integer_table, is_nontrivial, make_rule, winners
 from conftest import huge_rule, random_profile, random_rule, random_strict_model
@@ -71,7 +73,7 @@ def assert_expected_gaps_match(rule, model):
     for rival, gap in report.gaps.items():
         want, support_nonzero = reference.weighted_gap(rule, table, model.ground.mask, rival.mask)
         assert gap == want
-        assert _direct_gap(rule, model, model.ground.mask, rival.mask) == want
+        assert expected_gaps(rule, model, model.ground.mask, [rival.mask]) == [want]
         if gap == 0:
             assert report.rival_status[rival] == ("zero_mean" if support_nonzero else "zero_tie")
 
@@ -123,12 +125,36 @@ def test_random_rules_and_table_metrics(m, k):
 
 
 def test_product_model_gaps():
-    for m, k in [(4, 2), (5, 3), (6, 2)]:
+    # at p = 1 the only vote is the ground committee: zero gaps are ties
+    for m, k in SMALL:
         ground = committee((1 << k) - 1, m, k)
-        for p in (Fraction(3, 4), Fraction(1)):
+        for p in (Fraction(1), Fraction(3, 4), Fraction(3, 5)):
             model = make_mp(p, default_universe(m), ground)
             for rule in catalog(m, k):
                 assert_expected_gaps_match(rule, model)
+
+
+def test_mle_distance_minimizers_match_reference():
+    rng = np.random.default_rng(31)
+    cases = [(4, 2, Profile(()))]  # every committee ties at zero
+    for m, k in [(3, 1), (4, 2), (5, 2), (6, 3)]:
+        for n in (1, 2, 7):
+            cases.append((m, k, random_profile(m, n, rng)))
+        votes = random_profile(m, 3, rng).votes
+        cases.append((m, k, Profile(votes * 4)))  # repeated votes
+    a, b, c, d = (AlternativeSet(1 << i, 4) for i in range(4))
+    cases.append((4, 2, Profile((a.union(b), c.union(d)))))  # all six tie at 4
+    cases.append((4, 1, Profile((a, b))))  # {a} and {b} tie at 2
+    # masks past bit 62 and across 16-bit words; x69 with x1, x15 or x63 tie
+    m = 70
+    wide = [AlternativeSet.from_indices(members, m) for members in ([15, 63, 69], [1, 69])]
+    cases.append((m, 2, Profile((*wide, *wide, AlternativeSet.from_indices([62, 64], m)))))
+    for m, k, profile in cases:
+        counts = Counter(v.mask for v in profile)
+        by_distance = mle_committees(profile, Fraction(3, 4), m, k).by_distance
+        expected = reference.distance_minimizers(committee_masks(m, k), counts)
+        assert [c.mask for c in by_distance] == expected
+    assert expected == [1 << 69 | 1 << i for i in (1, 15, 63)]
 
 
 def test_trivial_rule_witness_matches():

@@ -2,7 +2,8 @@
 
 Each command below writes its result files into a fresh directory; the
 sha256 of every file but the manifest (which holds timestamps) is pinned.
-A change to the writer, the serializers or the numbers they write shows
+A change to the writer, the serializers, the samplers or the numbers they
+write shows
 here as a changed or missing hash.
 """
 
@@ -28,6 +29,16 @@ TABLE_M4 = {
         }
         for a, b in combinations(range(16), 2)
     ],
+}
+
+# A jaccard level model at m = 5 with weights 8, 7, ..., 1 on its 8 levels
+# (sizes 1, 3, 5, 1, 6, 6, 2, 8 from the ground {a, b}), normalized by 118.
+LEVEL_M5 = {
+    "type": "level",
+    "metric": "jaccard",
+    "ground": ["a", "b"],
+    "alternatives": list("abcde"),
+    "probs": [str(Fraction(w, 118)) for w in range(8, 0, -1)],
 }
 
 CONVERGE = ["converge", "--rule", "av", "--model", "mp", "--p", "3/5", "--m", "5", "--k", "2",
@@ -84,6 +95,17 @@ CASES = {
          "converge_av_seed3.json":
          "c1d349adf0cd1772d4d88ef43f563636b7d909eaeeb154d2abb087a8ec5d7637"},
     ),
+    "sample-level": (
+        ["sample", "--model-file", "{model}", "--n", "40", "--seed", "7"],
+        {"sample_n40_seed7.txt":
+         "cf62fd636d87d260053d36051898b99def1decf632ad63f11c7d8200a8e4c8fd"},
+    ),
+    "sample-mp": (
+        ["sample", "--model", "mp", "--p", "3/5", "--m", "5", "--ground", "a,b",
+         "--n", "40", "--seed", "7"],
+        {"sample_n40_seed7.txt":
+         "a8e89ac8b6d1b5e3adf8d0c0da45c7d5b13410cfbb7764fddee39f33ad8a80d9"},
+    ),
     "mle-check": (
         ["mle-check", "--p", "3/4", "--m", "4", "--k", "2", "--profiles", "6", "--seed", "2"],
         {"mle_check_m4k2_seed2.json":
@@ -104,8 +126,10 @@ def file_hashes(out):
 def test_result_file_bytes(argv, hashes, tmp_path):
     metric_file = tmp_path / "t4.json"
     metric_file.write_text(json.dumps(TABLE_M4), encoding="utf-8")
+    model_file = tmp_path / "level5.json"
+    model_file.write_text(json.dumps(LEVEL_M5), encoding="utf-8")
     out = tmp_path / "out"
-    argv = [arg.format(table=metric_file) for arg in argv]
+    argv = [arg.format(table=metric_file, model=model_file) for arg in argv]
     code, _, err = run_cli([*argv, "--out", str(out)])
     assert code == 0, err
     assert file_hashes(out) == hashes
