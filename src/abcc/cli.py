@@ -1,7 +1,7 @@
 """Command-line surface: score, winners, check-metric, taxonomy, robust,
 counterexample, hierarchy, sample, converge, mle-check.
 
-Exit codes: 0 ok, 2 parse/input error, 3 enumeration cap, 4 invalid
+Exit codes: 0 ok, 2 parse/input error, 3 enumeration or sampling cap, 4 invalid
 metric, 5 no witness exists, 6 bad model parameter. Exact rationals
 cross this boundary as "p/q" strings; --approx (score, converge) switches
 to decimals.
@@ -28,6 +28,7 @@ from .core import (
     RULE_KINDS,
     Committee,
     check_committees,
+    check_draws,
     check_sets,
     default_universe,
     format_profile,
@@ -272,6 +273,19 @@ def _resolve_model(args, runner: Runner):
     raise ProfileParseError(f"unknown model {args.model!r}")
 
 
+def _sampling_model(args, votes: int, runner: Runner):
+    """The model of `sample` or `converge`, whose largest draw is `votes` votes.
+
+    The draw is checked against the cap on --m before the labels or the
+    model are built, and on the model's own m when it comes from a file.
+    """
+    if args.m is not None:
+        check_draws(votes, args.m)
+    model = _resolve_model(args, runner)
+    check_draws(votes, model.m)
+    return model
+
+
 def _load_profile(args, runner: Runner):
     return parse_profile(read_text(runner.track_input(args.profile)))
 
@@ -431,7 +445,7 @@ def cmd_hierarchy(args):
 
 def cmd_sample(args):
     runner = Runner(args)
-    model = _resolve_model(args, runner)
+    model = _sampling_model(args, args.n, runner)
     profile = noise.sample_profile(model, args.n, args.seed)
     text = format_profile(model.universe, profile)
     path = runner.write(f"sample_n{args.n}_seed{args.seed}.txt", text)
@@ -442,17 +456,17 @@ def cmd_sample(args):
 
 def cmd_converge(args):
     runner = Runner(args)
-    # every trial's argmax sweeps the C(m, k) committees: refuse too many
-    # before the labels, the model or the rule table are built
-    if args.model_file is None and args.m is not None and args.ground is not None:
-        check_committees(args.m, len(set(args.ground.split(","))))
-    model = _resolve_model(args, runner)
-    check_committees(model.m, model.ground.k)
-    rule = _resolve_rule(args, args.m or model.m, model.ground.k, runner)
     try:
         n_grid = tuple(int(tok) for tok in args.n_grid.split(","))
     except ValueError:
         raise ProfileParseError(f"--n-grid must list integers, got {args.n_grid!r}") from None
+    # every trial's argmax sweeps the C(m, k) committees: refuse too many
+    # before the labels, the model or the rule table are built
+    if args.model_file is None and args.m is not None and args.ground is not None:
+        check_committees(args.m, len(set(args.ground.split(","))))
+    model = _sampling_model(args, max(n_grid), runner)  # each trial draws and drops its votes
+    check_committees(model.m, model.ground.k)
+    rule = _resolve_rule(args, args.m or model.m, model.ground.k, runner)
     config = experiments.TrialConfig(rule, model, n_grid, args.trials, args.seed)
     curve = experiments.convergence_curve(config)
     stem = f"converge_{_slug(rule.name)}_seed{args.seed}"
@@ -465,6 +479,7 @@ def cmd_converge(args):
 
 def cmd_mle_check(args):
     runner = Runner(args)
+    check_draws(args.n_max, args.m)  # each profile draws and drops its votes
     agree, total = experiments.mle_equivalence_check(
         parse_frac(args.p), args.m, args.k, args.profiles, args.seed, args.n_max
     )

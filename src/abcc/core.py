@@ -33,6 +33,9 @@ MAX_COMMITTEES = 100_000  # all C(m, k) committees
 # Cells of a full 2^m x 2^m distance matrix (m <= 12): one int64 copy is
 # 128 MiB here, and a table metric's triangle check is cubic in 2^m.
 MAX_MATRIX_CELLS = 4**12
+# The limit of sampling, checked by check_draws: vote x alternative cells of
+# one draw. A product model draws one float per cell, 256 MiB at the cap.
+MAX_DRAW_CELLS = 1 << 25
 
 # The names the CLI lists in its help and manifest, kept here so that
 # building the parser loads no layer; rules, metrics and noise re-export them.
@@ -241,6 +244,17 @@ def check_matrix(m: int) -> None:
     if 2 * m >= MAX_MATRIX_CELLS.bit_length():
         raise CapExceededError(
             f"m={m}: the full distance matrix has 4^{m} cells, over {MAX_MATRIX_CELLS}"
+        )
+
+
+def check_draws(votes: int, m: int) -> None:
+    """Refuse one draw of `votes` votes over m alternatives when the votes x m
+    cells exceed MAX_DRAW_CELLS; a negative count is left to its own check."""
+    cells = max(votes, 0) * max(m, 0)
+    if cells > MAX_DRAW_CELLS:
+        raise CapExceededError(
+            f"{votes} votes over m={m} alternatives are {cells} cells; "
+            f"sampling is capped at {MAX_DRAW_CELLS}"
         )
 
 

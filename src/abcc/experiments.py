@@ -20,7 +20,16 @@ from .errors import InvalidNoiseParamError, PreconditionError
 from .metrics import DistanceMetric, TaxonomyReport, taxonomy_report
 from .noise import NoiseModel, sample_vote_masks
 from .oracle import RobustnessVerdict, robustness_verdict
-from .rules import AbccRule, argmax_committees, has_top_jump, is_nontrivial, make_rule, winners
+from .rules import (
+    AbccRule,
+    _vote_masks,
+    argmax_committees,
+    committee_totals,
+    has_top_jump,
+    integer_table,
+    is_nontrivial,
+    make_rule,
+)
 
 
 class TrialRates(NamedTuple):
@@ -116,6 +125,18 @@ class MleResult(NamedTuple):
         return self.by_distance == self.by_score
 
 
+def _check_mle_p(p) -> None:
+    if not Fraction(1, 2) < Fraction(p) <= 1:
+        raise InvalidNoiseParamError(f"p must be in (1/2, 1], got {frac_str(Fraction(p))}")
+
+
+def _mle_rules(m: int, k: int) -> tuple[AbccRule, AbccRule]:
+    """(closeness, av): the maximizers of the first are the distance route's."""
+    av = make_rule("av", m, k)
+    # |C △ S| = k + |S| - 2|C ∩ S|: the minimizers maximize 2|C ∩ S| - |S|
+    return AbccRule("closeness", m, k, {(x, y): Fraction(2 * x - y) for x, y in av.table}), av
+
+
 def mle_committees(profile: Profile, p, m: int, k: int) -> MleResult:
     """Most likely ground committees under the product model, two routes.
 
@@ -125,36 +146,41 @@ def mle_committees(profile: Profile, p, m: int, k: int) -> MleResult:
     winners. The two argmax sets must coincide; the result never depends
     on p inside (1/2, 1].
     """
-    p = Fraction(p)
-    if not Fraction(1, 2) < p <= 1:
-        raise InvalidNoiseParamError(f"p must be in (1/2, 1], got {frac_str(p)}")
-    counts = Counter(v.mask for v in profile)
-    av = make_rule("av", m, k)
-    # |C △ S| = k + |S| - 2|C ∩ S|: the minimizers maximize 2|C ∩ S| - |S|
-    closeness = AbccRule("closeness", m, k, {(x, y): Fraction(2 * x - y) for x, y in av.table})
-    best = argmax_committees(closeness, counts, committee_masks(m, k))
-    by_distance = tuple(Committee(AlternativeSet(mask, m), k) for mask in best)
-    by_score = tuple(winners(av, profile))
+    _check_mle_p(p)
+    routes = _mle_rules(m, k)
+    counts = Counter(_vote_masks(routes[1], profile))
+    masks = committee_masks(m, k)
+    by_distance, by_score = (
+        tuple(Committee(AlternativeSet(c, m), k) for c in argmax_committees(rule, counts, masks))
+        for rule in routes
+    )
     return MleResult(by_distance, by_score)
 
 
 def mle_equivalence_check(
     p, m: int, k: int, profiles: int, seed, n_max: int = 12
 ) -> tuple[int, int]:
-    """Count how many random profiles make the two routes agree (all should)."""
+    """Count how many random profiles make the two routes agree (all should).
+
+    Profile i is drawn from the stream SeedSequence([seed, i]). The
+    committee masks, both rules and their integer tables (scaled for
+    n_max votes) are built once; each profile is then two kernel calls.
+    """
     check_k(m, k)
     if profiles < 0 or n_max < 1:
         raise PreconditionError(f"need profiles >= 0 and n_max >= 1, got {profiles}, {n_max}")
     if m > 63:  # each vote is one draw below 2^m, which numpy bounds by 2^63
         raise PreconditionError(f"m={m}: random profiles are drawn for m <= 63 only")
+    _check_mle_p(p)
+    masks = committee_masks(m, k)
+    tables = [integer_table(rule, n_max)[0] for rule in _mle_rules(m, k)]
     agree = 0
     for i in range(profiles):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
         n = int(rng.integers(1, n_max + 1))
-        votes = tuple(
-            AlternativeSet(int(mask), m) for mask in rng.integers(0, 1 << m, size=n)
-        )
-        if mle_committees(Profile(votes), p, m, k).agree:
+        counts = Counter(rng.integers(0, 1 << m, size=n).tolist())
+        by_distance, by_score = (committee_totals(table, m, counts, masks) for table in tables)
+        if ((by_distance == by_distance.max()) == (by_score == by_score.max())).all():
             agree += 1
     return agree, profiles
 

@@ -11,6 +11,7 @@ the level form, where a product model is the `set_difference` level model.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -90,6 +91,10 @@ class NoiseModel:
         holds the sets at distance d = 0..m, each with p^(m-d) * (1-p)^d."""
         if self.kind == "level":
             return self.levels, self.level_probs
+        return self._product_levels
+
+    @functools.cached_property
+    def _product_levels(self) -> tuple[LevelStructure, tuple[Fraction, ...]]:
         m, p = self.m, self.p
         levels = level_structure(make_metric("set_difference", m), self.ground)
         return levels, tuple(p ** (m - d) * (1 - p) ** d for d in range(m + 1))

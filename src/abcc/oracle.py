@@ -34,6 +34,10 @@ from .metrics import DistanceMetric, LevelStructure, level_structure
 from .noise import NoiseModel, expected_gaps, make_level_model, staggered_level_model
 from .rules import AbccRule, gap_rows
 
+# Cells of the rival x group gap sums that one `gap_rows` call of
+# `accuracy_classify` returns; more zero-gap rivals are split into calls.
+BATCH_CELLS = 1 << 20
+
 ACCURATE = "accurate_in_limit"
 NOT_ACCURATE = "not_accurate"
 INCONCLUSIVE = "inconclusive"
@@ -79,15 +83,24 @@ def accuracy_classify(rule: AbccRule, model: NoiseModel) -> AccuracyReport:
     rivals = [cmask for cmask in masks if cmask != ground.mask]
     rows = zip(rivals, expected_gaps(rule, model, ground.mask, rivals))
     gaps = {Committee(AlternativeSet(cmask, rule.m), rule.k): gap for cmask, gap in rows}
+    # the zero gaps vote by vote on the support: one group per support vote
+    # and one for the rest, all zero-gap rivals in as few calls as BATCH_CELLS allows
     levels, probs = model.level_form()
     support = np.array([q != 0 for q in probs])[np.asarray(levels.level_of)]
-    rival_status: dict[Committee, str] = {}
-    for rival, gap in gaps.items():
-        if gap:
-            rival_status[rival] = "positive" if gap > 0 else "negative"
-        else:  # the gap vote by vote: one vote per group
-            per_vote = gap_rows(rule, ground.mask, [rival.mask], range(1 << rule.m))[0][0]
-            rival_status[rival] = "zero_mean" if per_vote[support].any() else "zero_tie"
+    shown = int(support.sum())
+    groups = np.where(support, np.cumsum(support) - 1, shown)
+    zero = [rival.mask for rival, gap in gaps.items() if not gap]
+    step = max(1, BATCH_CELLS // (shown + 1))
+    moving = set()
+    for lo in range(0, len(zero), step):
+        part = zero[lo : lo + step]
+        sums = gap_rows(rule, ground.mask, part, groups)[0][:, :shown]
+        moving.update(vmask for vmask, row in zip(part, sums) if row.any())
+    rival_status = {
+        rival: ("positive" if gap > 0 else "negative") if gap
+        else "zero_mean" if rival.mask in moving else "zero_tie"
+        for rival, gap in gaps.items()
+    }
     status = ACCURATE if all(gap > 0 for gap in gaps.values()) else NOT_ACCURATE
     return AccuracyReport(status, ground, gaps, rival_status)
 

@@ -12,19 +12,23 @@ functions of the signature (|X∖Y|, |Y∖X|, |X∩Y|). The profile text
 format is parsed and written one line per vote, and a profile is scored
 one vote at a time. Expected gaps weigh each vote by the model's per-vote
 probability table, and the product model's most likely committees sum
-|C △ S| one committee at a time. Result files are written by the
-standard library's JSON encoder.
+|C △ S| one committee at a time, and the MLE check decides one profile
+per call. Result files are written by the standard library's JSON
+encoder.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 from abcc.core import AlternativeSet, Profile, Universe, committee_masks, scaled_integers
 from abcc.errors import ProfileParseError
 from abcc.metrics import DistanceMetric
-from abcc.rules import ScoreBreakdown, vote_score
+from abcc.rules import ScoreBreakdown, make_rule, vote_score
 
 
 def row(metric, umask):
@@ -189,6 +193,29 @@ def distance_minimizers(masks, counts):
         elif total == best:
             best_masks.append(cmask)
     return best_masks
+
+
+def mle_profiles(m, profiles, seed, n_max=12):
+    """The {vote mask: count} tallies of the MLE check's random profiles,
+    profile i drawn from the stream SeedSequence([seed, i])."""
+    tallies = []
+    for i in range(profiles):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
+        n = int(rng.integers(1, n_max + 1))
+        tallies.append(Counter(int(mask) for mask in rng.integers(0, 1 << m, size=n)))
+    return tallies
+
+
+def mle_equivalence_check(m, k, profiles, seed, n_max=12):
+    """(agreeing profiles, profiles): per profile, whether the total-distance
+    minimizers are the approval winners, both found one committee at a time."""
+    masks = committee_masks(m, k)
+    av = make_rule("av", m, k)
+    agree = sum(
+        distance_minimizers(masks, counts) == winner_masks(av, masks, counts)
+        for counts in mle_profiles(m, profiles, seed, n_max)
+    )
+    return agree, profiles
 
 
 def weighted_gap(rule, prob_table, umask, vmask):

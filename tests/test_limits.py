@@ -8,6 +8,7 @@ CapExceededError before it builds a distance row or allocates anything
 sizeable.
 """
 
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -16,6 +17,7 @@ import pytest
 
 from abcc.core import (
     MAX_COMMITTEES,
+    MAX_DRAW_CELLS,
     MAX_M,
     MAX_MATRIX_CELLS,
     AlternativeSet,
@@ -153,3 +155,54 @@ def test_sample_is_not_capped_by_committees(tmp_path):
     assert comb(200, 5) > MAX_COMMITTEES
     assert run_cli(["sample", *model, "--n", "3"])[0] == 0
     assert run_cli(["converge", "--rule", "av", *model, "--trials", "1", "--n-grid", "3"])[0] == 3
+
+
+HUGE = str(10**15)
+MP8 = ["--model", "mp", "--p", "3/4", "--m", "8", "--ground", "a,b,c", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", *MP8, "--n", HUGE],
+    ["converge", "--rule", "av", *MP8, "--n-grid", HUGE, "--trials", "1"],
+    ["mle-check", "--p", "3/4", "--m", "8", "--k", "3", "--profiles", "1", "--n-max", HUGE,
+     "--seed", "1"],
+], ids=["sample", "converge", "mle-check"])
+def test_draws_over_the_cap_are_refused_at_once(argv, tmp_path, monkeypatch):
+    # each ended in numpy's _ArrayMemoryError traceback, exit 1
+    def built(*args, **kwargs):
+        raise AssertionError("built before the draws were checked")
+
+    for name in ("numpy.random.default_rng", "abcc.cli.default_universe",
+                 "abcc.rules.make_rule"):
+        monkeypatch.setattr(name, built)
+    start = time.perf_counter()
+    code, out, err = run_cli([*argv, "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 0.1
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "capped" in err
+    assert not (tmp_path / "out").exists()
+
+
+
+class Admitted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, target", [
+    # 500 trials at n = 10,000 and m = 8: 4.4e7 cells in all, 80,000 in one draw
+    (["converge", "--rule", "av", *MP8, "--n-grid", "10,100,1000,10000", "--trials", "500"],
+     "abcc.experiments.convergence_curve"),
+    # 400,000 profiles of up to 12 votes at m = 8: 3.8e7 cells in all, 96 in one draw
+    (["mle-check", "--p", "3/4", "--m", "8", "--k", "3", "--profiles", "400000", "--seed", "1"],
+     "abcc.experiments.mle_equivalence_check"),
+], ids=["converge", "mle-check"])
+def test_many_small_draws_are_admitted(argv, target, tmp_path, monkeypatch):
+    # the cap bounds one draw, which each trial or profile drops before the next
+    assert 500 * 11110 * 8 > MAX_DRAW_CELLS and 400000 * 12 * 8 > MAX_DRAW_CELLS
+
+    def reached(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(target, reached)
+    with pytest.raises(Admitted):
+        run_cli([*argv, "--out", str(tmp_path / "out")])

@@ -106,6 +106,27 @@ CASES = {
         {"sample_n40_seed7.txt":
          "a8e89ac8b6d1b5e3adf8d0c0da45c7d5b13410cfbb7764fddee39f33ad8a80d9"},
     ),
+    "converge-tie-heavy": (
+        ["converge", "--rule", "cc", "--model", "mp", "--p", "3/5", "--m", "6", "--k", "3",
+         "--ground", "a,b,c", "--n-grid", "1,2,3,10", "--trials", "40", "--seed", "5"],
+        {"converge_cc_seed5.csv":
+         "e8529a2753dbb822fa9a625124107212053e569812d2a246e295d606fede1a57",
+         "converge_cc_seed5.json":
+         "eae8ed3f55e70ebd2b697808507c151b49302b8bdcefd535181518f4f13ec07a"},
+    ),
+    "converge-level": (
+        ["converge", "--rule", "pav", "--model-file", "{model}", "--n-grid", "1,4,20",
+         "--trials", "30", "--seed", "11"],
+        {"converge_pav_seed11.csv":
+         "076f9a343bb0deef8b289ed018595e11595cf5a3810aa097c526fe49f742c09c",
+         "converge_pav_seed11.json":
+         "fd08b27d637ff1df346d9b0579cda7b49c8de2c46662c3f3eadc9fa0bd423602"},
+    ),
+    "mle-check-m8": (
+        ["mle-check", "--p", "3/4", "--m", "8", "--k", "3", "--profiles", "200", "--seed", "4"],
+        {"mle_check_m8k3_seed4.json":
+         "900866c6f0d905d952a4261695e58bc578b0d7725d2f2e0f4ec9d4211f4ea360"},
+    ),
     "mle-check": (
         ["mle-check", "--p", "3/4", "--m", "4", "--k", "2", "--profiles", "6", "--seed", "2"],
         {"mle_check_m4k2_seed2.json":
