@@ -27,6 +27,7 @@ from .core import (
     RNG_SCHEME,
     RULE_KINDS,
     Committee,
+    check_classes,
     check_committees,
     check_draws,
     check_sets,
@@ -374,7 +375,12 @@ def _witness_doc(witness, universe):
 
 def cmd_robust(args):
     runner = Runner(args)
-    check_sets(args.m)
+    # a metric file may hold a table, decided over all 2^m sets; a builtin
+    # is decided on the overlap classes
+    if args.metric_file:
+        check_sets(args.m)
+    else:
+        check_classes(args.m, args.k)
     universe = _universe(args.m)
     rule = _resolve_rule(args, args.m, args.k, runner)
     metric = _resolve_metric(args, args.m, runner)

@@ -26,10 +26,18 @@ from .errors import (
 )
 
 # The limits of exact enumeration. Each has one check (check_sets,
-# check_committees, check_matrix) that every exhaustive sweep calls on entry,
-# before it allocates anything; sampling paths are not subject to them.
+# check_committees, check_matrix, check_classes) that every exhaustive sweep
+# calls on entry, before it allocates anything; sampling paths are not
+# subject to them.
 MAX_M = 16  # all 2^m sets
 MAX_COMMITTEES = 100_000  # all C(m, k) committees
+# The work of a signature-metric verdict and of the nontriviality check: the
+# vote cells of the overlap classes of committee pairs, each weighed by the
+# size of its vote count (see check_classes): 5-15 s on one CPU at the cap.
+MAX_CLASS_WORK = 1 << 25
+# A signature-metric verdict lists one row per ordered committee pair up to
+# this many pairs (every m <= 8 grid has at most 4,830), one per class above.
+MAX_PAIR_ROWS = 1 << 13
 # Cells of a full 2^m x 2^m distance matrix (m <= 12): one int64 copy is
 # 128 MiB here, and a table metric's triangle check is cubic in 2^m.
 MAX_MATRIX_CELLS = 4**12
@@ -232,6 +240,14 @@ def feasible_pairs(m: int, k: int) -> frozenset[tuple[int, int]]:
     )
 
 
+def binomial_row(n: int) -> list[int]:
+    """[C(n, 0), C(n, 1), ..., C(n, n)], each entry from the one before."""
+    row = [1]
+    for d in range(n):
+        row.append(row[-1] * (n - d) // (d + 1))
+    return row
+
+
 def check_sets(m: int) -> None:
     """Refuse a sweep over all 2^m sets when m exceeds MAX_M."""
     if m > MAX_M:
@@ -245,6 +261,22 @@ def check_matrix(m: int) -> None:
         raise CapExceededError(
             f"m={m}: the full distance matrix has 4^{m} cells, over {MAX_MATRIX_CELLS}"
         )
+
+
+def check_classes(m: int, k: int) -> None:
+    """Refuse a sweep over the overlap classes j of (m, k) committee pairs
+    whose work exceeds MAX_CLASS_WORK. Class j has (j+1)(k-j+1)^2(r+1) vote
+    cells, r = m - 2k + j, and each cell weighs 1 + r // 64, the 64-bit words
+    of its vote counts C(r, d) < 2^r. A k outside 0..m is left to `check_k`."""
+    work = 0
+    for j in range(max(0, 2 * k - m), k):
+        r = m - 2 * k + j
+        work += (j + 1) * (k - j + 1) ** 2 * (r + 1) * (1 + r // 64)
+        if work > MAX_CLASS_WORK:
+            raise CapExceededError(
+                f"m={m}, k={k}: the overlap classes weigh more than "
+                f"{MAX_CLASS_WORK} vote cell words, the cap"
+            )
 
 
 def check_draws(votes: int, m: int) -> None:

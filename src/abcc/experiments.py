@@ -15,12 +15,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import AlternativeSet, Committee, Profile, check_k, committee_masks, frac_str
+from .core import (
+    AlternativeSet,
+    Committee,
+    Profile,
+    check_k,
+    committee_masks,
+    frac_str,
+    mask_words,
+    popcount,
+)
 from .errors import InvalidNoiseParamError, PreconditionError
 from .metrics import DistanceMetric, TaxonomyReport, taxonomy_report
 from .noise import NoiseModel, sample_vote_masks
 from .oracle import RobustnessVerdict, robustness_verdict
 from .rules import (
+    BLOCK_CELLS,
     AbccRule,
     _vote_masks,
     argmax_committees,
@@ -130,11 +140,18 @@ def _check_mle_p(p) -> None:
         raise InvalidNoiseParamError(f"p must be in (1/2, 1], got {frac_str(Fraction(p))}")
 
 
-def _mle_rules(m: int, k: int) -> tuple[AbccRule, AbccRule]:
-    """(closeness, av): the maximizers of the first are the distance route's."""
-    av = make_rule("av", m, k)
-    # |C △ S| = k + |S| - 2|C ∩ S|: the minimizers maximize 2|C ∩ S| - |S|
-    return AbccRule("closeness", m, k, {(x, y): Fraction(2 * x - y) for x, y in av.table}), av
+def distance_totals(cmasks, m: int, counts) -> np.ndarray:
+    """totals[i] = sum of count * |C_i △ S| over a {vote mask S: count} tally,
+    from the popcounts of the masks' xor: the distance route, apart from the
+    score kernel. Votes are taken in blocks of at most BLOCK_CELLS cells."""
+    votes, mult = list(counts), np.array(list(counts.values()), dtype=np.int64)
+    cwords = mask_words(cmasks, m)[:, :, None]
+    totals = np.zeros(len(cmasks), dtype=np.int64)
+    step = max(1, BLOCK_CELLS // len(cmasks))
+    for lo in range(0, len(votes), step):
+        vwords = mask_words(votes[lo : lo + step], m)[:, None, :]
+        totals += popcount(cwords ^ vwords) @ mult[lo : lo + step]
+    return totals
 
 
 def mle_committees(profile: Profile, p, m: int, k: int) -> MleResult:
@@ -143,16 +160,18 @@ def mle_committees(profile: Profile, p, m: int, k: int) -> MleResult:
     Route one ranks committees by total symmetric-difference distance to
     the votes (an integer comparison: under p > 1/2 the likelihood is a
     decreasing function of that total). Route two takes the approval-score
-    winners. The two argmax sets must coincide; the result never depends
-    on p inside (1/2, 1].
+    winners. The two argmin and argmax sets must coincide; the result never
+    depends on p inside (1/2, 1].
     """
     _check_mle_p(p)
-    routes = _mle_rules(m, k)
-    counts = Counter(_vote_masks(routes[1], profile))
+    av = make_rule("av", m, k)
+    counts = Counter(_vote_masks(av, profile))
     masks = committee_masks(m, k)
+    distance = distance_totals(masks, m, counts)
+    nearest = [masks[i] for i in np.flatnonzero(distance == distance.min())]
     by_distance, by_score = (
-        tuple(Committee(AlternativeSet(c, m), k) for c in argmax_committees(rule, counts, masks))
-        for rule in routes
+        tuple(Committee(AlternativeSet(c, m), k) for c in best)
+        for best in (nearest, argmax_committees(av, counts, masks))
     )
     return MleResult(by_distance, by_score)
 
@@ -163,8 +182,8 @@ def mle_equivalence_check(
     """Count how many random profiles make the two routes agree (all should).
 
     Profile i is drawn from the stream SeedSequence([seed, i]). The
-    committee masks, both rules and their integer tables (scaled for
-    n_max votes) are built once; each profile is then two kernel calls.
+    committee masks and the AV integer table (scaled for n_max votes) are
+    built once; each profile is then one distance sum and one kernel call.
     """
     check_k(m, k)
     if profiles < 0 or n_max < 1:
@@ -173,14 +192,15 @@ def mle_equivalence_check(
         raise PreconditionError(f"m={m}: random profiles are drawn for m <= 63 only")
     _check_mle_p(p)
     masks = committee_masks(m, k)
-    tables = [integer_table(rule, n_max)[0] for rule in _mle_rules(m, k)]
+    table = integer_table(make_rule("av", m, k), n_max)[0]
     agree = 0
     for i in range(profiles):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
         n = int(rng.integers(1, n_max + 1))
         counts = Counter(rng.integers(0, 1 << m, size=n).tolist())
-        by_distance, by_score = (committee_totals(table, m, counts, masks) for table in tables)
-        if ((by_distance == by_distance.max()) == (by_score == by_score.max())).all():
+        distance = distance_totals(masks, m, counts)
+        score = committee_totals(table, m, counts, masks)
+        if ((distance == distance.min()) == (score == score.max())).all():
             agree += 1
     return agree, profiles
 

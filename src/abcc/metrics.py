@@ -7,9 +7,11 @@ and strict sign comparisons, so floats never enter here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .core import (  # METRIC_KINDS is re-exported
     Committee,
     Memo,
     Universe,
+    binomial_row,
     check_matrix,
     check_sets,
     committee_masks,
@@ -59,7 +62,8 @@ class DistanceMetric:
     (builtins) or by a table keyed on unordered mask pairs (custom, random
     and constructed metrics) with a `default` distance for the pairs it
     omits. Immutable after construction; the axiom check and the level
-    structures (per ground set) are cached.
+    structures (per ground set, and a signature metric's (x, y) grid per
+    committee size) are cached.
     """
 
     def __init__(self, name, m, *, table=None, default=None, signature=None):
@@ -72,7 +76,7 @@ class DistanceMetric:
         self._signature = signature
         self._ints = None  # (integer grid or matrix, scale), built by the first rows()
         self._axioms = None  # the AxiomCheck, made by the first check_metric_axioms()
-        self._level_cache: dict[int, LevelStructure] = {}
+        self._level_cache: dict = {}  # ground mask or ("grid", k) -> levels
 
     def d(self, xmask: int, ymask: int) -> Fraction:
         """Distance between two sets given as masks."""
@@ -281,19 +285,33 @@ def _signature_axioms_hold(metric: DistanceMetric) -> bool:
 class LevelStructure:
     """Distinct distances from a ground committee and the induced partition.
 
-    values[t] is the t-th smallest distance (values[0] = 0); level_of[mask]
-    gives each subset's level index; sizes[t] counts the sets at level t.
-    The number of distinct non-zero values is `spn`.
+    values[t] is the t-th smallest distance (values[0] = 0) and sizes[t]
+    counts the sets at level t; `spn` is the number of distinct non-zero
+    values. A signature metric's sets at one (x, y) = (|S ∩ U|, |S ∖ U|) lie
+    at one level, cells[x][y], so its structure is built on that grid, at
+    any m; a table metric's gives the level of every set in `sets`.
     """
 
     ground: Committee
     values: tuple[Fraction, ...]
-    level_of: tuple[int, ...]
     sizes: tuple[int, ...]
+    cells: tuple[tuple[int, ...], ...] | None = None
+    sets: tuple[int, ...] | None = field(default=None, repr=False)
 
     @property
     def spn(self) -> int:
         return len(self.values) - 1
+
+    @functools.cached_property
+    def level_of(self) -> tuple[int, ...]:
+        """Each set's level index, by mask; from the cells on first use, for m <= MAX_M."""
+        if self.cells is None:
+            return self.sets
+        m = self.ground.m
+        check_sets(m)
+        words = mask_words(range(1 << m), m)
+        x = popcount(words & mask_words([self.ground.mask], m))
+        return tuple(np.asarray(self.cells)[x, popcount(words) - x].tolist())
 
     def level_sets(self, t: int) -> list[AlternativeSet]:
         m = self.ground.m
@@ -301,32 +319,60 @@ class LevelStructure:
 
 
 def level_structure(metric: DistanceMetric, ground: Committee) -> LevelStructure:
-    """Group all 2^m subsets by their exact distance from the ground committee."""
+    """Group all 2^m subsets by their exact distance from the ground committee;
+    a signature metric's on its (x, y) grid, made once per committee size."""
     m = metric.m
-    check_sets(m)
     if ground.m != m:
         raise PreconditionError("ground committee does not match the metric's universe")
     cached = metric._level_cache.get(ground.mask)
     if cached is not None:
         return cached
-    (row,), scale = metric.rows([ground.mask])
-    if row[ground.mask] != 0:
-        raise MetricAxiomError("d(U, U) != 0; not a metric", witness=(ground.members,))
-    values, level_of, sizes = np.unique(row, return_inverse=True, return_counts=True)
-    structure = LevelStructure(
-        ground,
-        tuple(Fraction(int(v), scale) for v in values),
-        tuple(level_of.tolist()),
-        tuple(sizes.tolist()),
-    )
+    if metric._signature is not None:
+        grid = metric._level_cache.get(("grid", ground.k))
+        if grid is None:
+            grid = metric._level_cache["grid", ground.k] = _signature_levels(metric, ground)
+        structure = LevelStructure(ground, *grid)
+    else:
+        check_sets(m)
+        (row,), scale = metric.rows([ground.mask])
+        if row[ground.mask] != 0:
+            raise MetricAxiomError("d(U, U) != 0; not a metric", witness=(ground.members,))
+        values, level_of, sizes = np.unique(row, return_inverse=True, return_counts=True)
+        structure = LevelStructure(
+            ground,
+            tuple(Fraction(int(v), scale) for v in values),
+            tuple(sizes.tolist()),
+            sets=tuple(level_of.tolist()),
+        )
     metric._level_cache[ground.mask] = structure
     return structure
+
+
+def _signature_levels(metric: DistanceMetric, ground: Committee) -> tuple:
+    """(values, sizes, cells) of a signature metric on the (x, y) grid, the
+    same for every ground of k members: a set S with x = |S ∩ U| and
+    y = |S ∖ U| is at distance g(k - x, y, x), and C(k, x) * C(m - k, y)
+    sets share that cell."""
+    m, k = metric.m, ground.k
+    grid = [[metric._signature(k - x, y, x) for y in range(m - k + 1)] for x in range(k + 1)]
+    if grid[k][0] != 0:
+        raise MetricAxiomError("d(U, U) != 0; not a metric", witness=(ground.members,))
+    values = sorted({v for row in grid for v in row})
+    index = {v: t for t, v in enumerate(values)}
+    cells = tuple(tuple(index[v] for v in row) for row in grid)
+    sizes = [0] * len(values)
+    outside = binomial_row(m - k)
+    for x, row in enumerate(cells):
+        for y, t in enumerate(row):
+            sizes[t] += comb(k, x) * outside[y]
+    return tuple(values), tuple(sizes), cells
 
 
 def neighborhood_count(
     metric: DistanceMetric, ground: Committee, a: int, b: int, t: int
 ) -> int:
     """Number of sets containing a but not b within the t-th distance level."""
+    check_sets(metric.m)
     if a == b:
         raise PreconditionError("a and b must differ")
     levels = level_structure(metric, ground)

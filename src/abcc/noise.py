@@ -4,9 +4,11 @@ Two model forms exist. The product form flips each alternative's
 membership independently and supports sampling at any m; its exact
 probabilities decay geometrically in the symmetric-difference distance
 from the ground committee. Level-table models assign one exact
-probability per distance level of an arbitrary metric and require the
-full 2^m table, so they are capped at desk scale. Expectations run on
-the level form, where a product model is the `set_difference` level model.
+probability per distance level of an arbitrary metric; a signature
+metric's are built on its level grid at any m, but sampling them, like
+every table metric's, needs the level of each of the 2^m sets, so it is
+capped at desk scale. Expectations run on the level form, where a
+product model is the `set_difference` level model.
 """
 
 from __future__ import annotations

@@ -22,17 +22,36 @@ robustness outright:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import AlternativeSet, Committee, Memo, committee_masks, frac_str
+from .core import (
+    MAX_PAIR_ROWS,
+    AlternativeSet,
+    Committee,
+    Memo,
+    check_classes,
+    committee_masks,
+    frac_str,
+)
 from .errors import NotAccurateError, PreconditionError, SizeMismatchError
 from .metrics import DistanceMetric, LevelStructure, level_structure
 from .noise import NoiseModel, expected_gaps, make_level_model, staggered_level_model
-from .rules import AbccRule, gap_rows
+from .rules import (
+    AbccRule,
+    first_rival,
+    gap_rows,
+    integer_table,
+    overlap_cells,
+    overlap_classes,
+)
 
 # Cells of the rival x group gap sums that one `gap_rows` call of
 # `accuracy_classify` returns; more zero-gap rivals are split into calls.
@@ -226,10 +245,19 @@ def _random_strict_probs(levels: LevelStructure, rng) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # The exact robustness verdict.
 
-@dataclass(frozen=True)
-class PairSummary:
+class PairSummary(NamedTuple):
     ground: Committee
     rival: Committee
+    min_prefix: Fraction
+    positive_below_last: bool
+    degenerate: bool
+
+
+class ClassSummary(NamedTuple):
+    """The summary that every ordered pair (U, V) with |U ∩ V| = j shares."""
+
+    j: int
+    pairs: int
     min_prefix: Fraction
     positive_below_last: bool
     degenerate: bool
@@ -254,13 +282,32 @@ class DegenerateWitness:
 
 @dataclass(frozen=True)
 class RobustnessVerdict:
+    """`rows` holds one PairSummary per ordered committee pair (table
+    metrics) or one ClassSummary per overlap class (signature metrics)."""
+
     status: str
     rule_name: str
     metric_name: str
     m: int
     k: int
     witness: NotRobustWitness | DegenerateWitness | None
-    pair_summaries: tuple[PairSummary, ...]
+    rows: tuple[PairSummary, ...] | tuple[ClassSummary, ...]
+
+    @functools.cached_property
+    def pair_summaries(self) -> tuple[PairSummary, ...]:
+        """One row per ordered pair, ground-major in mask order; a class row
+        stands for each pair of its class."""
+        if not self.rows or isinstance(self.rows[0], PairSummary):
+            return self.rows
+        by_overlap = {c.j: c[2:] for c in self.rows}
+        masks = committee_masks(self.m, self.k)
+        committees = [Committee(AlternativeSet(mask, self.m), self.k) for mask in masks]
+        return tuple(
+            PairSummary(u, v, *by_overlap[(u.mask & v.mask).bit_count()])
+            for u in committees
+            for v in committees
+            if v is not u
+        )
 
 
 def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerdict:
@@ -270,17 +317,45 @@ def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerd
     with some E_j > 0 below the last level. A negative prefix yields a
     NotRobust witness model (verified to give a negative exact gap); pairs
     whose prefixes vanish below the last level yield the degenerate status
-    with a strict zero-gap model.
+    with a strict zero-gap model. The witness is the first such pair in
+    (ground, rival) mask order, NOT_ROBUST pairs before degenerate ones.
+    A signature metric is decided on the overlap classes, a table metric
+    pair by pair over the 2^m votes.
     """
     if rule.m != metric.m:
         raise PreconditionError("rule and metric universe sizes differ")
+    decide = _class_rows if metric._signature is not None else _pair_rows
+    rows, negative, degenerate = decide(rule, metric)
+    if negative is not None:
+        ground, rival, j, levels, coeffs = negative
+        model, gap = _negative_gap_witness(metric, ground, levels, coeffs, j)
+        witness = NotRobustWitness(ground, rival, j, model, gap)
+        status = NOT_ROBUST
+    elif degenerate is not None:
+        # identically_zero: whether the per-vote gap variable itself vanishes
+        # everywhere (permanent tie) or only its level aggregates cancel
+        ground, rival, identically_zero = degenerate
+        # strict decrease with zero mass on the farthest level: the gap of a
+        # fully-cancelling pair is exactly zero under this model
+        model = staggered_level_model(metric, ground, zero_tail=True)
+        witness = DegenerateWitness(ground, rival, model, identically_zero)
+        status = DEGENERATE_NOT_ROBUST
+    else:
+        witness = None
+        status = ROBUST
+    return RobustnessVerdict(status, rule.name, metric.name, rule.m, rule.k, witness, rows)
+
+
+def _pair_rows(rule, metric):
+    """(rows, first negative, first degenerate) by one gap sweep over the
+    2^m votes per ground."""
     m, k = rule.m, rule.k
     masks = committee_masks(m, k)
     committees = [Committee(AlternativeSet(mask, m), k) for mask in masks]
     fractions = Memo(lambda key: Fraction(*key))  # one per distinct (min_prefix, scale)
-    summaries = []
-    first_negative = None  # (ground, rival, j, levels, coeffs)
-    first_degenerate = None  # (ground, rival)
+    rows = []
+    negative = None  # (ground, rival, j, levels, coeffs)
+    degenerate = None  # (ground, rival, identically_zero)
     for ground in committees:
         levels = level_structure(metric, ground)
         coeffs, prefix, scale = _level_gaps(rule, levels, masks)
@@ -289,40 +364,63 @@ def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerd
         for i, rival in enumerate(committees):
             if rival is ground:
                 continue
-            min_prefix = fractions[lowest[i], scale]
-            positive_below_last = positive[i]
-            degenerate = lowest[i] >= 0 and not positive_below_last
-            summaries.append(
-                PairSummary(ground, rival, min_prefix, positive_below_last, degenerate)
-            )
-            if lowest[i] < 0 and first_negative is None:
+            flat = lowest[i] >= 0 and not positive[i]
+            rows.append(PairSummary(ground, rival, fractions[lowest[i], scale], positive[i], flat))
+            if lowest[i] < 0 and negative is None:
                 j = next(t for t, e in enumerate(prefix[i]) if e < 0)
-                first_negative = (ground, rival, j, levels, _fractions(coeffs[i], scale))
-            elif degenerate and first_degenerate is None:
-                first_degenerate = (ground, rival)
+                negative = (ground, rival, j, levels, _fractions(coeffs[i], scale))
+            elif flat and degenerate is None:
+                votes = range(1 << m)  # one vote per group
+                zero = not gap_rows(rule, ground.mask, [rival.mask], votes)[0].any()
+                degenerate = (ground, rival, zero)
+    return tuple(rows), negative, degenerate
 
-    if first_negative is not None:
-        ground, rival, j, levels, coeffs = first_negative
-        model, gap = _negative_gap_witness(metric, ground, levels, coeffs, j)
-        witness = NotRobustWitness(ground, rival, j, model, gap)
-        status = NOT_ROBUST
-    elif first_degenerate is not None:
-        ground, rival = first_degenerate
-        # strict decrease with zero mass on the farthest level: the gap of a
-        # fully-cancelling pair is exactly zero under this model
-        model = staggered_level_model(metric, ground, zero_tail=True)
-        # whether the per-vote gap variable itself vanishes everywhere
-        # (permanent tie) or only its level aggregates cancel (zero mean)
-        votes = range(1 << m)  # one vote per group
-        identically_zero = not gap_rows(rule, ground.mask, [rival.mask], votes)[0].any()
-        witness = DegenerateWitness(ground, rival, model, identically_zero)
-        status = DEGENERATE_NOT_ROBUST
-    else:
-        witness = None
-        status = ROBUST
-    return RobustnessVerdict(
-        status, rule.name, metric.name, m, k, witness, tuple(summaries)
-    )
+
+def _class_rows(rule, metric):
+    """(rows, first negative, first degenerate) by overlap class.
+
+    A pair of class j has the class's level gap coefficients: every vote
+    cell of `overlap_cells` adds its w votes' gap at the level of its (x, y)
+    cell. Every ground meets a rival of each class, so the first failing
+    pair has the first ground, and the largest failing overlap holds its
+    rival (`first_rival` falls as j grows).
+    """
+    m, k = rule.m, rule.k
+    check_classes(m, k)
+    ground = Committee(AlternativeSet((1 << k) - 1, m), k)
+    levels = level_structure(metric, ground)
+    if comb(m, k) * (comb(m, k) - 1) <= MAX_PAIR_ROWS:
+        # a verdict that `verdict_to_json` lists pair by pair looks up each
+        # ground's level structure (one object on the shared grid), as the
+        # table sweep does, so a traced run (bench/shim.py) counts one per ground
+        for mask in committee_masks(m, k)[1:]:
+            level_structure(metric, Committee(AlternativeSet(mask, m), k))
+    table, scale = integer_table(rule, 1)
+    f = table.tolist()
+    rows, coeffs = [], {}
+    for j in overlap_classes(m, k):
+        row = coeffs[j] = [0] * len(levels.values)
+        for x, y, xv, w in overlap_cells(m, k, j):
+            row[levels.cells[x][y]] += w * (f[x][x + y] - f[xv][x + y])
+        prefix = list(accumulate(row))
+        lowest = min(prefix)
+        positive = any(e > 0 for e in prefix[: levels.spn])
+        pairs = comb(m, k) * comb(k, j) * comb(m - k, k - j)
+        rows.append(ClassSummary(j, pairs, Fraction(lowest, scale), positive,
+                                 lowest >= 0 and not positive))
+    negative = degenerate = None
+    failing = [c.j for c in rows if c.min_prefix < 0]
+    flat = [c.j for c in rows if c.degenerate]
+    if failing or flat:
+        j = max(failing or flat)
+        rival = Committee(AlternativeSet(first_rival(k, j), m), k)
+    if failing:
+        level = next(t for t, e in enumerate(accumulate(coeffs[j])) if e < 0)
+        negative = (ground, rival, level, levels, _fractions(coeffs[j], scale))
+    elif flat:
+        cells = overlap_cells(m, k, j)
+        degenerate = (ground, rival, all(f[x][x + y] == f[xv][x + y] for x, y, xv, _ in cells))
+    return tuple(rows), negative, degenerate
 
 
 def _negative_gap_witness(metric, ground, levels, coeffs, j):
@@ -391,7 +489,8 @@ def sample_size_bound(rule: AbccRule, model: NoiseModel, eps) -> SampleSizeBound
 
 def verdict_to_json(verdict: RobustnessVerdict, universe) -> dict:
     """The verdict document; rows that name the same committee share its
-    label list, and equal rationals share their "p/q" string."""
+    label list, and equal rationals share their "p/q" string. A signature
+    verdict over more than MAX_PAIR_ROWS pairs lists its class rows instead."""
     from .noise import model_to_json
 
     names = Memo(lambda mask: list(AlternativeSet(mask, verdict.m).labels(universe)))
@@ -403,17 +502,32 @@ def verdict_to_json(verdict: RobustnessVerdict, universe) -> dict:
         "m": verdict.m,
         "k": verdict.k,
         "witness": None,
-        "per_pair_summary": [
-            {
-                "ground": names[p.ground.mask],
-                "rival": names[p.rival.mask],
-                "min_prefix": fracs[p.min_prefix],
-                "positive_below_last": p.positive_below_last,
-                "degenerate": p.degenerate,
-            }
-            for p in verdict.pair_summaries
-        ],
     }
+
+    def summary(row):  # the fields that pair and class rows share
+        return {
+            "min_prefix": fracs[row.min_prefix],
+            "positive_below_last": row.positive_below_last,
+            "degenerate": row.degenerate,
+        }
+
+    classes = [c for c in verdict.rows if isinstance(c, ClassSummary)]
+    if sum(c.pairs for c in classes) > MAX_PAIR_ROWS:
+        doc["per_class_summary"] = [{"j": c.j, "pairs": c.pairs, **summary(c)} for c in classes]
+    elif classes:
+        by_overlap = {c.j: summary(c) for c in classes}
+        masks = committee_masks(verdict.m, verdict.k)
+        doc["per_pair_summary"] = [
+            {"ground": names[u], "rival": names[v], **by_overlap[(u & v).bit_count()]}
+            for u in masks
+            for v in masks
+            if u != v
+        ]
+    else:
+        doc["per_pair_summary"] = [
+            {"ground": names[p.ground.mask], "rival": names[p.rival.mask], **summary(p)}
+            for p in verdict.rows
+        ]
     w = verdict.witness
     if isinstance(w, NotRobustWitness):
         doc["witness"] = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -21,8 +22,9 @@ from .core import (  # RULE_KINDS is re-exported
     AlternativeSet,
     Committee,
     Profile,
+    binomial_row,
+    check_classes,
     check_k,
-    check_sets,
     committee_masks,
     feasible_pairs,
     frac_str,
@@ -304,31 +306,59 @@ def winners(rule: AbccRule, profile: Profile) -> list[Committee]:
     return [Committee(AlternativeSet(mask, rule.m), rule.k) for mask in best]
 
 
+# ---------------------------------------------------------------------------
+# Overlap classes. A relabelling of the alternatives maps a (ground U, rival V)
+# pair onto any other pair with the same overlap j = |U ∩ V|, and a vote S
+# with it, so the votes of a pair fall into cells by their counts (a, b, c, d)
+# in U ∩ V, U ∖ V, V ∖ U and the r = m - 2k + j other alternatives.
+
+def overlap_classes(m: int, k: int) -> range:
+    """The overlaps j = |U ∩ V| of two distinct k-committees among m alternatives."""
+    return range(max(0, 2 * k - m), k)
+
+
+def first_rival(k: int, j: int) -> int:
+    """The smallest committee mask that meets the first one, 2^k - 1, in j members."""
+    return (1 << j) - 1 | ((1 << (k - j)) - 1) << k
+
+
+def overlap_cells(m: int, k: int, j: int):
+    """Yield (x, y, xv, w) per vote cell of a pair in class j: a vote S of the
+    cell has x = |S ∩ U|, y = |S ∖ U| and xv = |S ∩ V|, and w > 0 votes fall
+    in it. Cells with x = xv, where every rule scores U and V alike, are left out."""
+    r = m - 2 * k + j
+    rest = binomial_row(r)
+    for a in range(j + 1):
+        for b in range(k - j + 1):
+            for c in range(k - j + 1):
+                if b == c:
+                    continue
+                w = comb(j, a) * comb(k - j, b) * comb(k - j, c)
+                for d, wd in enumerate(rest):
+                    yield a + b, c + d, a + c, w * wd
+
+
 def is_nontrivial(rule: AbccRule) -> NontrivialityResult:
     """Whether every ordered committee pair (U, V) has a separating vote.
 
     True iff for every pair of distinct k-committees there exists a vote S
-    with sc(U, S) > sc(V, S); on failure the first violating pair in
-    ascending (U, V) mask order is returned.
+    with sc(U, S) > sc(V, S). The pairs of an overlap class stand or fall
+    together: a class is separated iff one of its vote cells scores U above
+    V. On failure the first violating pair in ascending (U, V) mask order is
+    returned: the first committee, and the smallest rival of the largest
+    failing overlap.
     """
-    m = rule.m
-    check_sets(m)
-    masks = committee_masks(m, rule.k)
-    table, _ = integer_table(rule, 1)
-    separated = np.eye(len(masks), dtype=bool)
-    step = max(1, BLOCK_CELLS // len(masks) ** 2)  # pair x vote cells per comparison
-    for _, scores in score_blocks(table, m, masks, range(1 << m)):
-        for lo in range(0, scores.shape[1], step):
-            part = scores[:, lo : lo + step]
-            separated |= (part[:, None, :] > part[None, :, :]).any(axis=2)
-        if separated.all():
-            return NontrivialityResult(True, None)
-    u, v = np.argwhere(~separated)[0]
-    witness = (
-        Committee(AlternativeSet(masks[u], m), rule.k),
-        Committee(AlternativeSet(masks[v], m), rule.k),
-    )
-    return NontrivialityResult(False, witness)
+    m, k = rule.m, rule.k
+    check_classes(m, k)
+    f = integer_table(rule, 1)[0].tolist()
+    failing = [
+        j for j in overlap_classes(m, k)
+        if not any(f[x][x + y] > f[xv][x + y] for x, y, xv, _ in overlap_cells(m, k, j))
+    ]
+    if not failing:
+        return NontrivialityResult(True, None)
+    masks = (1 << k) - 1, first_rival(k, max(failing))
+    return NontrivialityResult(False, tuple(Committee(AlternativeSet(c, m), k) for c in masks))
 
 
 def has_top_jump(rule: AbccRule) -> TopJumpResult:

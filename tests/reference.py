@@ -14,7 +14,9 @@ one vote at a time. Expected gaps weigh each vote by the model's per-vote
 probability table, and the product model's most likely committees sum
 |C △ S| one committee at a time, and the MLE check decides one profile
 per call. Result files are written by the standard library's JSON
-encoder.
+encoder. `nontrivial_sweep` keeps the integer kernel: it compares every
+committee pair on all 2^m votes, the sweep that the overlap classes of
+`rules.is_nontrivial` replaced.
 """
 
 from __future__ import annotations
@@ -28,7 +30,14 @@ import numpy as np
 from abcc.core import AlternativeSet, Profile, Universe, committee_masks, scaled_integers
 from abcc.errors import ProfileParseError
 from abcc.metrics import DistanceMetric
-from abcc.rules import ScoreBreakdown, make_rule, vote_score
+from abcc.rules import (
+    BLOCK_CELLS,
+    ScoreBreakdown,
+    integer_table,
+    make_rule,
+    score_blocks,
+    vote_score,
+)
 
 
 def row(metric, umask):
@@ -264,6 +273,25 @@ def is_nontrivial(rule):
             ):
                 return False, (umask, vmask)
     return True, None
+
+
+def nontrivial_sweep(rule):
+    """reference.is_nontrivial on the integer kernel: every committee pair
+    compared on blocks of the 2^m votes at once, the sweep that
+    `rules.is_nontrivial` made before it ran on overlap classes."""
+    m = rule.m
+    masks = committee_masks(m, rule.k)
+    table, _ = integer_table(rule, 1)
+    separated = np.eye(len(masks), dtype=bool)
+    step = max(1, BLOCK_CELLS // len(masks) ** 2)  # pair x vote cells per comparison
+    for _, scores in score_blocks(table, m, masks, range(1 << m)):
+        for lo in range(0, scores.shape[1], step):
+            part = scores[:, lo : lo + step]
+            separated |= (part[:, None, :] > part[None, :, :]).any(axis=2)
+    if separated.all():
+        return True, None
+    u, v = np.argwhere(~separated)[0]
+    return False, (masks[u], masks[v])
 
 
 def metric_axioms(metric):

@@ -1,0 +1,166 @@
+"""The overlap-class verdict of signature metrics against the pair-by-pair
+sweep that table metrics take.
+
+A builtin metric written out as a full table is the same distance, but its
+verdict sweeps every ordered committee pair over all 2^m votes. Both must
+give the same status, the same `per_pair_summary` rows and the same
+witness (ground, rival, level, gap and level probabilities); only the
+witness model's metric document differs, a builtin name against the table.
+This is checked for every builtin metric and rule of the catalog, plus
+`thiele` and `p_geometric`, at every (m, k) with m <= 8, for `example2` at
+m = 3, and for random counting rules, some of them decreasing in x. The
+nontriviality check, which runs on the same classes, is checked against
+the sweep over all pairs and votes in reference.py. At m = 40 no sweep exists:
+there the witness is checked against the level sizes and an expected gap
+summed over the vote cells with the metric's own distances.
+"""
+
+import functools
+from fractions import Fraction
+from itertools import combinations, product
+from math import comb, prod
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from abcc.core import AlternativeSet, Committee, default_universe, feasible_pairs
+from abcc.metrics import DistanceMetric, make_metric
+from abcc.oracle import NOT_ROBUST, robustness_verdict, verdict_to_json
+from abcc.rules import AbccRule, is_nontrivial, make_rule
+
+BUILTIN_METRICS = ["set_difference", "jaccard", "zelinka", "bunke_shearer", "trivial"]
+SIZES = [(m, k) for m in range(1, 9) for k in range(1, m + 1)]
+
+
+@functools.cache
+def as_table(kind, m):
+    """The builtin metric as a table over all unordered pairs of sets, one
+    per (kind, m), so that its level structures are built once."""
+    metric = make_metric(kind, m)
+    table = {(a, b): metric.d(a, b) for a, b in combinations(range(1 << m), 2)}
+    return DistanceMetric(kind, m, table=table)
+
+
+def catalog(m, k):
+    kinds = ["av", "cc", "pav", "sav", "mc", "sainte_lague"]
+    if (m, k) == (4, 2):
+        kinds += ["special6_f", "special6_fprime"]
+    rules = [make_rule(kind, m, k) for kind in kinds]
+    rules.append(make_rule("thiele", m, k, weights=[(3 * i) % 4 for i in range(1, k + 1)]))
+    rules.append(make_rule("p_geometric", m, k, p=Fraction(3, 2)))
+    return rules
+
+
+def assert_same_verdict(rule, metric):
+    universe = default_universe(rule.m)
+    verdict = robustness_verdict(rule, metric)
+    by_pairs = robustness_verdict(rule, as_table(metric.name, metric.m))
+    doc, want = verdict_to_json(verdict, universe), verdict_to_json(by_pairs, universe)
+    assert "per_class_summary" not in doc
+    if doc["witness"] is not None:
+        assert doc["witness"]["model"].pop("metric") == {"kind": metric.name, "m": metric.m}
+        want["witness"]["model"].pop("metric")
+    assert doc == want
+    assert verdict.pair_summaries == by_pairs.pair_summaries
+    return verdict
+
+
+def assert_nontrivial_matches(rule):
+    result = is_nontrivial(rule)
+    pair = None if result.witness is None else tuple(c.mask for c in result.witness)
+    assert (result.value, pair) == reference.nontrivial_sweep(rule)
+
+
+@pytest.mark.parametrize("m,k", SIZES)
+def test_catalog_classes_match_the_pair_sweep(m, k):
+    for rule in catalog(m, k):
+        for kind in BUILTIN_METRICS:
+            assert_same_verdict(rule, make_metric(kind, m))
+        assert_nontrivial_matches(rule)
+
+
+def test_example2_classes_match_the_pair_sweep():
+    statuses = set()
+    for k in (1, 2, 3):
+        for rule in catalog(3, k):
+            statuses.add(assert_same_verdict(rule, make_metric("example2", 3)).status)
+    assert NOT_ROBUST in statuses
+
+
+def table_rule(m, k, values):
+    """A counting rule with the drawn non-negative integer scores; a table that
+    is not non-decreasing in x bypasses make_rule's check."""
+    table = {xy: Fraction(v) for xy, v in zip(sorted(feasible_pairs(m, k)), values)}
+    if all(table[(x, y)] <= table.get((x + 1, y), table[(x, y)]) for x, y in table):
+        return make_rule("custom", m, k, table=table)
+    return AbccRule("custom", m, k, table)
+
+
+@st.composite
+def rules(draw):
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(1, m))
+    cells = len(feasible_pairs(m, k))
+    values = draw(st.lists(st.integers(0, 3), min_size=cells, max_size=cells))
+    return table_rule(m, k, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rules(), st.sampled_from(BUILTIN_METRICS))
+def test_random_rules_match_the_pair_sweep(rule, kind):
+    assert_same_verdict(rule, make_metric(kind, rule.m))
+    assert_nontrivial_matches(rule)
+
+
+def test_decreasing_rule_at_m40_is_not_robust_with_a_checked_witness():
+    m, k = 40, 3
+    # every vote scores a committee 3 - |C ∩ S|: more overlap, less score
+    rule = AbccRule("custom", m, k, {(x, y): Fraction(k - x) for x, y in feasible_pairs(m, k)})
+    metric = make_metric("jaccard", m)
+    verdict = robustness_verdict(rule, metric)
+    assert verdict.status == NOT_ROBUST
+    witness = verdict.witness
+    assert witness.ground.mask == 0b111 and witness.gap < 0
+    probs, levels = witness.model.level_probs, witness.model.levels
+    assert all(p > q for p, q in zip(probs, probs[1:])) and probs[-1] > 0
+    # the level sizes count the sets at each distance from the ground
+    by_value = dict.fromkeys(levels.values, 0)
+    for x in range(k + 1):
+        for y in range(m - k + 1):
+            by_value[metric.d(0b111, (1 << x) - 1 | ((1 << y) - 1) << k)] += (
+                comb(k, x) * comb(m - k, y))
+    assert list(by_value.values()) == list(levels.sizes) and sum(levels.sizes) == 1 << m
+    assert sum(p * size for p, size in zip(probs, levels.sizes)) == 1
+    assert expected_gap(rule, metric, witness) == witness.gap
+
+
+def expected_gap(rule, metric, witness):
+    """E[f(U, S) - f(V, S)] under the witness model, summed over the counts
+    (a, b, c, d) of S in U ∩ V, U ∖ V, V ∖ U and the rest, with one
+    representative vote per cell placed at its distance from U by `metric.d`."""
+    u, v, m = witness.ground.mask, witness.rival.mask, rule.m
+    regions = [u & v, u & ~v, v & ~u, ((1 << m) - 1) & ~(u | v)]
+    members = [[i for i in range(m) if part >> i & 1] for part in regions]
+    level = {value: t for t, value in enumerate(witness.model.levels.values)}
+    probs = witness.model.level_probs
+    total = Fraction(0)
+    for counts in product(*(range(len(part) + 1) for part in members)):
+        vote = sum(1 << i for part, n in zip(members, counts) for i in part[:n])
+        votes = prod(comb(len(part), n) for part, n in zip(members, counts))
+        size = vote.bit_count()
+        gap = rule.table[(u & vote).bit_count(), size] - rule.table[(v & vote).bit_count(), size]
+        total += votes * gap * probs[level[metric.d(u, vote)]]
+    return total
+
+
+def test_nontriviality_witness_is_the_first_failing_pair():
+    # scores that ignore the overlap separate no pair: the first ground and
+    # its smallest rival, which meets it in k - 1 members
+    m, k = 9, 4
+    rule = make_rule("custom", m, k, table={xy: Fraction(xy[1]) for xy in feasible_pairs(m, k)})
+    result = is_nontrivial(rule)
+    first = Committee(AlternativeSet(0b1111, m), k)
+    assert not result and result.witness == (first, Committee(AlternativeSet(0b10111, m), k))
+    assert_nontrivial_matches(rule)

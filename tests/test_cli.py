@@ -127,7 +127,9 @@ class TestMetricCommands:
     @pytest.mark.parametrize("argv", [
         ["check-metric", "--metric", "jaccard"],
         ["taxonomy", "--metric", "jaccard", "--k", "3"],
-        ["robust", "--rule", "pav", "--metric", "jaccard", "--k", "3"],
+        # a builtin metric is decided on the overlap classes, a metric file
+        # (never read here) may hold a table over all 2^m sets
+        ["robust", "--rule", "pav", "--metric-file", "unread.json", "--k", "3"],
         ["counterexample", "--rule", "pav", "--k", "3"],
         ["hierarchy", "--rules", "av,pav", "--metrics", "jaccard", "--k", "3"],
     ])
@@ -142,6 +144,19 @@ class TestMetricCommands:
             tracemalloc.stop()
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "2^m sets" in err
+        assert peak < 4 << 20
+
+    def test_class_cap_before_labels_and_rules(self, tmp_path, capsys):
+        # the overlap classes of a builtin at m = 2M weigh about 3e12 cell words
+        argv = ["robust", "--rule", "pav", "--metric", "jaccard", "--k", "3", "--m", "2000000"]
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "overlap classes" in err
         assert peak < 4 << 20
 
     @pytest.mark.parametrize("argv", [

@@ -1,13 +1,17 @@
 """Every exhaustive enumeration is refused over its limit on entry.
 
-The three limits and their checks live in `abcc.core`: m <= MAX_M for the
+The limits and their checks live in `abcc.core`: m <= MAX_M for the
 2^m sets (`check_sets`), C(m, k) <= MAX_COMMITTEES for the committees
-(`check_committees`, which `committee_masks` calls) and 4^m <= MAX_MATRIX_CELLS for the full distance
-matrix (`check_matrix`). Each public function that enumerates must raise
-CapExceededError before it builds a distance row or allocates anything
-sizeable.
+(`check_committees`, which `committee_masks` calls), 4^m <= MAX_MATRIX_CELLS for the full distance
+matrix (`check_matrix`) and MAX_CLASS_WORK for the overlap classes of a
+signature-metric verdict and of the nontriviality check (`check_classes`).
+Each public function that enumerates must raise CapExceededError before it
+builds a distance row or allocates anything sizeable. A signature metric's
+level structure and verdict never list the 2^m sets, so they are capped by
+the classes, not by m; a table metric's still are.
 """
 
+import json
 import time
 import tracemalloc
 from fractions import Fraction
@@ -16,6 +20,7 @@ from math import comb
 import pytest
 
 from abcc.core import (
+    MAX_CLASS_WORK,
     MAX_COMMITTEES,
     MAX_DRAW_CELLS,
     MAX_M,
@@ -51,7 +56,7 @@ from abcc.noise import (
     staggered_level_model,
 )
 from abcc.oracle import accuracy_classify, expected_gap, gap_analysis, robustness_verdict
-from abcc.rules import is_nontrivial, make_rule, winners
+from abcc.rules import AbccRule, is_nontrivial, make_rule, winners
 from conftest import run_cli
 
 S = MAX_M + 1  # 2^17 sets
@@ -67,6 +72,16 @@ def jaccard(m):
     return make_metric("jaccard", m)
 
 
+def table(m):
+    """A table metric (every distance 1): its levels come from a row over all 2^m sets."""
+    return DistanceMetric("table", m, table={}, default=Fraction(1))
+
+
+def over_classes():
+    """A rule whose overlap classes are over MAX_CLASS_WORK; its table is never read."""
+    return AbccRule("huge", 10**7, 3, {})
+
+
 def av(m, k=1):
     return make_rule("av", m, k)
 
@@ -78,28 +93,30 @@ def product(m, k=1):
 CASES = {
     # the 2^m sets
     "enumerate_subsets": lambda: enumerate_subsets(default_universe(S)),
-    "level_structure": lambda: level_structure(jaccard(S), committee(S, 1)),
+    "level_structure": lambda: level_structure(table(S), committee(S, 1)),
+    "level_of": lambda: level_structure(jaccard(S), committee(S, 1)).level_of,
     "neighborhood_count": lambda: neighborhood_count(jaccard(S), committee(S, 1), 0, 1, 0),
     "is_majority_concentric": lambda: is_majority_concentric(jaccard(S), 1),
     "is_natural": lambda: is_natural(jaccard(S), 1),
     "is_similarity": lambda: is_similarity(jaccard(S), 1),
-    "is_nontrivial": lambda: is_nontrivial(av(S)),
+    "is_nontrivial": lambda: is_nontrivial(over_classes()),
     "prob_table": lambda: product(S).prob_table(),
     "audit_d_monotonic": lambda: audit_d_monotonic(product(S)),
-    "staggered_level_model": lambda: staggered_level_model(jaccard(S), committee(S, 1)),
+    "staggered_level_model": lambda: staggered_level_model(table(S), committee(S, 1)),
     "av_refutation_model": lambda: av_refutation_model(jaccard(S), committee(S, 1), 0, 1, 1),
     "jump_counterexample": lambda: jump_counterexample(make_rule("cc", S, 1)),
     "expected_gap": lambda: expected_gap(av(S), product(S), committee(S, 1), committee(S, 2)),
     "accuracy_classify": lambda: accuracy_classify(av(S), product(S)),
     "gap_analysis": lambda: gap_analysis(av(S), jaccard(S), committee(S, 1), committee(S, 2)),
-    "robustness_verdict": lambda: robustness_verdict(av(S), jaccard(S)),
+    "robustness_verdict": lambda: robustness_verdict(av(S), table(S)),
+    "robustness_verdict_classes": lambda: robustness_verdict(over_classes(), jaccard(10**7)),
     # the C(m, k) committees
     "enumerate_committees": lambda: enumerate_committees(default_universe(C), K),
     "committee_masks": lambda: committee_masks(C, K),
     "winners": lambda: winners(av(C, K), Profile(())),
     "accuracy_trial": lambda: accuracy_trial(av(C, K), product(C, K), 1, 1, 0),
     "mle_committees": lambda: mle_committees(Profile(()), Fraction(3, 4), C, K),
-    "robustness_verdict_committees": lambda: robustness_verdict(av(C, K), jaccard(C)),
+    "robustness_verdict_committees": lambda: robustness_verdict(av(C, K), table(C)),
     # the full distance matrix
     "check_metric_axioms": lambda: check_metric_axioms(jaccard(X)),
     "jump_counterexample_matrix": lambda: jump_counterexample(make_rule("cc", X, 1)),
@@ -206,3 +223,60 @@ def test_many_small_draws_are_admitted(argv, target, tmp_path, monkeypatch):
     monkeypatch.setattr(target, reached)
     with pytest.raises(Admitted):
         run_cli([*argv, "--out", str(tmp_path / "out")])
+
+
+def test_class_work_over_the_cap_is_refused_at_once(tmp_path, monkeypatch):
+    # about 3e13 class cells, each with vote counts up to C(1000, 500): hours of work
+    def built(*args, **kwargs):
+        raise AssertionError("built before the class work was checked")
+
+    for name in ("abcc.cli.default_universe", "abcc.rules.make_rule",
+                 "abcc.metrics.make_metric"):
+        monkeypatch.setattr(name, built)
+    argv = ["robust", "--rule", "pav", "--metric", "jaccard", "--m", "2000", "--k", "1000"]
+    start = time.perf_counter()
+    code, out, err = run_cli([*argv, "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 0.1
+    assert code == 3 and out == ""
+    assert err.startswith("error: m=2000, k=1000: ") and err.count("\n") == 1
+    assert str(MAX_CLASS_WORK) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_metric_file_is_refused_by_the_set_cap_before_it_is_read(tmp_path):
+    # a metric file may hold a table, whose verdict sweeps all 2^m sets; the
+    # file does not exist, so reading it would exit 2
+    missing = str(tmp_path / "metric.json")
+    argv = ["robust", "--rule", "av", "--metric-file", missing, "--m", str(S), "--k", "2"]
+    code, out, err = run_cli([*argv, "--out", str(tmp_path / "out")])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2^m sets" in err
+
+
+def test_signature_levels_and_verdicts_are_not_capped_by_m():
+    # the grid of a signature metric at m = 40 has 4 x 38 cells, not 2^40 sets
+    m = 40
+    ground = committee(m, 0b111)
+    levels = level_structure(jaccard(m), ground)
+    assert sum(levels.sizes) == 1 << m and len(levels.cells) == 4
+    assert robustness_verdict(make_rule("pav", m, 3), jaccard(m)).status == "robust"
+    assert is_nontrivial(make_rule("cc", m, 3)).value
+    model = staggered_level_model(jaccard(m), ground)
+    assert sum(q * size for q, size in zip(model.level_probs, levels.sizes)) == 1
+    with pytest.raises(CapExceededError):
+        levels.level_of
+
+
+def test_signature_verdict_at_m200_lists_its_classes(tmp_path):
+    # C(200, 5)^2 pairs are over MAX_PAIR_ROWS: one row per overlap class
+    argv = ["robust", "--rule", "pav", "--metric", "jaccard", "--m", "200", "--k", "5"]
+    start = time.perf_counter()
+    code, out, err = run_cli([*argv, "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (0, '{"status": "robust"}\n', "")
+    doc = json.loads((tmp_path / "robust_pav_jaccard_m200k5.json").read_text())
+    assert "per_pair_summary" not in doc and doc["witness"] is None
+    rows = doc["per_class_summary"]
+    assert [row["j"] for row in rows] == [0, 1, 2, 3, 4]
+    assert sum(row["pairs"] for row in rows) == comb(200, 5) * (comb(200, 5) - 1)
+    assert all(row["positive_below_last"] and not row["degenerate"] for row in rows)

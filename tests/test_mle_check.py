@@ -1,9 +1,11 @@
 """The MLE check and the zero-gap sweep against the loops of reference.py.
 
-`mle_equivalence_check` builds its committee masks, rules and integer
-tables once and decides each profile in two kernel calls; it must count
-the agreeing profiles that the one-committee-at-a-time loop counts, on
-every (m, k) with m <= 8. `mle_committees`' two routes must give the
+`mle_equivalence_check` builds its committee masks and AV integer table
+once and decides each profile by one distance sum and one kernel call; it
+must count the agreeing profiles that the one-committee-at-a-time loop
+counts, on every (m, k) with m <= 8. The distance route sums |C △ S| by
+popcount, apart from the score kernel, so a broken kernel shows as
+disagreeing profiles. `mle_committees`' two routes must give the
 reference's distance minimizers and approval winners profile by
 profile. `accuracy_classify` sweeps all its zero-gap rivals in one
 `gap_rows` call, or one per chunk of rivals, and must give the
@@ -17,9 +19,9 @@ import numpy as np
 import pytest
 
 import reference
-from abcc import oracle
+from abcc import experiments, oracle
 from abcc.core import AlternativeSet, Committee, Profile, committee_masks, default_universe
-from abcc.experiments import mle_committees, mle_equivalence_check
+from abcc.experiments import distance_totals, mle_committees, mle_equivalence_check
 from abcc.metrics import make_metric
 from abcc.noise import make_mp, staggered_level_model
 from abcc.rules import make_rule
@@ -41,6 +43,25 @@ def test_mle_check_matches_one_call_per_profile(m, k):
     for seed, n_max in [(0, 1), (1, 12)]:
         got = mle_equivalence_check(Fraction(3, 4), m, k, 12, seed, n_max)
         assert got == reference.mle_equivalence_check(m, k, 12, seed, n_max)
+
+
+def test_distance_totals_are_the_summed_symmetric_differences():
+    rng = np.random.default_rng(5)
+    for m, k, n in [(1, 1, 0), (4, 2, 3), (8, 3, 40), (70, 2, 9)]:
+        masks = committee_masks(m, k) if m < 70 else [1 << 69 | 1, 3, 1 << 63 | 1 << 62]
+        votes = [int(v) for v in rng.integers(0, 1 << min(m, 62), size=n)] + [1 << (m - 1)]
+        counts = Counter(votes)
+        want = [sum((c ^ s).bit_count() * w for s, w in counts.items()) for c in masks]
+        assert distance_totals(masks, m, counts).tolist() == want
+
+
+def test_a_broken_score_kernel_fails_the_mle_check(monkeypatch):
+    # the distance route does not go through the score kernel, so a kernel
+    # that ranks committees upside down makes the routes disagree
+    kernel = experiments.committee_totals
+    monkeypatch.setattr(experiments, "committee_totals", lambda *args: -kernel(*args))
+    agree, total = mle_equivalence_check(Fraction(3, 4), 6, 2, 20, 1)
+    assert total == 20 and agree < 10
 
 
 def test_mle_committees_routes_match_reference_profile_by_profile():

@@ -57,6 +57,13 @@ CASES = {
          "robust_cc_trivial_m4k2_witness_model.json":
          "ca6fb0ff5f187a04ac3fcd36f8c215a9ab655fd4661ebb7351a737e21f28ad28"},
     ),
+    "robust-not-robust-signature": (
+        ["robust", "--rule", "pav", "--metric", "example2", "--m", "3", "--k", "2"],
+        {"robust_pav_example2_m3k2.json":
+         "b36e2617cbd7610523be40864b17a8534c20fd7bc082c7e62c325f56dd2b1828",
+         "robust_pav_example2_m3k2_witness_model.json":
+         "0563a17ff1b58d21a3269dd0192ba5817a961a9ab73d37d9c21783d494f97858"},
+    ),
     "robust-not-robust-table": (
         ["robust", "--rule", "pav", "--metric-file", "{table}", "--m", "4", "--k", "2"],
         {"robust_pav_t4_m4k2.json":
@@ -80,6 +87,15 @@ CASES = {
          "1d57b2d1ba3a1f81376ba2ecb6d325fc7f4dab8dc731bb69e55fd7654e4a9b8b",
          "hierarchy_m4k2.json":
          "a819f540e73e69e105cb989424839c5502d4bde2dc95844f9fccb9b5933c7673"},
+    ),
+    # m = 10: fifteen verdicts and five nontriviality checks on overlap classes
+    "hierarchy-m10": (
+        ["hierarchy", "--rules", "av,cc,pav,sav,mc", "--metrics", "set_difference,jaccard,trivial",
+         "--m", "10", "--k", "3"],
+        {"hierarchy_m10k3.csv":
+         "392728c950726cc906f99cc1beca187a4c8e1fc8dc1960a2aaf8438a7dd1b120",
+         "hierarchy_m10k3.json":
+         "dda55aea31bf5ade25b4ec0b94c2fc91cdb6adc0365f351dcaf111ca17b07829"},
     ),
     "converge": (
         CONVERGE,
