@@ -22,6 +22,7 @@ from .core import (  # METRIC_KINDS is re-exported
     Memo,
     Universe,
     binomial_row,
+    check_classes,
     check_matrix,
     check_sets,
     committee_masks,
@@ -288,8 +289,8 @@ class LevelStructure:
     values[t] is the t-th smallest distance (values[0] = 0) and sizes[t]
     counts the sets at level t; `spn` is the number of distinct non-zero
     values. A signature metric's sets at one (x, y) = (|S ∩ U|, |S ∖ U|) lie
-    at one level, cells[x][y], so its structure is built on that grid, at
-    any m; a table metric's gives the level of every set in `sets`.
+    at one level, cells[x][y], so its structure is built on that grid, at any
+    m within `check_classes`; a table metric's gives each set's level in `sets`.
     """
 
     ground: Committee
@@ -330,6 +331,7 @@ def level_structure(metric: DistanceMetric, ground: Committee) -> LevelStructure
     if metric._signature is not None:
         grid = metric._level_cache.get(("grid", ground.k))
         if grid is None:
+            check_classes(m, ground.k)  # its users sum over the overlap classes
             grid = metric._level_cache["grid", ground.k] = _signature_levels(metric, ground)
         structure = LevelStructure(ground, *grid)
     else:

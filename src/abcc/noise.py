@@ -51,7 +51,7 @@ from .metrics import (
     metric_to_json,
     neighborhood_count,
 )
-from .rules import AbccRule, gap_rows, make_rule
+from .rules import AbccRule, level_gap_rows, make_rule
 
 
 @dataclass(frozen=True)
@@ -195,9 +195,9 @@ def audit_d_monotonic(
 
 def expected_gaps(rule: AbccRule, model: NoiseModel, umask: int, vmasks) -> list[Fraction]:
     """Exact E[f(U, S) - f(V_i, S)] per rival mask V_i, S drawn from the
-    model: the level gap coefficients weighed by the level probabilities."""
+    model: its level gap rows weighed by the level probabilities."""
     levels, probs = model.level_form()
-    coeffs, scale = gap_rows(rule, umask, vmasks, levels.level_of)
+    coeffs, scale = level_gap_rows(rule, levels, umask, vmasks)
     weights, den = scaled_integers(probs)
     totals = coeffs.astype(object) @ weights.astype(object)
     return [Fraction(int(total), scale * den) for total in totals]

@@ -26,7 +26,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
@@ -49,6 +48,7 @@ from .rules import (
     first_rival,
     gap_rows,
     integer_table,
+    level_gap_rows,
     overlap_cells,
     overlap_classes,
 )
@@ -104,17 +104,18 @@ def accuracy_classify(rule: AbccRule, model: NoiseModel) -> AccuracyReport:
     gaps = {Committee(AlternativeSet(cmask, rule.m), rule.k): gap for cmask, gap in rows}
     # the zero gaps vote by vote on the support: one group per support vote
     # and one for the rest, all zero-gap rivals in as few calls as BATCH_CELLS allows
-    levels, probs = model.level_form()
-    support = np.array([q != 0 for q in probs])[np.asarray(levels.level_of)]
-    shown = int(support.sum())
-    groups = np.where(support, np.cumsum(support) - 1, shown)
     zero = [rival.mask for rival, gap in gaps.items() if not gap]
-    step = max(1, BATCH_CELLS // (shown + 1))
     moving = set()
-    for lo in range(0, len(zero), step):
-        part = zero[lo : lo + step]
-        sums = gap_rows(rule, ground.mask, part, groups)[0][:, :shown]
-        moving.update(vmask for vmask, row in zip(part, sums) if row.any())
+    if zero:
+        levels, probs = model.level_form()
+        support = np.array([q != 0 for q in probs])[np.asarray(levels.level_of)]
+        shown = int(support.sum())
+        groups = np.where(support, np.cumsum(support) - 1, shown)
+        step = max(1, BATCH_CELLS // (shown + 1))
+        for lo in range(0, len(zero), step):
+            part = zero[lo : lo + step]
+            sums = gap_rows(rule, ground.mask, part, groups)[0][:, :shown]
+            moving.update(vmask for vmask, row in zip(part, sums) if row.any())
     rival_status = {
         rival: ("positive" if gap > 0 else "negative") if gap
         else "zero_mean" if rival.mask in moving else "zero_tie"
@@ -201,7 +202,7 @@ class GapAnalysis:
 def _level_gaps(rule, levels, rivals):
     """Level gap coefficients c_t of the ground against each rival, one row
     per rival, and their prefix sums E_j, both as integers over `scale`."""
-    coeffs, scale = gap_rows(rule, levels.ground.mask, rivals, levels.level_of)
+    coeffs, scale = level_gap_rows(rule, levels, levels.ground.mask, rivals)
     return coeffs, np.cumsum(coeffs, axis=1), scale
 
 
@@ -319,22 +320,67 @@ def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerd
     whose prefixes vanish below the last level yield the degenerate status
     with a strict zero-gap model. The witness is the first such pair in
     (ground, rival) mask order, NOT_ROBUST pairs before degenerate ones.
-    A signature metric is decided on the overlap classes, a table metric
-    pair by pair over the 2^m votes.
+
+    A table metric is decided pair by pair. A signature metric is decided
+    on the overlap classes j = |U ∩ V|, whose pairs share their level gap
+    coefficients: one row per class, from the first committee against the
+    smallest rival of each class. Every ground meets a rival of each class,
+    so these pairs hold the first failing pair of a pair-by-pair sweep.
     """
     if rule.m != metric.m:
         raise PreconditionError("rule and metric universe sizes differ")
-    decide = _class_rows if metric._signature is not None else _pair_rows
-    rows, negative, degenerate = decide(rule, metric)
+    m, k = rule.m, rule.k
+    by_class = metric._signature is not None
+    if by_class:
+        check_classes(m, k)
+        masks = [(1 << k) - 1, *(first_rival(k, j) for j in reversed(overlap_classes(m, k)))]
+        grounds = masks[:1]
+        if comb(m, k) * (comb(m, k) - 1) <= MAX_PAIR_ROWS:
+            # a verdict that `verdict_to_json` lists pair by pair looks up each
+            # ground's level structure (one object on the shared grid), as the
+            # table sweep does, so a traced run (bench/shim.py) counts one per ground
+            for mask in committee_masks(m, k)[1:]:
+                level_structure(metric, Committee(AlternativeSet(mask, m), k))
+    else:
+        masks = grounds = committee_masks(m, k)
+    committees = {mask: Committee(AlternativeSet(mask, m), k) for mask in masks}
+    fractions = Memo(lambda key: Fraction(*key))  # one per distinct (min_prefix, scale)
+    rows = []
+    negative = degenerate = None  # the first (ground, rival) of each failure
+    for umask in grounds:
+        ground = committees[umask]
+        levels = level_structure(metric, ground)
+        coeffs, prefix, scale = _level_gaps(rule, levels, masks)
+        lowest = prefix.min(axis=1).tolist()
+        positive = (prefix[:, : levels.spn] > 0).any(axis=1).tolist()
+        for i, vmask in enumerate(masks):
+            if vmask == umask:
+                continue
+            flat = lowest[i] >= 0 and not positive[i]
+            summary = fractions[lowest[i], scale], positive[i], flat
+            j = (umask & vmask).bit_count()
+            rows.append(ClassSummary(j, comb(m, k) * comb(k, j) * comb(m - k, k - j), *summary)
+                        if by_class else PairSummary(ground, committees[vmask], *summary))
+            if lowest[i] < 0 and negative is None:
+                t = next(t for t, e in enumerate(prefix[i]) if e < 0)
+                negative = ground, committees[vmask], t, levels, _fractions(coeffs[i], scale)
+            elif flat and degenerate is None:
+                degenerate = ground, committees[vmask]
+    if by_class:
+        rows.reverse()  # ascending j
     if negative is not None:
-        ground, rival, j, levels, coeffs = negative
-        model, gap = _negative_gap_witness(metric, ground, levels, coeffs, j)
-        witness = NotRobustWitness(ground, rival, j, model, gap)
+        ground, rival, t, levels, coeffs = negative
+        model, gap = _negative_gap_witness(metric, ground, levels, coeffs, t)
+        witness = NotRobustWitness(ground, rival, t, model, gap)
         status = NOT_ROBUST
     elif degenerate is not None:
-        # identically_zero: whether the per-vote gap variable itself vanishes
-        # everywhere (permanent tie) or only its level aggregates cancel
-        ground, rival, identically_zero = degenerate
+        ground, rival = degenerate
+        # whether the per-vote gap variable itself vanishes everywhere
+        # (permanent tie) or only its level aggregates cancel: a property
+        # of the rule on the pair's overlap class, whatever the metric
+        f = integer_table(rule, 1)[0].tolist()
+        cells = overlap_cells(f, m, k, (ground.mask & rival.mask).bit_count())
+        identically_zero = not any(gap for *_, gap in cells)
         # strict decrease with zero mass on the farthest level: the gap of a
         # fully-cancelling pair is exactly zero under this model
         model = staggered_level_model(metric, ground, zero_tail=True)
@@ -343,84 +389,7 @@ def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerd
     else:
         witness = None
         status = ROBUST
-    return RobustnessVerdict(status, rule.name, metric.name, rule.m, rule.k, witness, rows)
-
-
-def _pair_rows(rule, metric):
-    """(rows, first negative, first degenerate) by one gap sweep over the
-    2^m votes per ground."""
-    m, k = rule.m, rule.k
-    masks = committee_masks(m, k)
-    committees = [Committee(AlternativeSet(mask, m), k) for mask in masks]
-    fractions = Memo(lambda key: Fraction(*key))  # one per distinct (min_prefix, scale)
-    rows = []
-    negative = None  # (ground, rival, j, levels, coeffs)
-    degenerate = None  # (ground, rival, identically_zero)
-    for ground in committees:
-        levels = level_structure(metric, ground)
-        coeffs, prefix, scale = _level_gaps(rule, levels, masks)
-        lowest = prefix.min(axis=1).tolist()
-        positive = (prefix[:, : levels.spn] > 0).any(axis=1).tolist()
-        for i, rival in enumerate(committees):
-            if rival is ground:
-                continue
-            flat = lowest[i] >= 0 and not positive[i]
-            rows.append(PairSummary(ground, rival, fractions[lowest[i], scale], positive[i], flat))
-            if lowest[i] < 0 and negative is None:
-                j = next(t for t, e in enumerate(prefix[i]) if e < 0)
-                negative = (ground, rival, j, levels, _fractions(coeffs[i], scale))
-            elif flat and degenerate is None:
-                votes = range(1 << m)  # one vote per group
-                zero = not gap_rows(rule, ground.mask, [rival.mask], votes)[0].any()
-                degenerate = (ground, rival, zero)
-    return tuple(rows), negative, degenerate
-
-
-def _class_rows(rule, metric):
-    """(rows, first negative, first degenerate) by overlap class.
-
-    A pair of class j has the class's level gap coefficients: every vote
-    cell of `overlap_cells` adds its w votes' gap at the level of its (x, y)
-    cell. Every ground meets a rival of each class, so the first failing
-    pair has the first ground, and the largest failing overlap holds its
-    rival (`first_rival` falls as j grows).
-    """
-    m, k = rule.m, rule.k
-    check_classes(m, k)
-    ground = Committee(AlternativeSet((1 << k) - 1, m), k)
-    levels = level_structure(metric, ground)
-    if comb(m, k) * (comb(m, k) - 1) <= MAX_PAIR_ROWS:
-        # a verdict that `verdict_to_json` lists pair by pair looks up each
-        # ground's level structure (one object on the shared grid), as the
-        # table sweep does, so a traced run (bench/shim.py) counts one per ground
-        for mask in committee_masks(m, k)[1:]:
-            level_structure(metric, Committee(AlternativeSet(mask, m), k))
-    table, scale = integer_table(rule, 1)
-    f = table.tolist()
-    rows, coeffs = [], {}
-    for j in overlap_classes(m, k):
-        row = coeffs[j] = [0] * len(levels.values)
-        for x, y, xv, w in overlap_cells(m, k, j):
-            row[levels.cells[x][y]] += w * (f[x][x + y] - f[xv][x + y])
-        prefix = list(accumulate(row))
-        lowest = min(prefix)
-        positive = any(e > 0 for e in prefix[: levels.spn])
-        pairs = comb(m, k) * comb(k, j) * comb(m - k, k - j)
-        rows.append(ClassSummary(j, pairs, Fraction(lowest, scale), positive,
-                                 lowest >= 0 and not positive))
-    negative = degenerate = None
-    failing = [c.j for c in rows if c.min_prefix < 0]
-    flat = [c.j for c in rows if c.degenerate]
-    if failing or flat:
-        j = max(failing or flat)
-        rival = Committee(AlternativeSet(first_rival(k, j), m), k)
-    if failing:
-        level = next(t for t, e in enumerate(accumulate(coeffs[j])) if e < 0)
-        negative = (ground, rival, level, levels, _fractions(coeffs[j], scale))
-    elif flat:
-        cells = overlap_cells(m, k, j)
-        degenerate = (ground, rival, all(f[x][x + y] == f[xv][x + y] for x, y, xv, _ in cells))
-    return tuple(rows), negative, degenerate
+    return RobustnessVerdict(status, rule.name, metric.name, m, k, witness, tuple(rows))
 
 
 def _negative_gap_witness(metric, ground, levels, coeffs, j):
@@ -470,6 +439,8 @@ def sample_size_bound(rule: AbccRule, model: NoiseModel, eps) -> SampleSizeBound
     eps = float(eps)
     if not 0 < eps < 1:
         raise PreconditionError(f"eps must be in (0, 1), got {eps}")
+    if rule.m <= rule.k:
+        raise PreconditionError("need m > k so a rival committee exists")
     report = accuracy_classify(rule, model)
     if report.status != ACCURATE:
         raise NotAccurateError("rule is not accurate in the limit for this model")

@@ -322,10 +322,12 @@ def first_rival(k: int, j: int) -> int:
     return (1 << j) - 1 | ((1 << (k - j)) - 1) << k
 
 
-def overlap_cells(m: int, k: int, j: int):
-    """Yield (x, y, xv, w) per vote cell of a pair in class j: a vote S of the
-    cell has x = |S ∩ U|, y = |S ∖ U| and xv = |S ∩ V|, and w > 0 votes fall
-    in it. Cells with x = xv, where every rule scores U and V alike, are left out."""
+def overlap_cells(f, m: int, k: int, j: int):
+    """Yield (x, y, w, gap) per vote cell of a pair in class j: a vote S of the
+    cell has x = |S ∩ U| and y = |S ∖ U|, w > 0 votes fall in it, and each
+    scores U above V by gap = f[x][x + y] - f[xv][x + y], xv = |S ∩ V|, on the
+    nested-list integer table f. Cells with x = xv, where every rule scores U
+    and V alike, are left out."""
     r = m - 2 * k + j
     rest = binomial_row(r)
     for a in range(j + 1):
@@ -335,7 +337,28 @@ def overlap_cells(m: int, k: int, j: int):
                     continue
                 w = comb(j, a) * comb(k - j, b) * comb(k - j, c)
                 for d, wd in enumerate(rest):
-                    yield a + b, c + d, a + c, w * wd
+                    s = a + b + c + d
+                    yield a + b, c + d, w * wd, f[a + b][s] - f[a + c][s]
+
+
+def level_gap_rows(rule: AbccRule, levels, umask: int, vmasks) -> tuple[np.ndarray, int]:
+    """G[i, t] = scale * sum of f(U, S) - f(V_i, S) over the votes S at level t
+    of `levels`, the `metrics.LevelStructure` of the ground U. On the (x, y)
+    grid of a signature metric or product model, each rival takes the row of
+    its overlap class j = |U ∩ V|, summed over the class's `overlap_cells` in
+    Python integers; a set-indexed structure runs `gap_rows` over its levels."""
+    if levels.cells is None:
+        return gap_rows(rule, umask, vmasks, levels.level_of)
+    table, scale = integer_table(rule, 1)
+    f = table.tolist()
+    overlaps = [(umask & vmask).bit_count() for vmask in vmasks]
+    rows = {}
+    for j in set(overlaps):
+        row = rows[j] = [0] * len(levels.values)
+        for x, y, w, gap in overlap_cells(f, rule.m, rule.k, j):
+            row[levels.cells[x][y]] += w * gap
+    shape = len(vmasks), len(levels.values)
+    return np.array([rows[j] for j in overlaps], dtype=object).reshape(shape), scale
 
 
 def is_nontrivial(rule: AbccRule) -> NontrivialityResult:
@@ -353,7 +376,7 @@ def is_nontrivial(rule: AbccRule) -> NontrivialityResult:
     f = integer_table(rule, 1)[0].tolist()
     failing = [
         j for j in overlap_classes(m, k)
-        if not any(f[x][x + y] > f[xv][x + y] for x, y, xv, _ in overlap_cells(m, k, j))
+        if not any(gap > 0 for *_, gap in overlap_cells(f, m, k, j))
     ]
     if not failing:
         return NontrivialityResult(True, None)

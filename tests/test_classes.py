@@ -10,9 +10,16 @@ This is checked for every builtin metric and rule of the catalog, plus
 `thiele` and `p_geometric`, at every (m, k) with m <= 8, for `example2` at
 m = 3, and for random counting rules, some of them decreasing in x. The
 nontriviality check, which runs on the same classes, is checked against
-the sweep over all pairs and votes in reference.py. At m = 40 no sweep exists:
-there the witness is checked against the level sizes and an expected gap
-summed over the vote cells with the metric's own distances.
+the sweep over all pairs and votes in reference.py, and so is the degenerate
+witness's "identically zero" flag, which both verdict forms read off the
+class cells. At m = 40 no sweep exists: there the witness is checked against
+the level sizes and an expected gap summed over the vote cells with the
+metric's own distances.
+
+The expected gaps of a signature or product model, and `gap_analysis`, run
+on the same class rows (`rules.level_gap_rows`): they must equal those of
+the same model over the metric written as a table at m <= 7, and the closed
+forms of AV under a product model at m = 40 and m = 200.
 """
 
 import functools
@@ -24,11 +31,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 import reference
-from abcc.core import AlternativeSet, Committee, default_universe, feasible_pairs
+from abcc.core import AlternativeSet, Committee, committee_masks, default_universe, feasible_pairs
 from abcc.metrics import DistanceMetric, make_metric
-from abcc.oracle import NOT_ROBUST, robustness_verdict, verdict_to_json
-from abcc.rules import AbccRule, is_nontrivial, make_rule
+from abcc.noise import expected_gaps, make_level_model, make_mp
+from abcc.oracle import (
+    ACCURATE,
+    DEGENERATE_NOT_ROBUST,
+    NOT_ROBUST,
+    accuracy_classify,
+    gap_analysis,
+    robustness_verdict,
+    sample_size_bound,
+    verdict_to_json,
+)
+from abcc.rules import AbccRule, first_rival, is_nontrivial, make_rule
+from conftest import random_strict_model
 
 BUILTIN_METRICS = ["set_difference", "jaccard", "zelinka", "bunke_shearer", "trivial"]
 SIZES = [(m, k) for m in range(1, 9) for k in range(1, m + 1)]
@@ -64,6 +84,9 @@ def assert_same_verdict(rule, metric):
         want["witness"]["model"].pop("metric")
     assert doc == want
     assert verdict.pair_summaries == by_pairs.pair_summaries
+    if verdict.status == DEGENERATE_NOT_ROBUST:
+        w = verdict.witness
+        assert w.identically_zero == reference.identically_zero(rule, w.ground.mask, w.rival.mask)
     return verdict
 
 
@@ -79,6 +102,17 @@ def test_catalog_classes_match_the_pair_sweep(m, k):
         for kind in BUILTIN_METRICS:
             assert_same_verdict(rule, make_metric(kind, m))
         assert_nontrivial_matches(rule)
+
+
+def test_degenerate_witnesses_cover_both_flags():
+    # scores that ignore the overlap tie every pair vote by vote; cc x trivial
+    # only cancels over the votes at distance 1
+    flat = make_rule("custom", 4, 2, table={xy: Fraction(xy[1]) for xy in feasible_pairs(4, 2)})
+    flags = [
+        assert_same_verdict(rule, make_metric("trivial", 4)).witness.identically_zero
+        for rule in (flat, make_rule("cc", 4, 2))
+    ]
+    assert flags == [True, False]
 
 
 def test_example2_classes_match_the_pair_sweep():
@@ -164,3 +198,54 @@ def test_nontriviality_witness_is_the_first_failing_pair():
     first = Committee(AlternativeSet(0b1111, m), k)
     assert not result and result.witness == (first, Committee(AlternativeSet(0b10111, m), k))
     assert_nontrivial_matches(rule)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_signature_gaps_match_the_table_metric(m):
+    rng = np.random.default_rng([31, m])
+    kinds = BUILTIN_METRICS + (["example2"] if m == 3 else [])
+    u = default_universe(m)
+    for k in range(1, m + 1):
+        ground = Committee(AlternativeSet((1 << k) - 1, m), k)
+        masks = committee_masks(m, k)
+        mp = [make_mp(p, u, ground) for p in (Fraction(3, 4), Fraction(2, 3))]
+        twins = [
+            (model, make_level_model(as_table("set_difference", m), ground,
+                                     model.level_form()[1]))
+            for model in mp
+        ]
+        for kind in kinds:  # a random strict model, and the same over the table
+            model = random_strict_model(make_metric(kind, m), ground, rng)
+            twins.append((model, make_level_model(as_table(kind, m), ground, model.level_probs)))
+        for rule in catalog(m, k):
+            for model, table in twins:
+                gaps = expected_gaps(rule, model, ground.mask, masks)
+                assert gaps == expected_gaps(rule, table, ground.mask, masks)
+            if rule.name in ("av", "pav", "mc", "sav"):
+                for kind in kinds:
+                    for vmask in masks:
+                        rival = Committee(AlternativeSet(vmask, m), k)
+                        got = gap_analysis(rule, make_metric(kind, m), ground, rival)
+                        want = gap_analysis(rule, as_table(kind, m), ground, rival)
+                        assert (got.coefficients, got.prefix) == (want.coefficients, want.prefix)
+
+
+def test_av_under_a_product_model_at_m200_gaps_by_overlap():
+    # a rival of overlap j loses k - j members, each 2p - 1 more likely in a vote
+    m, k, p = 200, 5, Fraction(3, 4)
+    ground = Committee(AlternativeSet((1 << k) - 1, m), k)
+    model = make_mp(p, default_universe(m), ground)
+    rivals = [first_rival(k, j) for j in range(k)]
+    gaps = expected_gaps(make_rule("av", m, k), model, ground.mask, rivals)
+    assert gaps == [(k - j) * (2 * p - 1) for j in range(k)]
+
+
+def test_av_accuracy_and_sample_size_at_m40():
+    m, k = 40, 3
+    av = make_rule("av", m, k)
+    model = make_mp(Fraction(3, 4), default_universe(m), Committee(AlternativeSet(0b111, m), k))
+    report = accuracy_classify(av, model)
+    assert report.status == ACCURATE and len(report.gaps) == comb(m, k) - 1
+    assert report.worst()[1] == Fraction(1, 2)
+    # n = ceil(6^2 / (2 (1/2)^2) ln(2 * 40^3 / 0.05)) = ceil(72 ln 2,560,000)
+    assert sample_size_bound(av, model, 0.05).n == 1063

@@ -105,9 +105,12 @@ CASES = {
     "staggered_level_model": lambda: staggered_level_model(table(S), committee(S, 1)),
     "av_refutation_model": lambda: av_refutation_model(jaccard(S), committee(S, 1), 0, 1, 1),
     "jump_counterexample": lambda: jump_counterexample(make_rule("cc", S, 1)),
-    "expected_gap": lambda: expected_gap(av(S), product(S), committee(S, 1), committee(S, 2)),
-    "accuracy_classify": lambda: accuracy_classify(av(S), product(S)),
-    "gap_analysis": lambda: gap_analysis(av(S), jaccard(S), committee(S, 1), committee(S, 2)),
+    "expected_gap": lambda: expected_gap(AbccRule("huge", 200, 100, {}), product(200, 100),
+                                         committee(200, (1 << 100) - 1),
+                                         committee(200, (1 << 101) - 2)),
+    "accuracy_classify": lambda: accuracy_classify(av(C, K), product(C, K)),
+    "gap_analysis": lambda: gap_analysis(over_classes(), jaccard(10**7),
+                                         committee(10**7, 0b111), committee(10**7, 0b1011)),
     "robustness_verdict": lambda: robustness_verdict(av(S), table(S)),
     "robustness_verdict_classes": lambda: robustness_verdict(over_classes(), jaccard(10**7)),
     # the C(m, k) committees
@@ -265,6 +268,27 @@ def test_signature_levels_and_verdicts_are_not_capped_by_m():
     assert sum(q * size for q, size in zip(model.level_probs, levels.sizes)) == 1
     with pytest.raises(CapExceededError):
         levels.level_of
+
+
+def test_signature_grid_over_the_class_cap_is_refused_at_once(tmp_path):
+    # the (k+1) x (m-k+1) grid and its binomial row took 1.3 s and 204 MiB at m = 30,000
+    m = 30_000
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CapExceededError):
+            level_structure(jaccard(m), committee(m, 1))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 1 << 18
+    # sampling a level model builds the grid first: it peaked at 513 MiB before exit 2
+    argv = ["sample", "--model", "level", "--metric", "jaccard", "--m", "50000", "--ground", "x0",
+            "--probs", "1/2,1/4", "--n", "1", "--seed", "1", "--out", str(tmp_path / "out")]
+    code, out, err = run_cli(argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: m=50000, k=1: ") and err.count("\n") == 1
 
 
 def test_signature_verdict_at_m200_lists_its_classes(tmp_path):

@@ -375,3 +375,10 @@ class TestSampleSizeBound:
         bound = sample_size_bound(av, model, 0.05)
         assert bound.mu_min == Fraction(1, 2)
         assert bound.n == 207
+
+    def test_rejects_a_universe_without_rivals(self):
+        # at m = k the only committee is the ground: there is no worst rival
+        u = default_universe(3)
+        model = make_mp(Fraction(3, 4), u, Committee(u.set_of(u.names), 3))
+        with pytest.raises(PreconditionError, match="need m > k"):
+            sample_size_bound(make_rule("av", 3, 3), model, 0.05)
