@@ -320,6 +320,16 @@ def committee_masks(m: int, k: int) -> list[int]:
     return sorted(sum(1 << i for i in combo) for combo in combinations(range(m), k))
 
 
+def overlap_classes(m: int, k: int) -> range:
+    """The overlaps j = |U ∩ V| of two distinct k-committees among m alternatives."""
+    return range(max(0, 2 * k - m), k)
+
+
+def first_rival(k: int, j: int) -> int:
+    """The smallest committee mask that meets the first one, 2^k - 1, in j members."""
+    return (1 << j) - 1 | ((1 << (k - j)) - 1) << k
+
+
 # ---------------------------------------------------------------------------
 # Exact rationals: integer scaling for the numpy kernels, and the "p/q"
 # formatting shared across file formats and the CLI.

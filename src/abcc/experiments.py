@@ -227,8 +227,9 @@ def hierarchy_report(rules: list[AbccRule], metrics: list[DistanceMetric]) -> Hi
     m, k = rules[0].m, rules[0].k
     if any(r.m != m or r.k != k for r in rules) or any(d.m != m for d in metrics):
         raise PreconditionError("all rules and metrics must share the same (m, k)")
-    # the taxonomy first: its full-matrix limit is the tightest, so an m over
-    # it is refused before any verdict runs
+    # the taxonomy first: its sweeps over the 2^m sets (and a table metric's
+    # full matrix) are the tightest limits, so an m over them is refused
+    # before any verdict runs
     taxonomy = {metric.name: taxonomy_report(metric, k) for metric in metrics}
     verdicts = {
         (rule.name, metric.name): robustness_verdict(rule, metric)

@@ -23,13 +23,16 @@ from .core import (  # METRIC_KINDS is re-exported
     Universe,
     binomial_row,
     check_classes,
+    check_k,
     check_matrix,
     check_sets,
     committee_masks,
     default_universe,
+    first_rival,
     frac_str,
     int64_if_fits,
     mask_words,
+    overlap_classes,
     parse_frac,
     popcount,
     read_json,
@@ -222,13 +225,13 @@ def check_metric_axioms(metric: DistanceMetric) -> AxiomCheck:
 
     A signature metric is decided on its signature grid and on the sizes of
     the Venn regions of three sets (`_signature_axioms_hold`), without a
-    distance row. A table metric, or a signature metric that grid check
-    refutes, is scanned over all pairs and triples of the 2^m subsets, on
-    the distance matrix scaled to exact integers. The witness is the first
-    violation in (i, j) order (diagonal first), then in (pivot j, i, k)
-    order for the triangle inequality. The check is made once per metric.
+    distance row, at m <= MAX_M. A table metric, or a signature metric that
+    grid check refutes, is scanned over all pairs and triples of the 2^m
+    subsets, on the distance matrix scaled to exact integers, within
+    MAX_MATRIX_CELLS. The witness is the first violation in (i, j) order
+    (diagonal first), then in (pivot j, i, k) order for the triangle
+    inequality. The check is made once per metric.
     """
-    check_matrix(metric.m)
     if metric._axioms is None:
         metric._axioms = _axiom_check(metric)
     return metric._axioms
@@ -238,6 +241,7 @@ def _axiom_check(metric: DistanceMetric) -> AxiomCheck:
     m = metric.m
     if metric._signature is not None and _signature_axioms_hold(metric):
         return AxiomCheck(True)
+    check_matrix(m)
     n = 1 << m
     D = metric.rows(range(n), terms=2)[0]
 
@@ -269,6 +273,7 @@ def _signature_axioms_hold(metric: DistanceMetric) -> bool:
     such size vectors come from one stars-and-bars enumeration.
     """
     m = metric.m
+    check_sets(m)  # C(m+7, 7) vectors: 245,157 at m = 16
     grid = int64_if_fits(metric._integers()[0], terms=2).reshape((m + 1,) * 3)
     a, b, c = np.indices(grid.shape)
     bad = (grid != grid.transpose(1, 0, 2)) | ((grid <= 0) & (a + b > 0))
@@ -374,13 +379,14 @@ def neighborhood_count(
     metric: DistanceMetric, ground: Committee, a: int, b: int, t: int
 ) -> int:
     """Number of sets containing a but not b within the t-th distance level."""
-    check_sets(metric.m)
-    if a == b:
-        raise PreconditionError("a and b must differ")
+    m = metric.m
+    check_sets(m)
+    if not (0 <= a < m and 0 <= b < m) or a == b:
+        raise PreconditionError(f"need two distinct alternatives in 0..{m - 1}, got {a} and {b}")
     levels = level_structure(metric, ground)
     if not 0 <= t <= levels.spn:
         raise PreconditionError(f"t={t} outside 0..{levels.spn}")
-    sets = np.arange(1 << metric.m)
+    sets = np.arange(1 << m)
     a_not_b = (sets >> a & 1) > (sets >> b & 1)
     return int(_ball_counts(levels, a_not_b[:, None])[t, 0])
 
@@ -407,18 +413,39 @@ class MetricPropertyCheck:
         return self.ok
 
 
+def deciding_committees(metric: DistanceMetric, k: int) -> tuple[list[int], list[int]]:
+    """(grounds, committees): ascending k-committee masks whose pairs decide
+    a property of all (ground, committee) pairs and hold its first failing
+    pair in mask order; the grounds lead the committees. A table metric
+    needs every committee as both. A signature metric, and each property of
+    it, is unchanged by a relabelling of the alternatives: any ground
+    relabels onto the first committee 2^k - 1, and a relabelling that fixes
+    it maps every committee onto the smallest of its overlap class j,
+    `first_rival(k, j)`.
+    """
+    m = metric.m
+    if metric._signature is None:
+        masks = committee_masks(m, k)
+        return masks, masks
+    check_k(m, k)
+    masks = [(1 << k) - 1, *(first_rival(k, j) for j in reversed(overlap_classes(m, k)))]
+    return masks[:1], masks
+
+
 def is_majority_concentric(metric: DistanceMetric, k: int) -> MetricPropertyCheck:
     """Check the ball-count dominance property for every ground committee.
 
     For each k-committee U, member a, outsider b, and radius index t, the
     ball of radius delta_t around U must contain at least as many sets
-    with a-but-not-b as with b-but-not-a. Witness on failure: (U, a, b, t).
+    with a-but-not-b as with b-but-not-a. Witness on failure: (U, a, b, t),
+    the first in (U, t, a, b) order. A signature metric is decided on the
+    first committee alone (`deciding_committees`).
     """
     m = metric.m
     check_sets(m)
     sets = np.arange(1 << m)
     has = (sets[:, None] >> np.arange(m) & 1) == 1
-    for umask in committee_masks(m, k):
+    for umask in deciding_committees(metric, k)[0]:
         ground = Committee(AlternativeSet(umask, m), k)
         # N^t(a|b) - N^t(b|a) = (sets within level t holding a) - (those holding b)
         holding = _ball_counts(level_structure(metric, ground), has)
@@ -434,10 +461,10 @@ def is_majority_concentric(metric: DistanceMetric, k: int) -> MetricPropertyChec
 def _overlap_triples(metric: DistanceMetric, k: int, strict: bool) -> MetricPropertyCheck:
     m = metric.m
     check_sets(m)
-    masks = committee_masks(m, k)
+    grounds, masks = deciding_committees(metric, k)
     dist, _ = metric.rows(masks)
     overlap = _signature_codes(masks, m) % (m + 1)  # |U∩S|
-    for u, umask in enumerate(masks):
+    for u, umask in enumerate(grounds):
         # first (V, S) with |U∩S| > |V∩S| (never V = U) and d(U,S) > d(V,S)
         farther = dist[u] >= dist if strict else dist[u] > dist
         bad = (overlap[u] > overlap) & farther
@@ -453,12 +480,18 @@ def _overlap_triples(metric: DistanceMetric, k: int, strict: bool) -> MetricProp
 
 
 def is_natural(metric: DistanceMetric, k: int) -> MetricPropertyCheck:
-    """Larger overlap never increases distance: |U∩S| > |V∩S| ⇒ d(U,S) ≤ d(V,S)."""
+    """Larger overlap never increases distance: |U∩S| > |V∩S| ⇒ d(U,S) ≤ d(V,S).
+
+    Witness on failure: the first (U, V, S) in mask order. A signature
+    metric is decided on the first U and one V per overlap class
+    (`deciding_committees`)."""
     return _overlap_triples(metric, k, strict=False)
 
 
 def is_similarity(metric: DistanceMetric, k: int) -> MetricPropertyCheck:
-    """Larger overlap strictly decreases distance: |U∩S| > |V∩S| ⇒ d(U,S) < d(V,S)."""
+    """Larger overlap strictly decreases distance: |U∩S| > |V∩S| ⇒ d(U,S) < d(V,S).
+
+    Witness and signature shortcut as in `is_natural`."""
     return _overlap_triples(metric, k, strict=True)
 
 
@@ -466,12 +499,13 @@ def is_alternative_independent(metric: DistanceMetric) -> MetricPropertyCheck:
     """Whether distance depends only on (|X\\Y|, |Y\\X|, |X|, |Y|).
 
     Witness on failure: two ordered pairs with equal signature but
-    different distance.
+    different distance. A signature metric is one by construction; a table
+    metric is scanned on its full matrix, within MAX_MATRIX_CELLS.
     """
     m = metric.m
-    check_matrix(m)
-    if metric._signature is not None:  # a function of the signature by construction
+    if metric._signature is not None:
         return MetricPropertyCheck(True)
+    check_matrix(m)
     n = 1 << m
     dist = metric.rows(range(n))[0]
     # (|X∖Y|, |Y∖X|, |X∩Y|) fixes (|X∖Y|, |Y∖X|, |X|, |Y|) and back; for

@@ -331,14 +331,19 @@ def av_refutation_model(
     """Model under which a concentricity violation makes AV prefer swapping
     a out for b.
 
-    Requires the violation N^{t*}(a|b) < N^{t*}(b|a) at the given radius
-    index. Probabilities form two strictly decreasing blocks: from tau down
-    to tau - eps through level t*, then from 2*eps down to eps, with
-    eps = 1/(s*8^m); tau comes out of exact normalization. Interior values
-    interpolate linearly (any strictly decreasing choice works).
+    Requires a member a and an outsider b of the ground, and the violation
+    N^{t*}(a|b) < N^{t*}(b|a) at the given radius index. Probabilities form
+    two strictly decreasing blocks: from tau down to tau - eps through level
+    t*, then from 2*eps down to eps, with eps = 1/(s*8^m); tau comes out of
+    exact normalization. Interior values interpolate linearly (any strictly
+    decreasing choice works).
     """
     universe = universe or default_universe(metric.m)
     m = metric.m
+    if not (0 <= a < m and 0 <= b < m and ground.mask >> a & 1 and not ground.mask >> b & 1):
+        raise PreconditionError(
+            f"need a member a and an outsider b of the ground, got a={a}, b={b}"
+        )
     levels = level_structure(metric, ground)
     s = levels.spn
     if not 1 <= t_star <= s - 1:

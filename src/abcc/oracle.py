@@ -41,17 +41,9 @@ from .core import (
     frac_str,
 )
 from .errors import NotAccurateError, PreconditionError, SizeMismatchError
-from .metrics import DistanceMetric, LevelStructure, level_structure
+from .metrics import DistanceMetric, LevelStructure, deciding_committees, level_structure
 from .noise import NoiseModel, expected_gaps, make_level_model, staggered_level_model
-from .rules import (
-    AbccRule,
-    first_rival,
-    gap_rows,
-    integer_table,
-    level_gap_rows,
-    overlap_cells,
-    overlap_classes,
-)
+from .rules import AbccRule, gap_rows, integer_table, level_gap_rows, overlap_cells
 
 # Cells of the rival x group gap sums that one `gap_rows` call of
 # `accuracy_classify` returns; more zero-gap rivals are split into calls.
@@ -102,20 +94,31 @@ def accuracy_classify(rule: AbccRule, model: NoiseModel) -> AccuracyReport:
     rivals = [cmask for cmask in masks if cmask != ground.mask]
     rows = zip(rivals, expected_gaps(rule, model, ground.mask, rivals))
     gaps = {Committee(AlternativeSet(cmask, rule.m), rule.k): gap for cmask, gap in rows}
-    # the zero gaps vote by vote on the support: one group per support vote
-    # and one for the rest, all zero-gap rivals in as few calls as BATCH_CELLS allows
+    # the zero gaps vote by vote on the support. On a grid, the rivals of an
+    # overlap class move together: iff one of its vote cells with a non-zero
+    # gap lies on a level of non-zero probability. Otherwise one group per
+    # support vote and one for the rest, all zero-gap rivals in as few calls
+    # as BATCH_CELLS allows.
     zero = [rival.mask for rival, gap in gaps.items() if not gap]
     moving = set()
     if zero:
         levels, probs = model.level_form()
-        support = np.array([q != 0 for q in probs])[np.asarray(levels.level_of)]
-        shown = int(support.sum())
-        groups = np.where(support, np.cumsum(support) - 1, shown)
-        step = max(1, BATCH_CELLS // (shown + 1))
-        for lo in range(0, len(zero), step):
-            part = zero[lo : lo + step]
-            sums = gap_rows(rule, ground.mask, part, groups)[0][:, :shown]
-            moving.update(vmask for vmask, row in zip(part, sums) if row.any())
+        if levels.cells is not None:
+            f = integer_table(rule, 1)[0].tolist()
+            moves = Memo(lambda j: any(
+                gap and probs[levels.cells[x][y]]
+                for x, y, _, gap in overlap_cells(f, rule.m, rule.k, j)
+            ))
+            moving = {vmask for vmask in zero if moves[(ground.mask & vmask).bit_count()]}
+        else:
+            support = np.array([q != 0 for q in probs])[np.asarray(levels.level_of)]
+            shown = int(support.sum())
+            groups = np.where(support, np.cumsum(support) - 1, shown)
+            step = max(1, BATCH_CELLS // (shown + 1))
+            for lo in range(0, len(zero), step):
+                part = zero[lo : lo + step]
+                sums = gap_rows(rule, ground.mask, part, groups)[0][:, :shown]
+                moving.update(vmask for vmask, row in zip(part, sums) if row.any())
     rival_status = {
         rival: ("positive" if gap > 0 else "negative") if gap
         else "zero_mean" if rival.mask in moving else "zero_tie"
@@ -323,9 +326,9 @@ def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerd
 
     A table metric is decided pair by pair. A signature metric is decided
     on the overlap classes j = |U ∩ V|, whose pairs share their level gap
-    coefficients: one row per class, from the first committee against the
-    smallest rival of each class. Every ground meets a rival of each class,
-    so these pairs hold the first failing pair of a pair-by-pair sweep.
+    coefficients: one row per class, from the pairs of `deciding_committees`,
+    the first committee against the smallest rival of each class, which
+    hold the first failing pair of a pair-by-pair sweep.
     """
     if rule.m != metric.m:
         raise PreconditionError("rule and metric universe sizes differ")
@@ -333,16 +336,13 @@ def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerd
     by_class = metric._signature is not None
     if by_class:
         check_classes(m, k)
-        masks = [(1 << k) - 1, *(first_rival(k, j) for j in reversed(overlap_classes(m, k)))]
-        grounds = masks[:1]
         if comb(m, k) * (comb(m, k) - 1) <= MAX_PAIR_ROWS:
             # a verdict that `verdict_to_json` lists pair by pair looks up each
             # ground's level structure (one object on the shared grid), as the
             # table sweep does, so a traced run (bench/shim.py) counts one per ground
             for mask in committee_masks(m, k)[1:]:
                 level_structure(metric, Committee(AlternativeSet(mask, m), k))
-    else:
-        masks = grounds = committee_masks(m, k)
+    grounds, masks = deciding_committees(metric, k)
     committees = {mask: Committee(AlternativeSet(mask, m), k) for mask in masks}
     fractions = Memo(lambda key: Fraction(*key))  # one per distinct (min_prefix, scale)
     rows = []

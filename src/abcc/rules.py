@@ -27,8 +27,10 @@ from .core import (  # RULE_KINDS is re-exported
     check_k,
     committee_masks,
     feasible_pairs,
+    first_rival,
     frac_str,
     mask_words,
+    overlap_classes,
     parse_frac,
     popcount,
     read_json,
@@ -311,16 +313,6 @@ def winners(rule: AbccRule, profile: Profile) -> list[Committee]:
 # pair onto any other pair with the same overlap j = |U ∩ V|, and a vote S
 # with it, so the votes of a pair fall into cells by their counts (a, b, c, d)
 # in U ∩ V, U ∖ V, V ∖ U and the r = m - 2k + j other alternatives.
-
-def overlap_classes(m: int, k: int) -> range:
-    """The overlaps j = |U ∩ V| of two distinct k-committees among m alternatives."""
-    return range(max(0, 2 * k - m), k)
-
-
-def first_rival(k: int, j: int) -> int:
-    """The smallest committee mask that meets the first one, 2^k - 1, in j members."""
-    return (1 << j) - 1 | ((1 << (k - j)) - 1) << k
-
 
 def overlap_cells(f, m: int, k: int, j: int):
     """Yield (x, y, w, gap) per vote cell of a pair in class j: a vote S of the

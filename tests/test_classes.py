@@ -34,12 +34,20 @@ from hypothesis import strategies as st
 import numpy as np
 
 import reference
-from abcc.core import AlternativeSet, Committee, committee_masks, default_universe, feasible_pairs
-from abcc.metrics import DistanceMetric, make_metric
+from abcc.core import (
+    AlternativeSet,
+    Committee,
+    committee_masks,
+    default_universe,
+    feasible_pairs,
+    first_rival,
+)
+from abcc.metrics import DistanceMetric, level_structure, make_metric
 from abcc.noise import expected_gaps, make_level_model, make_mp
 from abcc.oracle import (
     ACCURATE,
     DEGENERATE_NOT_ROBUST,
+    NOT_ACCURATE,
     NOT_ROBUST,
     accuracy_classify,
     gap_analysis,
@@ -47,7 +55,7 @@ from abcc.oracle import (
     sample_size_bound,
     verdict_to_json,
 )
-from abcc.rules import AbccRule, first_rival, is_nontrivial, make_rule
+from abcc.rules import AbccRule, is_nontrivial, make_rule
 from conftest import random_strict_model
 
 BUILTIN_METRICS = ["set_difference", "jaccard", "zelinka", "bunke_shearer", "trivial"]
@@ -71,6 +79,11 @@ def catalog(m, k):
     rules.append(make_rule("thiele", m, k, weights=[(3 * i) % 4 for i in range(1, k + 1)]))
     rules.append(make_rule("p_geometric", m, k, p=Fraction(3, 2)))
     return rules
+
+
+def flat_rule(m, k):
+    """f(x, y) = y: every committee scores every vote alike."""
+    return make_rule("custom", m, k, table={xy: Fraction(xy[1]) for xy in feasible_pairs(m, k)})
 
 
 def assert_same_verdict(rule, metric):
@@ -107,10 +120,9 @@ def test_catalog_classes_match_the_pair_sweep(m, k):
 def test_degenerate_witnesses_cover_both_flags():
     # scores that ignore the overlap tie every pair vote by vote; cc x trivial
     # only cancels over the votes at distance 1
-    flat = make_rule("custom", 4, 2, table={xy: Fraction(xy[1]) for xy in feasible_pairs(4, 2)})
     flags = [
         assert_same_verdict(rule, make_metric("trivial", 4)).witness.identically_zero
-        for rule in (flat, make_rule("cc", 4, 2))
+        for rule in (flat_rule(4, 2), make_rule("cc", 4, 2))
     ]
     assert flags == [True, False]
 
@@ -249,3 +261,57 @@ def test_av_accuracy_and_sample_size_at_m40():
     assert report.worst()[1] == Fraction(1, 2)
     # n = ceil(6^2 / (2 (1/2)^2) ln(2 * 40^3 / 0.05)) = ceil(72 ln 2,560,000)
     assert sample_size_bound(av, model, 0.05).n == 1063
+
+
+# ---------------------------------------------------------------------------
+# The zero-gap split of `accuracy_classify`: on a grid model by the vote cells
+# of each overlap class, against the vote-by-vote sweep of the same model over
+# the metric written as a table.
+
+def accuracy_twins(m, k, ground, rng):
+    """(grid model, the same model over a table metric) pairs at this ground:
+    MP 3/4, and a random strict model per builtin with and without a zero tail."""
+    mp = make_mp(Fraction(3, 4), default_universe(m), ground)
+    twins = [(mp, make_level_model(as_table("set_difference", m), ground, mp.level_form()[1]))]
+    for kind in BUILTIN_METRICS:
+        for zero_tail in (False, True):
+            if zero_tail and level_structure(make_metric(kind, m), ground).spn == 0:
+                continue
+            model = random_strict_model(make_metric(kind, m), ground, rng, zero_tail=zero_tail)
+            twins.append((model, make_level_model(as_table(kind, m), ground, model.level_probs)))
+    return twins
+
+
+def assert_same_accuracy(rule, model, twin):
+    got, want = accuracy_classify(rule, model), accuracy_classify(rule, twin)
+    assert (got.status, got.gaps, got.rival_status) == (want.status, want.gaps, want.rival_status)
+    return set(got.rival_status.values())
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_zero_gap_split_on_class_cells_matches_the_vote_sweep(m):
+    rng = np.random.default_rng([17, m])
+    seen = set()
+    for k in range(1, m):
+        masks = committee_masks(m, k)
+        scripted = [flat_rule(m, k)]
+        scripted += [table_rule(m, k, rng.integers(0, 3, size=len(feasible_pairs(m, k))))
+                     for _ in range(6)]
+        for umask in (masks[0], masks[-1]):  # the first committee and another ground
+            ground = Committee(AlternativeSet(umask, m), k)
+            for model, twin in accuracy_twins(m, k, ground, rng):
+                for rule in catalog(m, k) + scripted:
+                    seen |= assert_same_accuracy(rule, model, twin)
+    if m >= 3:
+        assert {"zero_tie", "zero_mean"} <= seen
+
+
+@pytest.mark.parametrize("m", [17, 40])
+def test_flat_rule_ties_every_rival_past_the_set_cap(m):
+    # the zero gaps used to be split over the levels of all 2^m votes
+    k = 2
+    ground = Committee(AlternativeSet(0b11, m), k)
+    model = make_mp(Fraction(3, 4), default_universe(m), ground)
+    report = accuracy_classify(flat_rule(m, k), model)
+    assert report.status == NOT_ACCURATE and len(report.gaps) == comb(m, k) - 1
+    assert set(report.rival_status.values()) == {"zero_tie"}

@@ -120,9 +120,25 @@ class TestMetricCommands:
         assert code == 0
         assert scans.count(2) == 1
 
-    def test_cap_exit_3(self, capsys):
-        code, _, err = run(capsys, "check-metric", "--metric", "trivial", "--m", "17")
-        assert code == 3
+    def test_cap_exit_3(self, capsys, monkeypatch):
+        # a builtin's axioms are decided on its grid, whose Venn vectors are
+        # held to the 2^m sets; no distance row is built on the way
+        def no_rows(self, masks, terms=1):
+            raise AssertionError("a distance row was built")
+
+        monkeypatch.setattr(DistanceMetric, "rows", no_rows)
+        for metric in ("trivial", "jaccard"):
+            code, out, err = run(capsys, "check-metric", "--metric", metric, "--m", "17")
+            assert code == 3 and out == "" and "2^m sets" in err
+
+    def test_builtin_taxonomy_is_held_to_the_sets_not_the_matrix(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys,
+            "taxonomy", "--metric", "jaccard", "--m", "16", "--k", "8", "--out", str(tmp_path),
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["is_metric"] and doc["is_similarity"] and doc["witnesses"] == {}
 
     @pytest.mark.parametrize("argv", [
         ["check-metric", "--metric", "jaccard"],
@@ -160,8 +176,9 @@ class TestMetricCommands:
         assert peak < 4 << 20
 
     @pytest.mark.parametrize("argv", [
-        ["check-metric", "--metric", "jaccard", "--m", "13"],
-        ["taxonomy", "--metric", "jaccard", "--m", "13", "--k", "2"],
+        # a table file at m = 13; a builtin builds no matrix (test_cap_exit_3)
+        ["check-metric", "--metric-file", "{table13}", "--m", "13"],
+        ["taxonomy", "--metric-file", "{table13}", "--m", "13", "--k", "2"],
         # the digits of its pair count used to end in a traceback, after 2M labels
         ["check-metric", "--metric-file", "{huge_table}", "--m", "3"],
         ["counterexample", "--rule", "cc", "--m", "13", "--k", "2"],
@@ -173,7 +190,9 @@ class TestMetricCommands:
 
         huge_table = tmp_path / "huge_table.json"
         huge_table.write_text(json.dumps({"m": 2000000, "entries": []}))
-        argv = [arg.format(huge_table=huge_table) for arg in argv]
+        table13 = tmp_path / "table13.json"
+        table13.write_text(json.dumps({"m": 13, "default": "1", "entries": []}))
+        argv = [arg.format(huge_table=huge_table, table13=table13) for arg in argv]
 
         monkeypatch.setattr(DistanceMetric, "rows", no_rows)
         tracemalloc.start()
@@ -259,13 +278,15 @@ class TestOracleCommands:
             raise AssertionError("a robustness verdict ran")
 
         monkeypatch.setattr("abcc.experiments.robustness_verdict", no_verdict)
+        # the builtins build no matrix: the taxonomy's sweeps over the 2^m
+        # sets are the tightest limit, which the command checks first
         code, out, err = run(
             capsys,
             "hierarchy", "--rules", "av,cc,pav", "--metrics", "jaccard,zelinka",
-            "--m", "13", "--k", "3", "--out", str(tmp_path),
+            "--m", "17", "--k", "3", "--out", str(tmp_path),
         )
         assert code == 3 and out == ""
-        assert err.startswith("error: ") and "cells" in err
+        assert err.startswith("error: ") and "2^m sets" in err
 
     def test_counterexample_cc(self, tmp_path, capsys):
         code, out, _ = run(

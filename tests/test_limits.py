@@ -2,13 +2,15 @@
 
 The limits and their checks live in `abcc.core`: m <= MAX_M for the
 2^m sets (`check_sets`), C(m, k) <= MAX_COMMITTEES for the committees
-(`check_committees`, which `committee_masks` calls), 4^m <= MAX_MATRIX_CELLS for the full distance
-matrix (`check_matrix`) and MAX_CLASS_WORK for the overlap classes of a
+(`check_committees`, which `committee_masks` calls), 4^m <= MAX_MATRIX_CELLS for a table
+metric's full distance matrix (`check_matrix`) and MAX_CLASS_WORK for the overlap classes of a
 signature-metric verdict and of the nontriviality check (`check_classes`).
 Each public function that enumerates must raise CapExceededError before it
 builds a distance row or allocates anything sizeable. A signature metric's
 level structure and verdict never list the 2^m sets, so they are capped by
-the classes, not by m; a table metric's still are.
+the classes, not by m; a table metric's still are. A signature metric's
+axiom check and taxonomy build no matrix, so they are held to m <= MAX_M,
+and a table metric's to the matrix cap.
 """
 
 import json
@@ -99,6 +101,9 @@ CASES = {
     "is_majority_concentric": lambda: is_majority_concentric(jaccard(S), 1),
     "is_natural": lambda: is_natural(jaccard(S), 1),
     "is_similarity": lambda: is_similarity(jaccard(S), 1),
+    "check_metric_axioms_signature": lambda: check_metric_axioms(jaccard(S)),
+    "taxonomy_report_signature": lambda: taxonomy_report(jaccard(S), 1),
+    "hierarchy_report_signature": lambda: hierarchy_report([av(S, 3)], [jaccard(S)]),
     "is_nontrivial": lambda: is_nontrivial(over_classes()),
     "prob_table": lambda: product(S).prob_table(),
     "audit_d_monotonic": lambda: audit_d_monotonic(product(S)),
@@ -120,14 +125,14 @@ CASES = {
     "accuracy_trial": lambda: accuracy_trial(av(C, K), product(C, K), 1, 1, 0),
     "mle_committees": lambda: mle_committees(Profile(()), Fraction(3, 4), C, K),
     "robustness_verdict_committees": lambda: robustness_verdict(av(C, K), table(C)),
-    # the full distance matrix
-    "check_metric_axioms": lambda: check_metric_axioms(jaccard(X)),
+    # the full distance matrix, which only a table metric's checks build
+    "check_metric_axioms": lambda: check_metric_axioms(table(X)),
     "jump_counterexample_matrix": lambda: jump_counterexample(make_rule("cc", X, 1)),
-    "is_alternative_independent": lambda: is_alternative_independent(jaccard(X)),
+    "is_alternative_independent": lambda: is_alternative_independent(table(X)),
     "random_metric_table": lambda: random_metric(X, seed=1),
     "random_metric_signature": lambda: random_metric(X, seed=1, family="signature"),
-    "taxonomy_report": lambda: taxonomy_report(jaccard(X), 1),
-    "hierarchy_report": lambda: hierarchy_report([av(X, 3)], [jaccard(X)]),
+    "taxonomy_report": lambda: taxonomy_report(table(X), 1),
+    "hierarchy_report": lambda: hierarchy_report([av(X, 3)], [table(X)]),
 }
 
 

@@ -6,7 +6,10 @@ metrics up to m = 6 (rows also at m = 18), on every random-metric family,
 on raw tables and asymmetric matrices that break each axiom, and on
 distances whose scaled integers do not fit in int64. The axioms of
 signature metrics, decided on Venn-region counts, are checked against the
-matrix scan up to m = 8 and on signature forms that break each axiom."""
+matrix scan up to m = 8 and on signature forms that break each axiom. Their
+majority-concentric, natural and similarity checks, decided on the first
+committee and one rival per overlap class, are checked against the
+reference's sweep over every ground on signature forms that fail them."""
 
 import dataclasses
 import itertools
@@ -26,11 +29,14 @@ from abcc.core import (
     popcount,
     scaled_integers,
 )
-from abcc.errors import CapExceededError
+from abcc.errors import CapExceededError, InvalidCommitteeSizeError
 from abcc.metrics import (
     DistanceMetric,
     check_metric_axioms,
     is_alternative_independent,
+    is_majority_concentric,
+    is_natural,
+    is_similarity,
     level_structure,
     make_metric,
     neighborhood_count,
@@ -295,9 +301,10 @@ def test_full_matrix_budget(check, monkeypatch):
     assert 1 << 2 * 12 == MAX_MATRIX_CELLS
     with pytest.raises(Built):  # m = 12 passes the budget and builds rows
         check(table_metric(12))
-    for metric in (table_metric(13), make_metric("jaccard", 13)):
-        with pytest.raises(CapExceededError):
-            check(metric)
+    with pytest.raises(CapExceededError):
+        check(table_metric(13))
+    # a signature metric is decided without a matrix, so the budget does not hold it
+    assert check(make_metric("jaccard", 13)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +373,55 @@ def test_signature_axioms_at_m12_build_no_row(monkeypatch):
     assert check_metric_axioms(metric).ok
     assert is_alternative_independent(metric).ok
     assert time.perf_counter() - start < 1
+
+
+# ---------------------------------------------------------------------------
+# The classifiers of signature metrics, decided on the first committee and one
+# rival per overlap class, against the reference's sweep over every ground.
+
+# signature forms g(a, b, c) = d(X, Y), a = |X∖Y|, b = |Y∖X|, c = |X∩Y|,
+# that fail some classifier; the classifiers do not ask for a metric
+CLASSIFIER_FORMS = [
+    lambda a, b, c: Fraction(c + 1 if a or b else 0),  # the more U and S share, the farther
+    lambda a, b, c: Fraction((a - b) ** 2 + c if a or b else 0),
+    lambda a, b, c: Fraction(5 if a + b == 2 else a + b),
+]
+
+
+def random_form(seed):
+    """A seeded symmetric signature form with values in 1..3 off the diagonal."""
+    values = np.random.default_rng(seed).integers(1, 4, size=(8, 8, 8))
+    return lambda a, b, c: Fraction(int(values[min(a, b), max(a, b), c]) if a or b else 0)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_signature_classifiers_match_the_sweep_over_every_ground(m):
+    classifiers = {
+        is_majority_concentric: lambda metric, k: reference.majority_concentric(metric, k),
+        is_natural: lambda metric, k: reference.overlap_triples(metric, k, strict=False),
+        is_similarity: lambda metric, k: reference.overlap_triples(metric, k, strict=True),
+    }
+    forms = CLASSIFIER_FORMS + [random_form([m, seed]) for seed in range(4)]
+    outcomes = set()
+    for i, form in enumerate(forms):
+        metric = DistanceMetric(f"form{i}", m, signature=form)
+        for k in range(1, m + 1):
+            for check, sweep in classifiers.items():
+                result = check(metric, k)
+                expected = sweep(metric, k)
+                assert (None if result.ok else masks_of(result.witness)) == expected
+                outcomes.add((check, result.ok))
+    if m >= 3:
+        assert outcomes == set(itertools.product(classifiers, (True, False)))
+
+
+@pytest.mark.parametrize("metric", [make_metric("jaccard", 4), random_metric(4, seed=1)],
+                         ids=["signature", "table"])
+def test_classifiers_refuse_a_bad_committee_size(metric):
+    for k in (-1, 0, 5):
+        for check in (is_majority_concentric, is_natural, is_similarity, taxonomy_report):
+            with pytest.raises(InvalidCommitteeSizeError):
+                check(metric, k)
 
 
 # ---------------------------------------------------------------------------

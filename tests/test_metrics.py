@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from abcc.core import default_universe
-from abcc.errors import MetricAxiomError, ProfileParseError
+from abcc.errors import MetricAxiomError, PreconditionError, ProfileParseError
 from abcc.metrics import (
     check_metric_axioms,
     is_alternative_independent,
@@ -142,6 +142,14 @@ class TestNeighborhoodCounts:
         assert neighborhood_count(d, ground, 0, 2, 0) == 1  # a in U, c not
         assert neighborhood_count(d, ground, 2, 0, 0) == 0  # c not in U
         assert neighborhood_count(d, ground, 2, 3, 0) == 0
+
+    def test_alternatives_outside_the_universe_are_refused(self, u4):
+        # a = 7 at m = 4 used to count no set
+        d = make_metric("jaccard", 4)
+        ground = committee_of(u4, ["a", "b"])
+        for a, b in [(7, 2), (0, 4), (-1, 2), (1, 1)]:
+            with pytest.raises(PreconditionError):
+                neighborhood_count(d, ground, a, b, 0)
 
     def test_full_radius_counts_quarter_of_power_set(self, u4):
         d = make_metric("set_difference", 4)

@@ -272,6 +272,14 @@ class TestAvRefutation:
         with pytest.raises(PreconditionError):
             av_refutation_model(d, ground, 0, 2, 1)
 
+    @pytest.mark.parametrize("a,b", [(7, 2), (0, 7), (-1, 2), (2, 3), (0, 1)])
+    def test_a_member_and_an_outsider_required(self, a, b):
+        # a = 7 at m = 5 used to end in DeltaSearchError
+        d = make_metric("zelinka", 5)
+        ground = Committee(AlternativeSet(0b11, 5), 2)
+        with pytest.raises(PreconditionError):
+            av_refutation_model(d, ground, a, b, 1)
+
 
 class TestModelFiles:
     def test_mp_round_trip(self, u4):
