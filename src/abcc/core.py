@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import string
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -72,20 +71,51 @@ METRIC_KINDS = (
 RNG_SCHEME = "numpy-pcg64; per-trial streams via SeedSequence(seed).spawn"
 
 
-@dataclass(frozen=True)
-class Universe:
+class Frozen:
+    """A value that cannot change, as a frozen dataclass: assignment raises
+    AttributeError. A subclass sets its fields in `__init__` past
+    `__setattr__` and returns them from `_values()`, which decides equality
+    (within the class only), hashing and copying."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+_set = object.__setattr__
+
+
+class Universe(Frozen):
     """A fixed, totally ordered set of m distinctly labeled alternatives."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        if len(self.names) == 0:
-            # m = 0 is allowed for the degenerate power-set {empty set}
-            return
-        if not all(isinstance(name, str) for name in self.names):
+    def __init__(self, names: tuple[str, ...]):
+        # m = 0 is allowed for the degenerate power-set {empty set}
+        if not all(isinstance(name, str) for name in names):
             raise ValueError("alternative labels must be strings")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("alternative labels must be pairwise distinct")
+        _set(self, "names", names)
+
+    def _values(self):
+        return (self.names,)
+
+    def __repr__(self):
+        return f"Universe(names={self.names!r})"
 
     @property
     def m(self) -> int:
@@ -113,16 +143,27 @@ def default_universe(m: int) -> Universe:
     return Universe(tuple(f"x{i}" for i in range(m)))
 
 
-@dataclass(frozen=True, order=True)
-class AlternativeSet:
-    """A subset of the universe, stored as a bitmask of member indices."""
+@functools.total_ordering
+class AlternativeSet(Frozen):
+    """A subset of the universe, stored as a bitmask of member indices;
+    ordered by (mask, m)."""
 
-    mask: int
-    m: int
+    __slots__ = ("mask", "m")
 
-    def __post_init__(self):
-        if self.mask < 0 or self.mask >> self.m:
-            raise ValueError(f"mask {self.mask:#x} has bits outside 0..{self.m - 1}")
+    def __init__(self, mask: int, m: int):
+        if mask < 0 or mask >> m:
+            raise ValueError(f"mask {mask:#x} has bits outside 0..{m - 1}")
+        _set(self, "mask", mask)
+        _set(self, "m", m)
+
+    def _values(self):
+        return self.mask, self.m
+
+    def __repr__(self):
+        return f"AlternativeSet(mask={self.mask!r}, m={self.m!r})"
+
+    def __lt__(self, other):
+        return self._values() < other._values() if type(other) is type(self) else NotImplemented
 
     @classmethod
     def from_indices(cls, indices, m: int) -> AlternativeSet:
@@ -166,20 +207,29 @@ class AlternativeSet:
         return iter(self.indices())
 
 
-@dataclass(frozen=True, order=True)
-class Committee:
-    """An alternative set of exactly k members."""
+@functools.total_ordering
+class Committee(Frozen):
+    """An alternative set of exactly k members; ordered by (members, k)."""
 
-    members: AlternativeSet
-    k: int
+    __slots__ = ("members", "k")
 
-    def __post_init__(self):
-        if self.k <= 0:
-            raise InvalidCommitteeSizeError(f"k must be positive, got {self.k}")
-        if self.members.size != self.k:
+    def __init__(self, members: AlternativeSet, k: int):
+        if k <= 0:
+            raise InvalidCommitteeSizeError(f"k must be positive, got {k}")
+        if members.size != k:
             raise InvalidCommitteeSizeError(
-                f"committee has {self.members.size} members, expected k={self.k}"
+                f"committee has {members.size} members, expected k={k}"
             )
+        _set(self, "members", members)
+        _set(self, "k", k)
+
+    def _values(self):
+        return self.members, self.k
+
+    def __repr__(self):
+        return f"Committee(members={self.members!r}, k={self.k!r})"
+
+    __lt__ = AlternativeSet.__lt__  # on _values(), within the class
 
     @classmethod
     def from_indices(cls, indices, m: int) -> Committee:
@@ -198,16 +248,21 @@ class Committee:
         return self.members.labels(universe)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Frozen):
     """An ordered list of approval votes; votes may repeat, empty votes allowed."""
 
-    votes: tuple[AlternativeSet, ...]
+    __slots__ = ("votes",)
 
-    def __post_init__(self):
-        ms = {v.m for v in self.votes}
-        if len(ms) > 1:
+    def __init__(self, votes: tuple[AlternativeSet, ...]):
+        if len({v.m for v in votes}) > 1:
             raise ValueError("all votes must live in the same universe")
+        _set(self, "votes", votes)
+
+    def _values(self):
+        return (self.votes,)
+
+    def __repr__(self):
+        return f"Profile(votes={self.votes!r})"
 
     @property
     def n(self) -> int:

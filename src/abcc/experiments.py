@@ -9,7 +9,6 @@ so identical seeds reproduce outputs bit for bit.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -18,6 +17,7 @@ import numpy as np
 from .core import (
     AlternativeSet,
     Committee,
+    Frozen,
     Profile,
     check_k,
     committee_masks,
@@ -75,19 +75,27 @@ def accuracy_trial(rule: AbccRule, model: NoiseModel, n: int, trials: int, seed)
     )
 
 
-@dataclass(frozen=True)
-class TrialConfig:
-    rule: AbccRule
-    model: NoiseModel
-    n_grid: tuple[int, ...]
-    trials: int
-    seed: int
+class TrialConfig(Frozen):
+    __slots__ = ("rule", "model", "n_grid", "trials", "seed")
 
-    def __post_init__(self):
-        if any(n < 1 for n in self.n_grid):
+    def __init__(
+        self, rule: AbccRule, model: NoiseModel, n_grid: tuple[int, ...], trials: int, seed: int
+    ):
+        if any(n < 1 for n in n_grid):
             raise PreconditionError("all grid sizes must be >= 1")
-        if self.trials < 1:
+        if trials < 1:
             raise PreconditionError("trials must be >= 1")
+        for name, value in zip(self.__slots__, (rule, model, n_grid, trials, seed)):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return self.rule, self.model, self.n_grid, self.trials, self.seed
+
+    def __repr__(self):
+        return (
+            f"TrialConfig(rule={self.rule!r}, model={self.model!r}, n_grid={self.n_grid!r}, "
+            f"trials={self.trials!r}, seed={self.seed!r})"
+        )
 
 
 class CurveRow(NamedTuple):
@@ -97,8 +105,7 @@ class CurveRow(NamedTuple):
     wrong: Fraction
 
 
-@dataclass(frozen=True)
-class ConvergenceCurve:
+class ConvergenceCurve(NamedTuple):
     rows: tuple[CurveRow, ...]
     rule_name: str
     model_kind: str
@@ -208,8 +215,7 @@ def mle_equivalence_check(
 # ---------------------------------------------------------------------------
 # Hierarchy report.
 
-@dataclass(frozen=True)
-class HierarchyReport:
+class HierarchyReport(NamedTuple):
     m: int
     k: int
     rule_names: tuple[str, ...]

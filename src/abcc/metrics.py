@@ -8,10 +8,10 @@ and strict sign comparisons, so floats never enter here.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .core import (  # METRIC_KINDS is re-exported
     METRIC_KINDS,
     AlternativeSet,
     Committee,
+    Frozen,
     Memo,
     Universe,
     binomial_row,
@@ -210,8 +211,7 @@ def _normalize_table(m, table, default=None) -> dict[tuple[int, int], Fraction]:
     return clean
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     ok: bool
     axiom: str | None = None
     witness: tuple[AlternativeSet, ...] | None = None
@@ -287,8 +287,7 @@ def _signature_axioms_hold(metric: DistanceMetric) -> bool:
     return bool((d_xz <= d_xy + d_yz).all())
 
 
-@dataclass(frozen=True)
-class LevelStructure:
+class LevelStructure(Frozen):
     """Distinct distances from a ground committee and the induced partition.
 
     values[t] is the t-th smallest distance (values[0] = 0) and sizes[t]
@@ -298,11 +297,24 @@ class LevelStructure:
     m within `check_classes`; a table metric's gives each set's level in `sets`.
     """
 
-    ground: Committee
-    values: tuple[Fraction, ...]
-    sizes: tuple[int, ...]
-    cells: tuple[tuple[int, ...], ...] | None = None
-    sets: tuple[int, ...] | None = field(default=None, repr=False)
+    def __init__(
+        self,
+        ground: Committee,
+        values: tuple[Fraction, ...],
+        sizes: tuple[int, ...],
+        cells: tuple[tuple[int, ...], ...] | None = None,
+        sets: tuple[int, ...] | None = None,
+    ):
+        vars(self).update(ground=ground, values=values, sizes=sizes, cells=cells, sets=sets)
+
+    def _values(self):
+        return self.ground, self.values, self.sizes, self.cells, self.sets
+
+    def __repr__(self):  # without `sets`, one level per set
+        return (
+            f"LevelStructure(ground={self.ground!r}, values={self.values!r}, "
+            f"sizes={self.sizes!r}, cells={self.cells!r})"
+        )
 
     @property
     def spn(self) -> int:
@@ -404,8 +416,7 @@ def _ball_counts(levels: LevelStructure, marked) -> np.ndarray:
     return counts.reshape(-1, width).cumsum(axis=0)
 
 
-@dataclass(frozen=True)
-class MetricPropertyCheck:
+class MetricPropertyCheck(NamedTuple):
     ok: bool
     witness: tuple | None = None
 
@@ -606,8 +617,7 @@ def _random_signature_metric(m, rng, monotone, perturb, tag) -> DistanceMetric:
 # ---------------------------------------------------------------------------
 # Taxonomy report.
 
-@dataclass(frozen=True)
-class TaxonomyReport:
+class TaxonomyReport(NamedTuple):
     metric_name: str
     m: int
     k: int
@@ -629,33 +639,24 @@ class TaxonomyReport:
 
 
 def taxonomy_report(metric: DistanceMetric, k: int) -> TaxonomyReport:
-    """Run all metric classifiers and collect counterexample witnesses."""
+    """Run all metric classifiers and collect counterexample witnesses.
+
+    A distance that fails the axioms gets a report too. Where d(U, U) != 0
+    on a committee U, `is_majority_concentric` has no level structure to
+    run on, and fails with the axiom witness, (axiom, sets).
+    """
     axioms = check_metric_axioms(metric)
-    concentric = is_majority_concentric(metric, k)
-    natural = is_natural(metric, k)
-    similarity = is_similarity(metric, k)
-    alt_indep = is_alternative_independent(metric)
-    witnesses = {}
-    if not axioms.ok:
-        witnesses["is_metric"] = (axioms.axiom, axioms.witness)
-    if not concentric.ok:
-        witnesses["is_majority_concentric"] = concentric.witness
-    if not natural.ok:
-        witnesses["is_natural"] = natural.witness
-    if not similarity.ok:
-        witnesses["is_similarity"] = similarity.witness
-    if not alt_indep.ok:
-        witnesses["is_alternative_independent"] = alt_indep.witness
+    checks = {"is_metric": MetricPropertyCheck(axioms.ok, (axioms.axiom, axioms.witness))}
+    try:
+        checks["is_majority_concentric"] = is_majority_concentric(metric, k)
+    except MetricAxiomError:  # only a non-metric has no level structure
+        checks["is_majority_concentric"] = checks["is_metric"]
+    checks["is_natural"] = is_natural(metric, k)
+    checks["is_similarity"] = is_similarity(metric, k)
+    checks["is_alternative_independent"] = is_alternative_independent(metric)
+    witnesses = {flag: check.witness for flag, check in checks.items() if not check}
     return TaxonomyReport(
-        metric.name,
-        metric.m,
-        k,
-        axioms.ok,
-        concentric.ok,
-        natural.ok,
-        similarity.ok,
-        alt_indep.ok,
-        witnesses,
+        metric.name, metric.m, k, *(check.ok for check in checks.values()), witnesses
     )
 
 

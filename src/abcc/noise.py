@@ -14,8 +14,8 @@ product model is the `set_difference` level model.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .core import (  # RNG_SCHEME is re-exported
     RNG_SCHEME,
     AlternativeSet,
     Committee,
+    Frozen,
     Profile,
     Universe,
     check_matrix,
@@ -54,17 +55,36 @@ from .metrics import (
 from .rules import AbccRule, level_gap_rows, make_rule
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Distribution over all subsets conditioned on a ground committee."""
+class NoiseModel(Frozen):
+    """Distribution over all subsets conditioned on a ground committee.
+    Equality and hashing ignore `metric` and `levels`."""
 
-    kind: str  # "product" | "level"
-    universe: Universe
-    ground: Committee
-    p: Fraction | None = None
-    metric: DistanceMetric | None = field(default=None, compare=False)
-    level_probs: tuple[Fraction, ...] | None = None
-    levels: LevelStructure | None = field(default=None, compare=False)
+    def __init__(
+        self,
+        kind: str,  # "product" | "level"
+        universe: Universe,
+        ground: Committee,
+        p: Fraction | None = None,
+        metric: DistanceMetric | None = None,
+        level_probs: tuple[Fraction, ...] | None = None,
+        levels: LevelStructure | None = None,
+    ):
+        vars(self).update(
+            kind=kind, universe=universe, ground=ground, p=p,
+            metric=metric, level_probs=level_probs, levels=levels,
+        )
+
+    def _values(self):
+        return self.kind, self.universe, self.ground, self.p, self.level_probs
+
+    __reduce__ = object.__reduce__  # a copy keeps every field, not only _values()
+
+    def __repr__(self):
+        return (
+            f"NoiseModel(kind={self.kind!r}, universe={self.universe!r}, "
+            f"ground={self.ground!r}, p={self.p!r}, metric={self.metric!r}, "
+            f"level_probs={self.level_probs!r}, levels={self.levels!r})"
+        )
 
     @property
     def m(self) -> int:
@@ -239,8 +259,7 @@ def sample_profile(model: NoiseModel, n: int, seed) -> Profile:
 # ---------------------------------------------------------------------------
 # Adversarial constructions.
 
-@dataclass(frozen=True)
-class CounterexamplePackage:
+class CounterexamplePackage(NamedTuple):
     """A metric + model under which the rule prefers a rival to the ground truth."""
 
     metric: DistanceMetric

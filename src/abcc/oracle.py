@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -35,6 +34,7 @@ from .core import (
     MAX_PAIR_ROWS,
     AlternativeSet,
     Committee,
+    Frozen,
     Memo,
     check_classes,
     committee_masks,
@@ -67,8 +67,7 @@ def expected_gap(rule: AbccRule, model: NoiseModel, ground: Committee, rival: Co
     return expected_gaps(rule, model, ground.mask, [rival.mask])[0]
 
 
-@dataclass(frozen=True)
-class AccuracyReport:
+class AccuracyReport(NamedTuple):
     status: str
     ground: Committee
     gaps: dict  # rival Committee -> exact gap
@@ -131,8 +130,7 @@ def accuracy_classify(rule: AbccRule, model: NoiseModel) -> AccuracyReport:
 # ---------------------------------------------------------------------------
 # (ground, rival) bijections.
 
-@dataclass(frozen=True)
-class UVBijection:
+class UVBijection(NamedTuple):
     """Pointwise swap of ground \\ rival with rival \\ ground, fixing the rest.
 
     The induced set map preserves cardinality and swaps the two overlap
@@ -170,8 +168,7 @@ def uv_bijection(ground: Committee, rival: Committee) -> UVBijection:
 # ---------------------------------------------------------------------------
 # Level gap coefficients and prefix sums.
 
-@dataclass(frozen=True)
-class GapAnalysis:
+class GapAnalysis(NamedTuple):
     """Per-level gap coefficients c_t and their prefix sums for one pair."""
 
     rule_name: str
@@ -267,8 +264,7 @@ class ClassSummary(NamedTuple):
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class NotRobustWitness:
+class NotRobustWitness(NamedTuple):
     ground: Committee
     rival: Committee
     level_index: int
@@ -276,26 +272,41 @@ class NotRobustWitness:
     gap: Fraction
 
 
-@dataclass(frozen=True)
-class DegenerateWitness:
+class DegenerateWitness(NamedTuple):
     ground: Committee
     rival: Committee
     model: NoiseModel
     identically_zero: bool
 
 
-@dataclass(frozen=True)
-class RobustnessVerdict:
+class RobustnessVerdict(Frozen):
     """`rows` holds one PairSummary per ordered committee pair (table
     metrics) or one ClassSummary per overlap class (signature metrics)."""
 
-    status: str
-    rule_name: str
-    metric_name: str
-    m: int
-    k: int
-    witness: NotRobustWitness | DegenerateWitness | None
-    rows: tuple[PairSummary, ...] | tuple[ClassSummary, ...]
+    def __init__(
+        self,
+        status: str,
+        rule_name: str,
+        metric_name: str,
+        m: int,
+        k: int,
+        witness: NotRobustWitness | DegenerateWitness | None,
+        rows: tuple[PairSummary, ...] | tuple[ClassSummary, ...],
+    ):
+        vars(self).update(
+            status=status, rule_name=rule_name, metric_name=metric_name,
+            m=m, k=k, witness=witness, rows=rows,
+        )
+
+    def _values(self):
+        return self.status, self.rule_name, self.metric_name, self.m, self.k, self.witness, self.rows
+
+    def __repr__(self):
+        return (
+            f"RobustnessVerdict(status={self.status!r}, rule_name={self.rule_name!r}, "
+            f"metric_name={self.metric_name!r}, m={self.m!r}, k={self.k!r}, "
+            f"witness={self.witness!r}, rows={self.rows!r})"
+        )
 
     @functools.cached_property
     def pair_summaries(self) -> tuple[PairSummary, ...]:
@@ -420,8 +431,7 @@ def _negative_gap_witness(metric, ground, levels, coeffs, j):
 # ---------------------------------------------------------------------------
 # Sample-size bound from the concentration argument.
 
-@dataclass(frozen=True)
-class SampleSizeBound:
+class SampleSizeBound(NamedTuple):
     n: int
     mu_min: Fraction
     a_prime: Fraction

@@ -10,7 +10,6 @@ Sweeps over many votes run on the table scaled to exact integers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -39,8 +38,7 @@ from .core import (  # RULE_KINDS is re-exported
 from .errors import DomainMismatchError, InvalidRuleError, ProfileParseError
 
 
-@dataclass(frozen=True)
-class AbccRule:
+class AbccRule(NamedTuple):
     """Score table over the feasible (x, y) domain for fixed (m, k)."""
 
     name: str

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -130,6 +132,66 @@ class TestSets:
     def test_mask_bounds(self):
         with pytest.raises(ValueError):
             AlternativeSet(8, 3)
+
+    def test_value_semantics(self):
+        a, b = AlternativeSet(1, 3), AlternativeSet(3, 3)
+        c = Committee(b, 2)
+        u = Universe(("a", "b", "c"))
+        p = Profile((a, b, a))
+        assert repr(a) == "AlternativeSet(mask=1, m=3)"
+        assert repr(c) == "Committee(members=AlternativeSet(mask=3, m=3), k=2)"
+        assert repr(u) == "Universe(names=('a', 'b', 'c'))"
+        assert repr(Profile((a,))) == "Profile(votes=(AlternativeSet(mask=1, m=3),))"
+        # equal by fields within a class only, hashed as the field tuple
+        copies = [AlternativeSet(1, 3), Committee(AlternativeSet(3, 3), 2),
+                  Universe(("a", "b", "c")), Profile((a, b, AlternativeSet(1, 3)))]
+        for value, same in zip([a, c, u, p], copies):
+            assert value == same and hash(value) == hash(same) and value is not same
+            assert copy.copy(value) == copy.deepcopy(value) == pickle.loads(pickle.dumps(value))
+        assert hash(AlternativeSet(3, 4)) == hash((3, 4))
+        assert hash(c) == hash((b, 2))
+        assert AlternativeSet(3, 4) != (3, 4)
+        assert AlternativeSet(3, 4) != AlternativeSet(3, 5)
+        assert c != b and b != c
+        assert u != ("a", "b", "c") and p != (a, b, a)
+        assert Universe(()) != Universe(("a",))
+        assert len({a, b, AlternativeSet(1, 3), AlternativeSet(1, 4)}) == 3
+        # sets order by (mask, m), committees by (members, k)
+        sets = [AlternativeSet(3, 3), AlternativeSet(1, 4), AlternativeSet(1, 3)]
+        assert sorted(sets) == [AlternativeSet(1, 3), AlternativeSet(1, 4), AlternativeSet(3, 3)]
+        assert a < b and a <= b and b > a and b >= a and a <= AlternativeSet(1, 3)
+        committees = [Committee(AlternativeSet(mask, 4), 2) for mask in (0b1100, 0b0101, 0b0011)]
+        assert [x.mask for x in sorted(committees)] == [0b0011, 0b0101, 0b1100]
+        assert Committee(AlternativeSet(3, 3), 2) < Committee(AlternativeSet(3, 4), 2)
+        for left, right in [(a, c), (c, a), (a, (1, 3)), (u, u), (p, p)]:
+            with pytest.raises(TypeError):
+                left < right
+        # immutable
+        for value, field in [(a, "mask"), (c, "k"), (u, "names"), (p, "votes")]:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            with pytest.raises(AttributeError):
+                value.extra = 1
+        # validation: each error type and message
+        cases = [
+            (lambda: AlternativeSet(8, 3), ValueError, "mask 0x8 has bits outside 0..2"),
+            (lambda: AlternativeSet(-1, 3), ValueError, "mask -0x1 has bits outside 0..2"),
+            (lambda: Committee(b, 0), InvalidCommitteeSizeError, "k must be positive, got 0"),
+            (lambda: Committee(b, 1), InvalidCommitteeSizeError,
+             "committee has 2 members, expected k=1"),
+            (lambda: Universe(("a", 1)), ValueError, "alternative labels must be strings"),
+            (lambda: Universe(("a", "a")), ValueError,
+             "alternative labels must be pairwise distinct"),
+            (lambda: Profile((a, AlternativeSet(1, 4))), ValueError,
+             "all votes must live in the same universe"),
+        ]
+        for build, error, message in cases:
+            with pytest.raises(error) as caught:
+                build()
+            assert type(caught.value) is error and str(caught.value) == message
+        assert Universe(()).m == 0 and Profile(()).n == 0
 
 
 class TestFractionStrings:

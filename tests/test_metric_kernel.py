@@ -11,7 +11,6 @@ majority-concentric, natural and similarity checks, decided on the first
 committee and one rival per overlap class, are checked against the
 reference's sweep over every ground on signature forms that fail them."""
 
-import dataclasses
 import itertools
 import time
 from fractions import Fraction
@@ -29,7 +28,7 @@ from abcc.core import (
     popcount,
     scaled_integers,
 )
-from abcc.errors import CapExceededError, InvalidCommitteeSizeError
+from abcc.errors import CapExceededError, InvalidCommitteeSizeError, MetricAxiomError
 from abcc.metrics import (
     DistanceMetric,
     check_metric_axioms,
@@ -43,7 +42,7 @@ from abcc.metrics import (
     random_metric,
     taxonomy_report,
 )
-from abcc.noise import audit_d_monotonic, make_mp, staggered_level_model
+from abcc.noise import NoiseModel, audit_d_monotonic, make_mp, staggered_level_model
 
 BUILTIN_METRICS = ["set_difference", "jaccard", "zelinka", "bunke_shearer", "trivial"]
 
@@ -424,6 +423,32 @@ def test_classifiers_refuse_a_bad_committee_size(metric):
                 check(metric, k)
 
 
+def test_taxonomy_of_a_distance_without_level_structures():
+    # d(X, Y) = |X∖Y| + |Y∖X|, but 1 from a singleton to itself: no metric,
+    # and at k = 1 no committee has a level structure
+    form = lambda a, b, c: Fraction(1 if (a, b, c) == (0, 0, 1) else a + b)  # noqa: E731
+    metric = DistanceMetric("singleton_loops", 3, signature=form)
+    axioms = check_metric_axioms(metric)
+    assert (axioms.ok, axioms.axiom, masks_of(axioms.witness)) == (False, "identity", (1, 1))
+    with pytest.raises(MetricAxiomError):
+        is_majority_concentric(metric, 1)
+    report = taxonomy_report(metric, 1)
+    assert (report.is_metric, report.is_majority_concentric) == (False, False)
+    assert report.witnesses["is_metric"] == ("identity", axioms.witness)
+    assert report.witnesses["is_majority_concentric"] == ("identity", axioms.witness)
+    # the classifiers that need no level structure run as they do alone
+    for flag, check in [("is_natural", is_natural(metric, 1)),
+                        ("is_similarity", is_similarity(metric, 1)),
+                        ("is_alternative_independent", is_alternative_independent(metric))]:
+        assert report.flags()[flag] == check.ok
+        assert report.witnesses.get(flag) == check.witness
+    # at k = 2 every committee has d(U, U) = 0, so the concentric check runs
+    concentric = is_majority_concentric(metric, 2)
+    report = taxonomy_report(metric, 2)
+    assert report.is_majority_concentric == concentric.ok
+    assert report.witnesses.get("is_majority_concentric") == concentric.witness
+
+
 # ---------------------------------------------------------------------------
 # Monotonicity audit of noise models.
 
@@ -470,5 +495,8 @@ def test_audit_on_tampered_level_tables():
                 tampered[i], tampered[j] = tampered[j], tampered[i]
             else:
                 tampered[j] = tampered[i]
-            bad = dataclasses.replace(model, level_probs=tuple(tampered))
+            bad = NoiseModel(
+                "level", model.universe, ground, metric=metric,
+                level_probs=tuple(tampered), levels=model.levels,
+            )
             assert not assert_audit_matches(bad, metric)

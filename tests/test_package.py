@@ -35,9 +35,10 @@ PUBLIC = [
 ]
 
 # Runs one CLI command in this interpreter, then prints, as JSON, the abcc
-# modules whose bodies have run: a lazy module that was never touched is
-# still of its private lazy type. `type()` reads no attribute, so the check
-# loads nothing itself.
+# modules whose bodies have run (a lazy module that was never touched is
+# still of its private lazy type; `type()` reads no attribute, so the check
+# loads nothing itself) and whether `dataclasses` was imported: it generates
+# and execs each class's methods when its layer loads.
 LOADED = """
 import contextlib, io, json, sys, types
 from abcc.cli import main
@@ -48,7 +49,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = exc.code
 loaded = [name for name, module in sys.modules.items()
           if name.startswith("abcc.") and type(module) is types.ModuleType]
-print(json.dumps([code, sorted(name[5:] for name in loaded)]))
+print(json.dumps([code, sorted(name[5:] for name in loaded), "dataclasses" in sys.modules]))
 """
 
 BASE = ["cli", "core", "errors"]
@@ -88,9 +89,10 @@ def test_each_command_runs_only_its_layers(argv, layers, tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", LOADED, *argv], capture_output=True, text=True, env=env, check=True
     )
-    code, loaded = json.loads(result.stdout)
+    code, loaded, dataclasses = json.loads(result.stdout)
     assert code == 0
     assert loaded == sorted(layers)
+    assert not dataclasses
 
 
 def test_public_names_are_pinned_and_resolve_to_their_layer():
