@@ -104,7 +104,7 @@ class Runner:
         return self.write(name, *_json_pieces(doc, known), "\n")
 
     def finish_manifest(self):
-        """Append one manifest record; called only by commands that wrote files."""
+        """Append one manifest record of the inputs and outputs of the run."""
         config = {
             key: value
             for key, value in sorted(vars(self.args).items())
@@ -298,23 +298,19 @@ def _labels(committee, universe):
 # ---------------------------------------------------------------------------
 # Commands.
 
-def cmd_score(args):
-    runner = Runner(args)
+def cmd_score(args, runner):
     universe, profile = _load_profile(args, runner)
     committee = _committee(universe, args.committee)
     rule = _resolve_rule(args, universe.m, committee.k, runner)
     breakdown = rules.profile_score(rule, committee, profile)
     print(runner.fmt(breakdown.total))
-    return 0
 
 
-def cmd_winners(args):
-    runner = Runner(args)
+def cmd_winners(args, runner):
     universe, profile = _load_profile(args, runner)
     rule = _resolve_rule(args, universe.m, args.k, runner)
     result = rules.winners(rule, profile)
     print(json.dumps({"winners": [_labels(c, universe) for c in result]}))
-    return 0
 
 
 def _resolve_metric_or_report(args, runner, universe):
@@ -329,8 +325,7 @@ def _resolve_metric_or_report(args, runner, universe):
         raise
 
 
-def cmd_check_metric(args):
-    runner = Runner(args)
+def cmd_check_metric(args, runner):
     check_sets(args.m)
     universe = _universe(args.m)
     metric = _resolve_metric_or_report(args, runner, universe)
@@ -342,11 +337,9 @@ def cmd_check_metric(args):
         print(json.dumps(doc, sort_keys=True))
         raise MetricAxiomError(f"{metric.name} violates the {check.axiom} axiom")
     print(json.dumps(doc, sort_keys=True))
-    return 0
 
 
-def cmd_taxonomy(args):
-    runner = Runner(args)
+def cmd_taxonomy(args, runner):
     check_sets(args.m)
     universe = _universe(args.m)
     metric = _resolve_metric_or_report(args, runner, universe)
@@ -358,9 +351,7 @@ def cmd_taxonomy(args):
         for flag, witness in report.witnesses.items()
     }
     runner.write_json(f"taxonomy_{_slug(metric.name)}_m{args.m}k{args.k}.json", doc)
-    runner.finish_manifest()
     print(json.dumps(doc, sort_keys=True))
-    return 0
 
 
 def _witness_doc(witness, universe):
@@ -373,8 +364,7 @@ def _witness_doc(witness, universe):
     return witness
 
 
-def cmd_robust(args):
-    runner = Runner(args)
+def cmd_robust(args, runner):
     # a metric file may hold a table, decided over all 2^m sets; a builtin
     # is decided on the overlap classes
     if args.metric_file:
@@ -398,13 +388,10 @@ def cmd_robust(args):
     if nested:
         (text,) = nested.values()
         runner.write(stem + "_witness_model.json", text.replace("\n    ", "\n") + "\n")
-    runner.finish_manifest()
     print(json.dumps({"status": verdict.status}, sort_keys=True))
-    return 0
 
 
-def cmd_counterexample(args):
-    runner = Runner(args)
+def cmd_counterexample(args, runner):
     check_sets(args.m)
     universe = _universe(args.m)
     rule = _resolve_rule(args, args.m, args.k, runner)
@@ -427,13 +414,10 @@ def cmd_counterexample(args):
         "model": noise.model_to_json(package.model),
     }
     runner.write_json(f"counterexample_{_slug(rule.name)}_m{args.m}k{args.k}.json", doc)
-    runner.finish_manifest()
     print(json.dumps({"expected_gap": frac_str(package.expected_gap)}, sort_keys=True))
-    return 0
 
 
-def cmd_hierarchy(args):
-    runner = Runner(args)
+def cmd_hierarchy(args, runner):
     check_sets(args.m)
     rule_list = [
         _resolve_rule(argparse.Namespace(rule=token), args.m, args.k, runner)
@@ -444,24 +428,18 @@ def cmd_hierarchy(args):
     stem = f"hierarchy_m{args.m}k{args.k}"
     runner.write(stem + ".csv", experiments.hierarchy_to_csv(report))
     runner.write_json(stem + ".json", experiments.hierarchy_to_json(report))
-    runner.finish_manifest()
     print(experiments.hierarchy_to_csv(report), end="")
-    return 0
 
 
-def cmd_sample(args):
-    runner = Runner(args)
+def cmd_sample(args, runner):
     model = _sampling_model(args, args.n, runner)
     profile = noise.sample_profile(model, args.n, args.seed)
     text = format_profile(model.universe, profile)
     path = runner.write(f"sample_n{args.n}_seed{args.seed}.txt", text)
-    runner.finish_manifest()
     print(str(path))
-    return 0
 
 
-def cmd_converge(args):
-    runner = Runner(args)
+def cmd_converge(args, runner):
     try:
         n_grid = tuple(int(tok) for tok in args.n_grid.split(","))
     except ValueError:
@@ -478,13 +456,10 @@ def cmd_converge(args):
     stem = f"converge_{_slug(rule.name)}_seed{args.seed}"
     runner.write(stem + ".csv", experiments.curve_to_csv(curve, runner.approx))
     runner.write_json(stem + ".json", experiments.curve_to_json(curve, runner.approx))
-    runner.finish_manifest()
     print(experiments.curve_to_csv(curve, runner.approx), end="")
-    return 0
 
 
-def cmd_mle_check(args):
-    runner = Runner(args)
+def cmd_mle_check(args, runner):
     check_draws(args.n_max, args.m)  # each profile draws and drops its votes
     agree, total = experiments.mle_equivalence_check(
         parse_frac(args.p), args.m, args.k, args.profiles, args.seed, args.n_max
@@ -497,9 +472,7 @@ def cmd_mle_check(args):
         "equivalent": agree,
     }
     runner.write_json(f"mle_check_m{args.m}k{args.k}_seed{args.seed}.json", doc)
-    runner.finish_manifest()
     print(f"equivalent: {agree}/{total}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -593,16 +566,20 @@ _EXIT_CODES = [
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    runner = Runner(args)
     try:
         if getattr(args, "seed", 0) < 0:  # sample, converge, mle-check
             raise ProfileParseError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.func(args)
+        args.func(args, runner)
     except AbccError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for types, code in _EXIT_CODES:
             if isinstance(exc, types):
                 return code
         return 1
+    if runner.outputs:  # a command that wrote result files appends their manifest record
+        runner.finish_manifest()
+    return 0
 
 
 if __name__ == "__main__":

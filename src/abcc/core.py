@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import string
 from fractions import Fraction
 from itertools import combinations
@@ -73,11 +74,30 @@ RNG_SCHEME = "numpy-pcg64; per-trial streams via SeedSequence(seed).spawn"
 
 class Frozen:
     """A value that cannot change, as a frozen dataclass: assignment raises
-    AttributeError. A subclass sets its fields in `__init__` past
-    `__setattr__` and returns them from `_values()`, which decides equality
-    (within the class only), hashing and copying."""
+    AttributeError. A subclass names its fields once, in `__slots__`, or in
+    `_fields` if it keeps a `__dict__` for a cached property. Its `__init__`
+    takes them in that order and sets them past `__setattr__`. Their values,
+    `_values()`, decide equality (within the class only), hashing and
+    copying; the repr is `Name(field=value, ...)` in field order.
+
+    Two classes write one of these out: `NoiseModel._values` leaves out
+    `metric` and `levels`, which its equality and hashing ignore, and
+    `LevelStructure.__repr__` leaves out `sets`, one level per set."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = vars(cls).get("__slots__") or cls._fields
+        get = operator.attrgetter(*fields)  # a single field comes back bare, not as a 1-tuple
+        cls._get = get if len(fields) > 1 else staticmethod(lambda value: (get(value),))
+
+    def _values(self):
+        return self._get(self)
+
+    def __repr__(self):
+        fields = zip(self._fields, self._get(self))
+        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in fields)})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -110,12 +130,6 @@ class Universe(Frozen):
         if len(set(names)) != len(names):
             raise ValueError("alternative labels must be pairwise distinct")
         _set(self, "names", names)
-
-    def _values(self):
-        return (self.names,)
-
-    def __repr__(self):
-        return f"Universe(names={self.names!r})"
 
     @property
     def m(self) -> int:
@@ -155,12 +169,6 @@ class AlternativeSet(Frozen):
             raise ValueError(f"mask {mask:#x} has bits outside 0..{m - 1}")
         _set(self, "mask", mask)
         _set(self, "m", m)
-
-    def _values(self):
-        return self.mask, self.m
-
-    def __repr__(self):
-        return f"AlternativeSet(mask={self.mask!r}, m={self.m!r})"
 
     def __lt__(self, other):
         return self._values() < other._values() if type(other) is type(self) else NotImplemented
@@ -223,12 +231,6 @@ class Committee(Frozen):
         _set(self, "members", members)
         _set(self, "k", k)
 
-    def _values(self):
-        return self.members, self.k
-
-    def __repr__(self):
-        return f"Committee(members={self.members!r}, k={self.k!r})"
-
     __lt__ = AlternativeSet.__lt__  # on _values(), within the class
 
     @classmethod
@@ -257,12 +259,6 @@ class Profile(Frozen):
         if len({v.m for v in votes}) > 1:
             raise ValueError("all votes must live in the same universe")
         _set(self, "votes", votes)
-
-    def _values(self):
-        return (self.votes,)
-
-    def __repr__(self):
-        return f"Profile(votes={self.votes!r})"
 
     @property
     def n(self) -> int:

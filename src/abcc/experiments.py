@@ -26,7 +26,7 @@ from .core import (
     popcount,
 )
 from .errors import InvalidNoiseParamError, PreconditionError
-from .metrics import DistanceMetric, TaxonomyReport, taxonomy_report
+from .metrics import DistanceMetric, taxonomy_report
 from .noise import NoiseModel, sample_vote_masks
 from .oracle import RobustnessVerdict, robustness_verdict
 from .rules import (
@@ -58,6 +58,7 @@ def accuracy_trial(rule: AbccRule, model: NoiseModel, n: int, trials: int, seed)
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
+    model.check_rule(rule)
     masks = committee_masks(rule.m, rule.k)
     gmask = model.ground.mask
     recovered = tied = 0
@@ -87,15 +88,6 @@ class TrialConfig(Frozen):
             raise PreconditionError("trials must be >= 1")
         for name, value in zip(self.__slots__, (rule, model, n_grid, trials, seed)):
             object.__setattr__(self, name, value)
-
-    def _values(self):
-        return self.rule, self.model, self.n_grid, self.trials, self.seed
-
-    def __repr__(self):
-        return (
-            f"TrialConfig(rule={self.rule!r}, model={self.model!r}, n_grid={self.n_grid!r}, "
-            f"trials={self.trials!r}, seed={self.seed!r})"
-        )
 
 
 class CurveRow(NamedTuple):
@@ -233,6 +225,12 @@ def hierarchy_report(rules: list[AbccRule], metrics: list[DistanceMetric]) -> Hi
     m, k = rules[0].m, rules[0].k
     if any(r.m != m or r.k != k for r in rules) or any(d.m != m for d in metrics):
         raise PreconditionError("all rules and metrics must share the same (m, k)")
+    # the report keys its rows by name: a repeated name would overwrite a row
+    rule_names, metric_names = tuple(r.name for r in rules), tuple(d.name for d in metrics)
+    for kind, names in (("rule", rule_names), ("metric", metric_names)):
+        repeated = [name for name, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise PreconditionError(f"duplicate {kind} name {repeated[0]!r}: rows are keyed by it")
     # the taxonomy first: its sweeps over the 2^m sets (and a table metric's
     # full matrix) are the tightest limits, so an m over them is refused
     # before any verdict runs
@@ -253,8 +251,8 @@ def hierarchy_report(rules: list[AbccRule], metrics: list[DistanceMetric]) -> Hi
     return HierarchyReport(
         m,
         k,
-        tuple(r.name for r in rules),
-        tuple(d.name for d in metrics),
+        rule_names,
+        metric_names,
         verdicts,
         predicates,
         taxonomy,
@@ -309,9 +307,6 @@ def hierarchy_to_csv(report: HierarchyReport) -> str:
 
 
 def hierarchy_to_json(report: HierarchyReport) -> dict:
-    def taxonomy_doc(tax: TaxonomyReport) -> dict:
-        return tax.flags()
-
     return {
         "m": report.m,
         "k": report.k,
@@ -326,6 +321,6 @@ def hierarchy_to_json(report: HierarchyReport) -> dict:
         },
         "rule_predicates": report.rule_predicates,
         "metric_taxonomy": {
-            name: taxonomy_doc(tax) for name, tax in report.metric_taxonomy.items()
+            name: tax.flags() for name, tax in report.metric_taxonomy.items()
         },
     }

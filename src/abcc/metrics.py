@@ -297,6 +297,8 @@ class LevelStructure(Frozen):
     m within `check_classes`; a table metric's gives each set's level in `sets`.
     """
 
+    _fields = ("ground", "values", "sizes", "cells", "sets")
+
     def __init__(
         self,
         ground: Committee,
@@ -306,9 +308,6 @@ class LevelStructure(Frozen):
         sets: tuple[int, ...] | None = None,
     ):
         vars(self).update(ground=ground, values=values, sizes=sizes, cells=cells, sets=sets)
-
-    def _values(self):
-        return self.ground, self.values, self.sizes, self.cells, self.sets
 
     def __repr__(self):  # without `sets`, one level per set
         return (

@@ -36,6 +36,7 @@ from .core import (  # RNG_SCHEME is re-exported
 )
 from .errors import (
     DeltaSearchError,
+    DomainMismatchError,
     InvalidNoiseParamError,
     NoCounterexampleError,
     NotMonotonicError,
@@ -59,6 +60,8 @@ class NoiseModel(Frozen):
     """Distribution over all subsets conditioned on a ground committee.
     Equality and hashing ignore `metric` and `levels`."""
 
+    _fields = ("kind", "universe", "ground", "p", "metric", "level_probs", "levels")
+
     def __init__(
         self,
         kind: str,  # "product" | "level"
@@ -74,21 +77,21 @@ class NoiseModel(Frozen):
             metric=metric, level_probs=level_probs, levels=levels,
         )
 
-    def _values(self):
+    def _values(self):  # without `metric` and `levels`, which equality and hashing ignore
         return self.kind, self.universe, self.ground, self.p, self.level_probs
 
     __reduce__ = object.__reduce__  # a copy keeps every field, not only _values()
 
-    def __repr__(self):
-        return (
-            f"NoiseModel(kind={self.kind!r}, universe={self.universe!r}, "
-            f"ground={self.ground!r}, p={self.p!r}, metric={self.metric!r}, "
-            f"level_probs={self.level_probs!r}, levels={self.levels!r})"
-        )
-
     @property
     def m(self) -> int:
         return self.ground.m
+
+    def check_rule(self, rule: AbccRule) -> None:
+        """Refuse a rule for another number of alternatives or committee size."""
+        if (self.m, self.ground.k) != (rule.m, rule.k):
+            raise PreconditionError(
+                f"model has m={self.m}, k={self.ground.k}; rule has m={rule.m}, k={rule.k}"
+            )
 
     @property
     def zero_tail(self) -> bool:
@@ -436,6 +439,8 @@ def model_from_json(doc: dict, m: int | None = None) -> NoiseModel:
         names = doc.get("alternatives")
         if names:
             universe = Universe(tuple(names))
+            if m is not None and universe.m != m:
+                raise DomainMismatchError(f"model file has m={universe.m}; need m={m}")
         elif m is not None:
             universe = default_universe(m)
         else:

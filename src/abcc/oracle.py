@@ -62,7 +62,8 @@ def expected_gap(rule: AbccRule, model: NoiseModel, ground: Committee, rival: Co
     """Exact E[sc(ground, S) - sc(rival, S)] under the model's distribution."""
     if model.ground != ground:
         raise PreconditionError("model ground truth differs from the given committee")
-    if rival.k != rule.k or rival.m != rule.m or ground.k != rule.k:
+    model.check_rule(rule)
+    if rival.k != rule.k or rival.m != rule.m:
         raise PreconditionError("committees do not match the rule's (m, k)")
     return expected_gaps(rule, model, ground.mask, [rival.mask])[0]
 
@@ -86,10 +87,9 @@ def accuracy_classify(rule: AbccRule, model: NoiseModel) -> AccuracyReport:
     probability at most 1/2 (a permanent tie when the gap variable is
     identically zero on the support, a zero-mean fluctuation otherwise).
     """
+    model.check_rule(rule)
     ground = model.ground
     masks = committee_masks(rule.m, rule.k)
-    if ground.mask not in masks:
-        raise PreconditionError("model ground truth does not match the rule's (m, k)")
     rivals = [cmask for cmask in masks if cmask != ground.mask]
     rows = zip(rivals, expected_gaps(rule, model, ground.mask, rivals))
     gaps = {Committee(AlternativeSet(cmask, rule.m), rule.k): gap for cmask, gap in rows}
@@ -283,6 +283,8 @@ class RobustnessVerdict(Frozen):
     """`rows` holds one PairSummary per ordered committee pair (table
     metrics) or one ClassSummary per overlap class (signature metrics)."""
 
+    _fields = ("status", "rule_name", "metric_name", "m", "k", "witness", "rows")
+
     def __init__(
         self,
         status: str,
@@ -296,16 +298,6 @@ class RobustnessVerdict(Frozen):
         vars(self).update(
             status=status, rule_name=rule_name, metric_name=metric_name,
             m=m, k=k, witness=witness, rows=rows,
-        )
-
-    def _values(self):
-        return self.status, self.rule_name, self.metric_name, self.m, self.k, self.witness, self.rows
-
-    def __repr__(self):
-        return (
-            f"RobustnessVerdict(status={self.status!r}, rule_name={self.rule_name!r}, "
-            f"metric_name={self.metric_name!r}, m={self.m!r}, k={self.k!r}, "
-            f"witness={self.witness!r}, rows={self.rows!r})"
         )
 
     @functools.cached_property

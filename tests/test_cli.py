@@ -490,6 +490,36 @@ class TestInputErrors:
             "--m", "4", "--k", "2", "--out", str(tmp_path),
         )
 
+    @pytest.mark.parametrize("kind, names, repeated", [
+        # the two thiele rows both printed the verdicts of the second one
+        ("rules", ["--rules", "thiele:1;1,thiele:1;0,av", "--metrics", "jaccard,trivial"],
+         "thiele"),
+        ("metrics", ["--rules", "av,pav", "--metrics", "jaccard,trivial,jaccard"], "jaccard"),
+    ])
+    def test_duplicate_name_in_hierarchy(self, kind, names, repeated, tmp_path, capsys):
+        err = self.assert_exit_2(
+            capsys, "hierarchy", *names, "--m", "4", "--k", "2", "--out", str(tmp_path / "out")
+        )
+        assert f"{kind[:-1]} name {repeated!r}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        # converge ended in an IndexError traceback with exit 1
+        ["converge", "--rule", "av", "--n-grid", "5", "--trials", "2"],
+        ["sample", "--n", "3"],
+    ])
+    def test_model_file_over_another_m(self, command, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(
+            {"type": "mp", "p": "3/4", "alternatives": list("abcde"), "ground": ["a", "b"]}
+        ))
+        err = self.assert_exit_2(
+            capsys, *command, "--model-file", str(path), "--m", "4", "--seed", "1",
+            "--out", str(tmp_path / "out"),
+        )
+        assert "m=5" in err and "m=4" in err
+        assert not (tmp_path / "out").exists()
+
     def test_custom_metric_name_without_table(self, tmp_path, capsys):
         self.assert_exit_2(capsys, "check-metric", "--metric", "custom", "--m", "3")
 
@@ -748,6 +778,62 @@ class TestManifests:
             str(p) for p in tmp_path.iterdir() if p.name != "manifest.jsonl"
         }
         assert sorted(referenced) == sorted(produced)
+
+    def test_one_record_per_file_writing_command(self, tmp_path, capsys):
+        model_args = ["--model", "mp", "--p", "3/4", "--m", "4", "--ground", "a,b", "--seed", "5"]
+        commands = [  # each command with the number of result files it writes
+            (["taxonomy", "--metric", "trivial", "--m", "4", "--k", "2"], 1),
+            (["robust", "--rule", "av", "--metric", "jaccard", "--m", "4", "--k", "2"], 1),
+            # not robust: the verdict and its witness model
+            (["robust", "--rule", "cc", "--metric", "trivial", "--m", "4", "--k", "2"], 2),
+            (["counterexample", "--rule", "cc", "--m", "4", "--k", "2"], 1),
+            (["hierarchy", "--rules", "av,cc", "--metrics", "jaccard", "--m", "4", "--k", "2"], 2),
+            (["sample", *model_args, "--n", "4"], 1),
+            (["converge", "--rule", "av", *model_args, "--n-grid", "4", "--trials", "2"], 2),
+            (["mle-check", "--p", "3/4", "--m", "4", "--k", "2", "--profiles", "2",
+              "--seed", "5"], 1),
+        ]
+        for i, (argv, files) in enumerate(commands):
+            out = tmp_path / str(i)
+            code, _, _ = run(capsys, *argv, "--out", str(out))
+            assert code == 0
+            lines = (out / "manifest.jsonl").read_text().splitlines()
+            assert len(lines) == 1
+            written = sorted(str(p) for p in out.iterdir() if p.name != "manifest.jsonl")
+            assert len(written) == files
+            record = json.loads(lines[0])
+            assert sorted(record["outputs"]) == written
+            assert record["config"]["command"] == argv[0]
+
+    def test_no_record_without_result_files(self, tmp_path, capsys):
+        profile = write_profile(tmp_path)
+        commands = [
+            ["score", "--rule", "av", "--committee", "a,b", "--profile", profile],
+            ["winners", "--rule", "av", "--k", "2", "--profile", profile],
+            ["check-metric", "--metric", "jaccard", "--m", "3"],
+        ]
+        for argv in commands:
+            code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "out"))
+            assert code == 0
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["hierarchy", "--rules", "av,nosuch", "--metrics", "jaccard", "--m", "4", "--k", "2"],
+        ["robust", "--rule", "av", "--metric", "nosuch", "--m", "4", "--k", "2"],
+        ["counterexample", "--rule", "mc", "--m", "4", "--k", "2"],
+        ["converge", "--rule", "av", "--model", "mp", "--p", "2", "--m", "4", "--ground", "a,b",
+         "--seed", "5"],
+        ["check-metric", "--metric-file", "{table}", "--m", "2"],
+    ])
+    def test_no_record_after_a_failure(self, argv, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"m": 2, "entries": [{"x": ["a"], "y": ["b"], "d": "-1"}]}))
+        argv = [arg.format(table=table) for arg in argv]
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, _ = run(capsys, *argv, "--out", str(out))
+        assert code != 0
+        assert list(out.iterdir()) == []
 
     def test_config_hash_recomputes(self, tmp_path, capsys):
         import hashlib

@@ -194,6 +194,122 @@ class TestSets:
         assert Universe(()).m == 0 and Profile(()).n == 0
 
 
+class TestLayerValues:
+    """The value classes of the layers above core behave as the core ones:
+    a dataclass repr, equality and hashing on the fields, copies that
+    compare equal, and no assignment."""
+
+    G = Committee(AlternativeSet(1, 2), 1)
+    G_TEXT = "Committee(members=AlternativeSet(mask=1, m=2), k=1)"
+
+    def values(self):
+        from abcc.experiments import TrialConfig
+        from abcc.metrics import level_structure, make_metric, random_metric
+        from abcc.noise import make_mp, staggered_level_model
+        from abcc.oracle import robustness_verdict
+        from abcc.rules import make_rule
+
+        u = default_universe(2)
+        mp = make_mp(Fraction(3, 4), u, self.G)
+        return [
+            level_structure(make_metric("trivial", 2), self.G),
+            level_structure(random_metric(2, 0), self.G),
+            mp,
+            staggered_level_model(random_metric(2, 0), self.G, u),
+            robustness_verdict(make_rule("av", 3, 1), make_metric("trivial", 3)),
+            TrialConfig(make_rule("av", 2, 1), mp, (1, 2), 3, 4),
+        ]
+
+    def test_repr(self):
+        from abcc.metrics import LevelStructure
+        from abcc.oracle import RobustnessVerdict
+
+        g = self.G_TEXT
+        trivial, table, mp, level, verdict, config = self.values()
+        assert repr(trivial) == (
+            f"LevelStructure(ground={g}, values=(Fraction(0, 1), Fraction(1, 1)), "
+            "sizes=(1, 3), cells=((1, 1), (0, 1)))"
+        )
+        # without `sets`, one level per set
+        assert repr(table) == (
+            f"LevelStructure(ground={g}, values=(Fraction(0, 1), Fraction(5, 4), "
+            "Fraction(15, 8)), sizes=(1, 2, 1), cells=None)"
+        )
+        assert repr(LevelStructure(self.G, (0,), (4,), None, (0, 0, 0, 0))) == (
+            f"LevelStructure(ground={g}, values=(0,), sizes=(4,), cells=None)"
+        )
+        universe = "Universe(names=('a', 'b'))"
+        assert repr(mp) == (
+            f"NoiseModel(kind='product', universe={universe}, ground={g}, p=Fraction(3, 4), "
+            "metric=None, level_probs=None, levels=None)"
+        )
+        assert repr(level) == (
+            f"NoiseModel(kind='level', universe={universe}, ground={g}, p=None, "
+            "metric=DistanceMetric('random_table(m=2,seed=0)', m=2), "
+            f"level_probs=(Fraction(3, 8), Fraction(1, 4), Fraction(1, 8)), levels={table!r})"
+        )
+        assert repr(verdict) == (
+            "RobustnessVerdict(status='robust', rule_name='av', metric_name='trivial', m=3, "
+            "k=1, witness=None, rows=(ClassSummary(j=0, pairs=6, min_prefix=Fraction(0, 1), "
+            "positive_below_last=True, degenerate=False),))"
+        )
+        assert repr(RobustnessVerdict("robust", "av", "trivial", 2, 1, None, ())) == (
+            "RobustnessVerdict(status='robust', rule_name='av', metric_name='trivial', m=2, "
+            "k=1, witness=None, rows=())"
+        )
+        assert repr(config) == (
+            f"TrialConfig(rule={config.rule!r}, model={mp!r}, n_grid=(1, 2), trials=3, seed=4)"
+        )
+
+    def test_equality_and_hashing(self):
+        from abcc.experiments import TrialConfig
+        from abcc.metrics import LevelStructure, make_metric
+        from abcc.noise import NoiseModel
+        from abcc.oracle import RobustnessVerdict
+        from abcc.rules import make_rule
+
+        trivial, table, mp, level, verdict, config = self.values()
+        for value, again in zip(self.values(), self.values()):
+            assert value == again and value is not again
+        # hashed as the field tuple, where every field hashes
+        levels = LevelStructure(self.G, (0, 1), (1, 3), None, (0, 1, 1, 1))
+        assert hash(levels) == hash((self.G, (0, 1), (1, 3), None, (0, 1, 1, 1)))
+        assert levels != LevelStructure(self.G, (0, 1), (1, 3), None, (1, 0, 1, 1))
+        assert levels != (self.G, (0, 1), (1, 3), None, (0, 1, 1, 1))
+        assert trivial != table
+        row = RobustnessVerdict("robust", "av", "trivial", 2, 1, None, ())
+        assert hash(row) == hash(("robust", "av", "trivial", 2, 1, None, ()))
+        assert row != RobustnessVerdict("robust", "pav", "trivial", 2, 1, None, ())
+        assert hash(mp) == hash(("product", mp.universe, self.G, Fraction(3, 4), None))
+        # a noise model compares and hashes without its metric and levels
+        fields = ("level", mp.universe, self.G, None)
+        bare = NoiseModel(*fields, None, level.level_probs, None)
+        other = NoiseModel(*fields, make_metric("trivial", 2), level.level_probs, trivial)
+        assert level == bare == other and hash(level) == hash(bare) == hash(other)
+        assert level != NoiseModel(*fields, level.metric, (Fraction(1, 2),), level.levels)
+        assert mp != level and mp != config
+        # a rule holds its table in a dict: a config over one hashes as no value
+        assert config == TrialConfig(make_rule("av", 2, 1), mp, (1, 2), 3, 4)
+        assert config != TrialConfig(make_rule("av", 2, 1), mp, (1, 2), 3, 5)
+        with pytest.raises(TypeError):
+            hash(config)
+
+    def test_copies(self):
+        for value in self.values():
+            assert copy.copy(value) == copy.deepcopy(value) == pickle.loads(pickle.dumps(value))
+            assert copy.copy(value) == value
+        level = self.values()[3]
+        for again in (copy.copy(level), copy.deepcopy(level), pickle.loads(pickle.dumps(level))):
+            assert again.metric.name == level.metric.name and again.levels == level.levels
+        assert copy.copy(level).metric is level.metric
+
+    def test_immutable(self):
+        for value in self.values():
+            for field in ("ground", "kind", "status", "seed", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(value, field, None)
+
+
 class TestFractionStrings:
     def test_round_trip(self):
         for text in ["3/4", "0", "-2/7", "5"]:

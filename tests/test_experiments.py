@@ -63,6 +63,16 @@ class TestAccuracyTrial:
         with pytest.raises(PreconditionError):
             accuracy_trial(av, model, n=5, trials=0, seed=1)
 
+    def test_model_over_another_domain_refused(self):
+        # sampled votes over 5 alternatives indexed past the m = 4 rule's committee table
+        u5 = default_universe(5)
+        model = make_mp(Fraction(3, 4), u5, committee_of(u5, ["a", "b"]))
+        av = make_rule("av", 4, 2)
+        with pytest.raises(PreconditionError, match="model has m=5, k=2; rule has m=4, k=2"):
+            accuracy_trial(av, model, n=5, trials=2, seed=1)
+        with pytest.raises(PreconditionError):
+            convergence_curve(TrialConfig(av, model, (5,), trials=2, seed=1))
+
 
 class TestOracleExperimentAgreement:
     def test_accurate_configuration_recovers_at_the_bound(self, u4):
@@ -216,3 +226,13 @@ class TestHierarchy:
     def test_shape_validation(self):
         with pytest.raises(PreconditionError):
             hierarchy_report([make_rule("av", 4, 2)], [make_metric("trivial", 3)])
+
+    def test_duplicate_names_refused(self):
+        # the report keys its verdicts by name: the second thiele rule overwrote the first
+        thiele = [make_rule("thiele", 4, 2, weights=w) for w in ([1, 1], [1, 0])]
+        assert thiele[0].name == thiele[1].name == "thiele"
+        trivial = make_metric("trivial", 4)
+        with pytest.raises(PreconditionError, match="duplicate rule name 'thiele'"):
+            hierarchy_report(thiele, [trivial])
+        with pytest.raises(PreconditionError, match="duplicate metric name 'trivial'"):
+            hierarchy_report(thiele[:1], [trivial, make_metric("jaccard", 4), trivial])

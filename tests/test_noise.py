@@ -8,6 +8,7 @@ import pytest
 
 from abcc.core import AlternativeSet, Committee, default_universe
 from abcc.errors import (
+    DomainMismatchError,
     InvalidNoiseParamError,
     NoCounterexampleError,
     NotMonotonicError,
@@ -288,6 +289,14 @@ class TestModelFiles:
         assert doc["type"] == "mp" and doc["p"] == "3/4" and doc["ground"] == ["a", "b"]
         again = model_from_json(doc)
         assert again.prob_table() == model.prob_table()
+
+    def test_alternatives_for_another_m_refused(self, u4):
+        doc = model_to_json(make_mp(Fraction(3, 4), u4, committee_of(u4, ["a", "b"])))
+        assert model_from_json(doc, 4).m == model_from_json(doc).m == 4
+        with pytest.raises(DomainMismatchError, match="model file has m=4; need m=5"):
+            model_from_json(doc, 5)
+        del doc["alternatives"]  # the labels of --m
+        assert model_from_json(doc, 5).m == 5
 
     def test_level_round_trip(self, u4):
         d = make_metric("trivial", 4)

@@ -154,6 +154,19 @@ class TestAccuracyClassify:
         assert report.status == NOT_ACCURATE
         assert set(report.rival_status.values()) == {"zero_tie"}
 
+    @pytest.mark.parametrize("m, ground", [(5, "ab"), (4, "abc")])
+    def test_model_over_another_domain_refused(self, m, ground):
+        # the m = 5 model was classified accurate, with a sample size bound of 329
+        u = default_universe(m)
+        model = make_mp(Fraction(3, 4), u, Committee(u.set_of(ground), len(ground)))
+        av = make_rule("av", 4, 2)
+        for check in (accuracy_classify, lambda rule, model: sample_size_bound(rule, model, 0.1)):
+            with pytest.raises(PreconditionError, match=f"model has m={m}, k={len(ground)}"):
+                check(av, model)
+        u4 = default_universe(4)
+        with pytest.raises(PreconditionError):
+            expected_gap(av, model, model.ground, Committee(u4.set_of("ab"), 2))
+
 
 class TestUVBijection:
     def test_identity_when_equal(self, u4):
