@@ -81,9 +81,6 @@ class Runner:
         self.started = datetime.now(timezone.utc).isoformat()
         self.t0 = time.monotonic()
 
-    def fmt(self, value: Fraction) -> str:
-        return repr(float(value)) if self.approx else frac_str(value)
-
     def track_input(self, path) -> Path:
         path = Path(path)
         try:
@@ -303,7 +300,7 @@ def cmd_score(args, runner):
     committee = _committee(universe, args.committee)
     rule = _resolve_rule(args, universe.m, committee.k, runner)
     breakdown = rules.profile_score(rule, committee, profile)
-    print(runner.fmt(breakdown.total))
+    print(frac_str(breakdown.total, runner.approx))
 
 
 def cmd_winners(args, runner):

@@ -80,9 +80,10 @@ class Frozen:
     `_values()`, decide equality (within the class only), hashing and
     copying; the repr is `Name(field=value, ...)` in field order.
 
-    Two classes write one of these out: `NoiseModel._values` leaves out
-    `metric` and `levels`, which its equality and hashing ignore, and
-    `LevelStructure.__repr__` leaves out `sets`, one level per set."""
+    Two classes write one of these out: `NoiseModel._values` puts the level
+    partition in place of `metric` and `levels`, so that equality and hashing
+    ignore the distance values, and `LevelStructure.__repr__` leaves out
+    `sets`, one level per set."""
 
     __slots__ = ()
 
@@ -411,8 +412,11 @@ def int64_if_fits(ints: np.ndarray, terms: int = 1) -> np.ndarray:
     return ints.astype(np.int64 if fits else object, copy=False)
 
 
-def frac_str(value: Fraction | int) -> str:
-    """Canonical "p/q" string; plain integer string when q = 1."""
+def frac_str(value: Fraction | int, approx: bool = False) -> str:
+    """Canonical "p/q" string; plain integer string when q = 1; with
+    `approx`, the repr of the nearest float instead."""
+    if approx:
+        return repr(float(value))
     f = Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)

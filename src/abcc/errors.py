@@ -49,10 +49,6 @@ class PreconditionError(AbccError):
     """A documented operation precondition does not hold."""
 
 
-class MetricGenerationError(AbccError):
-    """Random metric generation exhausted its retry budget."""
-
-
 class MetricAxiomError(AbccError):
     """A custom metric table violates a metric axiom."""
 

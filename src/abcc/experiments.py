@@ -263,16 +263,12 @@ def hierarchy_report(rules: list[AbccRule], metrics: list[DistanceMetric]) -> Hi
 # CSV / JSON emission. Rates are exact rationals by default; pass
 # approx=True for decimal columns.
 
-def _rate(value: Fraction, approx: bool) -> str:
-    return repr(float(value)) if approx else frac_str(value)
-
-
 def curve_to_csv(curve: ConvergenceCurve, approx: bool = False) -> str:
     lines = ["n,recovery_rate,tie_rate,wrong_rate"]
     for row in curve.rows:
         lines.append(
-            f"{row.n},{_rate(row.recovery, approx)},{_rate(row.tie, approx)},"
-            f"{_rate(row.wrong, approx)}"
+            f"{row.n},{frac_str(row.recovery, approx)},{frac_str(row.tie, approx)},"
+            f"{frac_str(row.wrong, approx)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -286,9 +282,9 @@ def curve_to_json(curve: ConvergenceCurve, approx: bool = False) -> dict:
         "rows": [
             {
                 "n": row.n,
-                "recovery_rate": _rate(row.recovery, approx),
-                "tie_rate": _rate(row.tie, approx),
-                "wrong_rate": _rate(row.wrong, approx),
+                "recovery_rate": frac_str(row.recovery, approx),
+                "tie_rate": frac_str(row.tie, approx),
+                "wrong_rate": frac_str(row.wrong, approx),
             }
             for row in curve.rows
         ],

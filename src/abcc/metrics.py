@@ -42,7 +42,6 @@ from .core import (  # METRIC_KINDS is re-exported
 from .errors import (
     DomainMismatchError,
     MetricAxiomError,
-    MetricGenerationError,
     PreconditionError,
     ProfileParseError,
 )
@@ -57,6 +56,8 @@ _SIGNATURES = {
     "zelinka": lambda a, b, c: Fraction(max(a, b)),
     "bunke_shearer": lambda a, b, c: Fraction(max(a, b), max(a, b) + c or 1),
     "trivial": lambda a, b, c: Fraction(1 if a or b else 0),
+    # m = 3 only: complements (c = 0, a + b = 3) are at distance 1
+    "example2": lambda a, b, c: Fraction(0 if a == b == 0 else 1 if c == 0 and a + b == 3 else 2),
 }
 
 
@@ -159,16 +160,10 @@ def make_metric(kind: str, m: int, *, table=None, default=None, name=None) -> Di
     leaves out; the diagonal is implicitly zero. example2 is the m=3
     complement-at-distance-one construction and rejects other m.
     """
+    if kind == "example2" and m != 3:
+        raise PreconditionError("example2 is defined only for m=3")
     if kind in _SIGNATURES:
         return DistanceMetric(kind, m, signature=_SIGNATURES[kind])
-    if kind == "example2":
-        if m != 3:
-            raise PreconditionError("example2 is defined only for m=3")
-
-        def signature(a, b, c):  # complements (c = 0, a + b = m) are at distance 1
-            return Fraction(0 if a == b == 0 else 1 if c == 0 and a + b == m else 2)
-
-        return DistanceMetric("example2", m, signature=signature)
     if kind == "custom":
         if table is None:
             raise ValueError("custom metric requires a table")
@@ -533,10 +528,7 @@ def is_alternative_independent(metric: DistanceMetric) -> MetricPropertyCheck:
 
 
 # ---------------------------------------------------------------------------
-# Random metric generation: generate-and-filter with bounded retries.
-
-_MAX_RETRIES = 50
-
+# Random metric generation: every draw is a metric by construction, verified once.
 
 def random_metric(
     m: int, seed, family: str = "table", monotone: bool = False, perturb: bool = True
@@ -544,73 +536,63 @@ def random_metric(
     """Seeded random metric, axiom-verified before return.
 
     family "table": independent symmetric entries in [1, 2] (eighth-steps
-    when `perturb`, else {1, 2}); any such table satisfies the triangle
-    inequality, and entries are alternative-dependent.
-    family "signature": values constant on (|X\\Y|, |Y\\X|, |X|, |Y|)
-    signatures, hence alternative-independent. With `monotone` the value
-    is a random capped combination of the symmetric-difference and
-    max-difference sizes (non-decreasing in both, which also makes the
-    metric natural); otherwise each signature class draws from [1, 2].
+    when `perturb`, else {1, 2}), so the triangle inequality holds; entries
+    are alternative-dependent. A table metric, within MAX_MATRIX_CELLS.
+    family "signature": a signature metric g(a, b, c) of the signature
+    (|X\\Y|, |Y\\X|, |X∩Y|), hence alternative-independent, at m <= MAX_M.
+    With `monotone` it is a random capped non-negative combination of
+    set_difference, zelinka and trivial (non-decreasing in a and b, which
+    also makes the metric natural); otherwise each cell a <= b, b > 0 draws
+    a value in [1, 2], in cell order, and g(a, b, c) = g(b, a, c).
     """
-    check_matrix(m)  # the axiom check below holds the full matrix
     if family not in ("table", "signature"):
         raise ValueError(f"unknown family {family!r}")
-    rng = np.random.default_rng(seed)
-    n = 1 << m
     tag = f"m={m},seed={seed}"
-    for _ in range(_MAX_RETRIES):
-        if family == "table":
-            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-            if perturb:
-                draws = rng.integers(0, 9, size=len(pairs))
-                values = [1 + Fraction(int(d), 8) for d in draws]
-            else:
-                draws = rng.integers(1, 3, size=len(pairs))
-                values = [Fraction(int(d)) for d in draws]
-            candidate = DistanceMetric(
-                f"random_table({tag})", m, table=dict(zip(pairs, values))
-            )
-        else:
-            candidate = _random_signature_metric(m, rng, monotone, perturb, tag)
-        if check_metric_axioms(candidate).ok:
-            return candidate
-    raise MetricGenerationError(f"no valid metric after {_MAX_RETRIES} attempts")
+    if family == "table":
+        check_matrix(m)  # the axiom check holds the full matrix
+        pairs = list(combinations(range(1 << m), 2))
+        table = dict(zip(pairs, _unit_values(np.random.default_rng(seed), len(pairs), perturb)))
+        metric = DistanceMetric(f"random_table({tag})", m, table=table)
+    else:
+        check_sets(m)  # the axiom check's Venn-region sizes
+        signature = _random_signature(m, np.random.default_rng(seed), monotone, perturb)
+        metric = DistanceMetric(f"random_signature({tag})", m, signature=signature)
+    if not check_metric_axioms(metric):
+        raise RuntimeError(f"{metric.name} is not a metric")
+    return metric
 
 
-def _random_signature_metric(m, rng, monotone, perturb, tag) -> DistanceMetric:
+def _unit_values(rng, count: int, perturb: bool) -> list[Fraction]:
+    """`count` seeded values in [1, 2]: eighth-steps when `perturb`, else {1, 2}."""
+    eighths = 8 + rng.integers(0, 9, size=count) if perturb else 8 * rng.integers(1, 3, size=count)
+    values = [Fraction(i, 8) for i in range(17)]
+    return [values[i] for i in eighths.tolist()]
+
+
+def _random_signature(m, rng, monotone, perturb):
     if monotone:
-        # weighted sum of two metrics plus a positive jump at any difference,
-        # optionally capped; non-decreasing in (|X\Y|, |Y\X|) by construction
-        w_sym = Fraction(int(rng.integers(0, 4)), 2)
-        w_max = Fraction(int(rng.integers(0, 4)), 2)
-        w_pos = Fraction(int(rng.integers(0, 4)), 2)
+        # w_sym * set_difference + w_max * zelinka + w_pos * trivial, not all
+        # weights zero, optionally capped
+        w_sym, w_max, w_pos = (Fraction(int(rng.integers(0, 4)), 2) for _ in range(3))
         if w_sym == w_max == w_pos == 0:
             w_pos = Fraction(1)
         cap = None
         if rng.integers(0, 2):
             cap = w_pos + w_sym + w_max + Fraction(int(rng.integers(1, 2 * m + 1)), 2)
 
-        def value(diff_xy, diff_yx, size_x, size_y):
-            v = w_sym * (diff_xy + diff_yx) + w_max * max(diff_xy, diff_yx) + w_pos
+        def signature(a, b, c):
+            if a == b == 0:
+                return Fraction(0)
+            v = w_sym * (a + b) + w_max * max(a, b) + w_pos
             return min(v, cap) if cap is not None else v
 
-    else:
-        assignments = {}
-
-        def value(diff_xy, diff_yx, size_x, size_y):
-            key = tuple(sorted([(diff_xy, size_x), (diff_yx, size_y)]))
-            if key not in assignments:
-                if perturb:
-                    assignments[key] = 1 + Fraction(int(rng.integers(0, 9)), 8)
-                else:
-                    assignments[key] = Fraction(int(rng.integers(1, 3)))
-            return assignments[key]
-
-    table = {
-        (a, b): value((a & ~b).bit_count(), (b & ~a).bit_count(), a.bit_count(), b.bit_count())
-        for a, b in combinations(range(1 << m), 2)
-    }
-    return DistanceMetric(f"random_signature({tag})", m, table=table)
+        return signature
+    # one value per cell a <= b with b > 0 and a + b + c <= m, in cell order
+    cells = [
+        (a, b, c) for a, b, c in product(range(m + 1), repeat=3) if a <= b and 0 < b <= m - a - c
+    ]
+    values = dict(zip(cells, _unit_values(rng, len(cells), perturb)))
+    return lambda a, b, c: values.get((a, b, c) if a <= b else (b, a, c), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -668,15 +650,21 @@ def taxonomy_report(metric: DistanceMetric, k: int) -> TaxonomyReport:
 # a default every pair is listed; with one, only the pairs at another distance.
 
 def metric_to_json(metric: DistanceMetric, universe: Universe | None = None) -> dict:
+    """A builtin as its kind; any other metric as its custom table, which a
+    signature metric lists pair by pair, within MAX_MATRIX_CELLS."""
     universe = universe or default_universe(metric.m)
-    if metric._signature is not None:  # only the builtins have one
-        return {"kind": metric.name, "m": metric.m}
+    table, default = metric._table, metric._default
+    if table is None:
+        if metric._signature is _SIGNATURES.get(metric.name):
+            return {"kind": metric.name, "m": metric.m}
+        check_matrix(metric.m)
+        table = {(a, b): metric.d(a, b) for a, b in combinations(range(1 << metric.m), 2)}
     # one label list per set and one "p/q" string per distinct value
     names = Memo(lambda mask: list(AlternativeSet(mask, metric.m).labels(universe)))
     fracs = Memo(frac_str)
     entries = [
         {"x": names[a], "y": names[b], "d": fracs[value]}
-        for (a, b), value in sorted(metric._table.items())
+        for (a, b), value in sorted(table.items())
     ]
     doc = {
         "kind": "custom",
@@ -685,8 +673,8 @@ def metric_to_json(metric: DistanceMetric, universe: Universe | None = None) -> 
         "alternatives": list(universe.names),
         "entries": entries,
     }
-    if metric._default is not None:
-        doc["default"] = frac_str(metric._default)
+    if default is not None:
+        doc["default"] = frac_str(default)
     return doc
 
 

@@ -58,7 +58,8 @@ from .rules import AbccRule, level_gap_rows, make_rule
 
 class NoiseModel(Frozen):
     """Distribution over all subsets conditioned on a ground committee.
-    Equality and hashing ignore `metric` and `levels`."""
+    Equality and hashing see the level partition (the grid's `cells`, or a
+    table metric's `sets`), not `metric` or the distance values."""
 
     _fields = ("kind", "universe", "ground", "p", "metric", "level_probs", "levels")
 
@@ -77,8 +78,10 @@ class NoiseModel(Frozen):
             metric=metric, level_probs=level_probs, levels=levels,
         )
 
-    def _values(self):  # without `metric` and `levels`, which equality and hashing ignore
-        return self.kind, self.universe, self.ground, self.p, self.level_probs
+    def _values(self):  # the partition of `levels` in place of `metric` and `levels`
+        levels = self.levels
+        partition = levels and (levels.sets if levels.cells is None else levels.cells)
+        return self.kind, self.universe, self.ground, self.p, self.level_probs, partition
 
     __reduce__ = object.__reduce__  # a copy keeps every field, not only _values()
 

@@ -36,7 +36,6 @@ from .core import (
     Committee,
     Frozen,
     Memo,
-    check_classes,
     committee_masks,
     frac_str,
 )
@@ -336,15 +335,6 @@ def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerd
     if rule.m != metric.m:
         raise PreconditionError("rule and metric universe sizes differ")
     m, k = rule.m, rule.k
-    by_class = metric._signature is not None
-    if by_class:
-        check_classes(m, k)
-        if comb(m, k) * (comb(m, k) - 1) <= MAX_PAIR_ROWS:
-            # a verdict that `verdict_to_json` lists pair by pair looks up each
-            # ground's level structure (one object on the shared grid), as the
-            # table sweep does, so a traced run (bench/shim.py) counts one per ground
-            for mask in committee_masks(m, k)[1:]:
-                level_structure(metric, Committee(AlternativeSet(mask, m), k))
     grounds, masks = deciding_committees(metric, k)
     committees = {mask: Committee(AlternativeSet(mask, m), k) for mask in masks}
     fractions = Memo(lambda key: Fraction(*key))  # one per distinct (min_prefix, scale)
@@ -353,6 +343,7 @@ def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerd
     for umask in grounds:
         ground = committees[umask]
         levels = level_structure(metric, ground)
+        by_class = levels.cells is not None  # a signature metric's grid
         coeffs, prefix, scale = _level_gaps(rule, levels, masks)
         lowest = prefix.min(axis=1).tolist()
         positive = (prefix[:, : levels.spn] > 0).any(axis=1).tolist()
@@ -371,6 +362,12 @@ def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerd
                 degenerate = ground, committees[vmask]
     if by_class:
         rows.reverse()  # ascending j
+        if comb(m, k) * (comb(m, k) - 1) <= MAX_PAIR_ROWS:
+            # a verdict that `verdict_to_json` lists pair by pair looks up each
+            # ground's level structure (one object on the shared grid), as the
+            # table sweep does, so a traced run (bench/shim.py) counts one per ground
+            for mask in committee_masks(m, k)[1:]:
+                level_structure(metric, Committee(AlternativeSet(mask, m), k))
     if negative is not None:
         ground, rival, t, levels, coeffs = negative
         model, gap = _negative_gap_witness(metric, ground, levels, coeffs, t)

@@ -42,13 +42,20 @@ from abcc.core import (
     feasible_pairs,
     first_rival,
 )
-from abcc.metrics import DistanceMetric, level_structure, make_metric
+from abcc.metrics import (
+    DistanceMetric,
+    level_structure,
+    make_metric,
+    random_metric,
+    taxonomy_report,
+)
 from abcc.noise import expected_gaps, make_level_model, make_mp
 from abcc.oracle import (
     ACCURATE,
     DEGENERATE_NOT_ROBUST,
     NOT_ACCURATE,
     NOT_ROBUST,
+    ClassSummary,
     accuracy_classify,
     gap_analysis,
     robustness_verdict,
@@ -62,13 +69,17 @@ BUILTIN_METRICS = ["set_difference", "jaccard", "zelinka", "bunke_shearer", "tri
 SIZES = [(m, k) for m in range(1, 9) for k in range(1, m + 1)]
 
 
+def table_form(metric):
+    """The metric as a table over all unordered pairs of sets."""
+    table = {(a, b): metric.d(a, b) for a, b in combinations(range(1 << metric.m), 2)}
+    return DistanceMetric(metric.name, metric.m, table=table)
+
+
 @functools.cache
 def as_table(kind, m):
-    """The builtin metric as a table over all unordered pairs of sets, one
-    per (kind, m), so that its level structures are built once."""
-    metric = make_metric(kind, m)
-    table = {(a, b): metric.d(a, b) for a, b in combinations(range(1 << m), 2)}
-    return DistanceMetric(kind, m, table=table)
+    """The builtin metric as a table, one per (kind, m), so that its level
+    structures are built once."""
+    return table_form(make_metric(kind, m))
 
 
 def catalog(m, k):
@@ -115,6 +126,29 @@ def test_catalog_classes_match_the_pair_sweep(m, k):
         for kind in BUILTIN_METRICS:
             assert_same_verdict(rule, make_metric(kind, m))
         assert_nontrivial_matches(rule)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_random_signature_metrics_match_their_tables(seed):
+    # the seeded metrics of the acceptance checks, on the grid, against the
+    # same distances as a table, which keeps the table path covered on
+    # alternative-independent tables
+    m, monotone, perturb = 3 + seed % 4, seed % 2 == 1, seed % 4 < 2
+    metric = random_metric(m, [31, seed], family="signature", monotone=monotone, perturb=perturb)
+    table = table_form(metric)
+    universe = default_universe(m)
+    for k in range(1, m + 1):
+        ground = Committee(AlternativeSet((1 << k) - 1, m), k)
+        levels, want = level_structure(metric, ground), level_structure(table, ground)
+        assert (levels.values, levels.sizes) == (want.values, want.sizes)
+        assert taxonomy_report(metric, k) == taxonomy_report(table, k)
+        for kind in ("av", "cc", "pav", "sav", "mc"):
+            rule = make_rule(kind, m, k)
+            verdict, by_pairs = robustness_verdict(rule, metric), robustness_verdict(rule, table)
+            assert all(isinstance(row, ClassSummary) for row in verdict.rows)
+            # the witness model writes either metric as the same custom table
+            assert verdict_to_json(verdict, universe) == verdict_to_json(by_pairs, universe)
+            assert verdict.pair_summaries == by_pairs.pair_summaries
 
 
 def test_degenerate_witnesses_cover_both_flags():

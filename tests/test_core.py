@@ -280,12 +280,14 @@ class TestLayerValues:
         row = RobustnessVerdict("robust", "av", "trivial", 2, 1, None, ())
         assert hash(row) == hash(("robust", "av", "trivial", 2, 1, None, ()))
         assert row != RobustnessVerdict("robust", "pav", "trivial", 2, 1, None, ())
-        assert hash(mp) == hash(("product", mp.universe, self.G, Fraction(3, 4), None))
-        # a noise model compares and hashes without its metric and levels
+        assert hash(mp) == hash(("product", mp.universe, self.G, Fraction(3, 4), None, None))
+        # a noise model compares and hashes on its level partition, without
+        # its metric and distance values
         fields = ("level", mp.universe, self.G, None)
-        bare = NoiseModel(*fields, None, level.level_probs, None)
-        other = NoiseModel(*fields, make_metric("trivial", 2), level.level_probs, trivial)
-        assert level == bare == other and hash(level) == hash(bare) == hash(other)
+        values = LevelStructure(self.G, (0, 1, 2), level.levels.sizes, None, level.levels.sets)
+        other = NoiseModel(*fields, make_metric("trivial", 2), level.level_probs, values)
+        assert level == other and hash(level) == hash(other)
+        assert level != NoiseModel(*fields, None, level.level_probs, None)
         assert level != NoiseModel(*fields, level.metric, (Fraction(1, 2),), level.levels)
         assert mp != level and mp != config
         # a rule holds its table in a dict: a config over one hashes as no value

@@ -10,7 +10,8 @@ builds a distance row or allocates anything sizeable. A signature metric's
 level structure and verdict never list the 2^m sets, so they are capped by
 the classes, not by m; a table metric's still are. A signature metric's
 axiom check and taxonomy build no matrix, so they are held to m <= MAX_M,
-and a table metric's to the matrix cap.
+and a table metric's to the matrix cap: `random_metric` draws a signature
+metric within the first and a table metric within the second.
 """
 
 import json
@@ -104,6 +105,7 @@ CASES = {
     "check_metric_axioms_signature": lambda: check_metric_axioms(jaccard(S)),
     "taxonomy_report_signature": lambda: taxonomy_report(jaccard(S), 1),
     "hierarchy_report_signature": lambda: hierarchy_report([av(S, 3)], [jaccard(S)]),
+    "random_metric_signature": lambda: random_metric(S, seed=1, family="signature"),
     "is_nontrivial": lambda: is_nontrivial(over_classes()),
     "prob_table": lambda: product(S).prob_table(),
     "audit_d_monotonic": lambda: audit_d_monotonic(product(S)),
@@ -130,7 +132,6 @@ CASES = {
     "jump_counterexample_matrix": lambda: jump_counterexample(make_rule("cc", X, 1)),
     "is_alternative_independent": lambda: is_alternative_independent(table(X)),
     "random_metric_table": lambda: random_metric(X, seed=1),
-    "random_metric_signature": lambda: random_metric(X, seed=1, family="signature"),
     "taxonomy_report": lambda: taxonomy_report(table(X), 1),
     "hierarchy_report": lambda: hierarchy_report([av(X, 3)], [table(X)]),
 }
@@ -273,6 +274,15 @@ def test_signature_levels_and_verdicts_are_not_capped_by_m():
     assert sum(q * size for q, size in zip(model.level_probs, levels.sizes)) == 1
     with pytest.raises(CapExceededError):
         levels.level_of
+
+
+def test_random_signature_metric_over_the_matrix_cap():
+    # it listed the C(2^m, 2) pairs of a table, and was refused at m = 13
+    assert 1 << 2 * 14 > MAX_MATRIX_CELLS
+    start = time.perf_counter()
+    metric = random_metric(14, seed=1, family="signature")
+    assert time.perf_counter() - start < 2
+    assert check_metric_axioms(metric) and is_alternative_independent(metric)
 
 
 def test_signature_grid_over_the_class_cap_is_refused_at_once(tmp_path):

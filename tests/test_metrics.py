@@ -1,10 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from abcc.core import default_universe
-from abcc.errors import MetricAxiomError, PreconditionError, ProfileParseError
+from abcc.core import default_universe, frac_str
+from abcc.errors import CapExceededError, MetricAxiomError, PreconditionError, ProfileParseError
 from abcc.metrics import (
     check_metric_axioms,
     is_alternative_independent,
@@ -267,6 +268,40 @@ class TestRandomMetrics:
         with pytest.raises(ValueError):
             random_metric(3, seed=0, family="nope")
 
+    def test_seeded_streams_are_pinned(self):
+        # the table family and the monotone signature family draw what they
+        # drew when the signature family still listed its pairs as a table
+        def distances_sha256(metrics):
+            text = ";".join(
+                ",".join(frac_str(d.d(x, y)) for x in range(1 << d.m) for y in range(1 << d.m))
+                for d in metrics
+            )
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        tables = [
+            random_metric(m, [m, i], perturb=(i % 2 == 0)) for m in (2, 3, 4) for i in range(6)
+        ]
+        monotone = [
+            random_metric(m, seed=[m, i], family="signature", monotone=True, perturb=(i % 2 == 0))
+            for m in (2, 3, 4, 5)
+            for i in range(10)
+        ]
+        assert distances_sha256(tables) == (
+            "a9b69bae99d491a8a09adac5f0faaed8bcb4709ca6df5ac1c77852a843eccb7d"
+        )
+        assert distances_sha256(monotone) == (
+            "ccde3c9cd922adb31d51a8d2b111a95ce9d87858e6060544d462a617e513415e"
+        )
+
+    def test_signature_family_values(self):
+        # one value in [1, 2] per signature cell, symmetric in (a, b)
+        for perturb in (True, False):
+            d = random_metric(5, seed=[4, perturb], family="signature", perturb=perturb)
+            values = {d.d(x, y) for x in range(32) for y in range(32) if x != y}
+            assert values <= {1 + Fraction(i, 8) for i in range(9)}
+            assert perturb or values == {1, 2}
+            assert all(d.d(x, y) == d.d(y, x) for x in range(32) for y in range(32))
+
 
 class TestMetricFiles:
     def test_round_trip_custom(self, tmp_path):
@@ -285,6 +320,16 @@ class TestMetricFiles:
         again = metric_from_json(metric_to_json(named))
         assert again.name == "jaccard"
         assert all(again.d(x, y) == named.d(x, y) for x in range(8) for y in range(8))
+
+    def test_random_signature_metric_is_written_as_its_table(self):
+        d = random_metric(3, seed=9, family="signature")
+        doc = metric_to_json(d)
+        assert (doc["kind"], doc["name"], len(doc["entries"])) == ("custom", d.name, 28)
+        again = metric_from_json(doc)
+        assert all(again.d(x, y) == d.d(x, y) for x in range(8) for y in range(8))
+        # a signature metric's table is capped as a table metric is
+        with pytest.raises(CapExceededError):
+            metric_to_json(random_metric(13, seed=9, family="signature"))
 
     def test_builtin_reference(self):
         doc = metric_to_json(make_metric("jaccard", 4))

@@ -97,6 +97,24 @@ class TestLevelModel:
         assert model.probability(u.set_of(["b"])) == Fraction(1, 5)
         assert sum(model.prob_table(), Fraction(0)) == 1
 
+    def test_models_on_different_partitions_differ(self):
+        # {} and {a, b} swap levels 1 and 2 around the ground {a}: equal
+        # probabilities, different distributions
+        u = default_universe(2)
+        ground = committee_of(u, ["a"])
+        probs = [Fraction(4, 10), Fraction(3, 10), Fraction(2, 10), Fraction(1, 10)]
+        models = [
+            make_level_model(
+                make_metric("custom", 2, table={(0, 1): near, (1, 3): far}, default=Fraction(2)),
+                ground,
+                probs,
+                u,
+            )
+            for near, far in [(1, Fraction(3, 2)), (Fraction(3, 2), 1)]
+        ]
+        assert models[0].prob_table() != models[1].prob_table()
+        assert models[0] != models[1] and hash(models[0]) != hash(models[1])
+
     def test_equal_probabilities_rejected(self):
         u = default_universe(2)
         d = make_metric("trivial", 2)

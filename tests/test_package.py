@@ -1,4 +1,5 @@
-"""The package surface: public names, lazy layers and the CLI help text.
+"""The package surface: public names, lazy layers, the CLI help text and
+which module knows a metric's form.
 
 `import abcc` runs only `core` and `errors`; the other layers are lazy
 modules whose bodies run on first attribute access. These tests pin which
@@ -9,6 +10,7 @@ layer's object, and that the parser's help text is unchanged.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -149,3 +151,17 @@ def test_help_text_is_unchanged(monkeypatch):
     assert {
         name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()
     } == HELP_SHA256
+
+
+def test_only_metrics_reads_a_metrics_private_state():
+    # a signature or table metric is told apart by what `metrics` returns
+    # (a level structure's `cells`), never by the fields that hold its form
+    private = re.compile(r"\._(signature|table|default|ints|axioms|level_cache|integers)\b")
+    readers = [
+        f"{path.name}:{number}"
+        for path in sorted(Path(abcc.__file__).parent.glob("*.py"))
+        if path.name != "metrics.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if private.search(line)
+    ]
+    assert readers == []
