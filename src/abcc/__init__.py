@@ -3,11 +3,13 @@ exact + Monte Carlo robustness verifiers.
 
 `import abcc` runs `core` and `errors`. The other layers are lazy modules:
 each one's body runs when one of its attributes is first read, so a
-command loads only the layers it uses. A first load costs the compile and
-run of that body and no more: its classes are `NamedTuple`s and plain
-classes whose value methods `core.Frozen` derives from one field tuple,
-and no layer imports `dataclasses`, which generates and execs the methods
-of every class it decorates.
+command loads only the layers it uses. The layers bind each other the
+same way (`from . import metrics`) and read a name off its layer where
+they use it, so loading one layer loads no other. A first load costs the
+compile and run of that body and no more: its classes are `NamedTuple`s
+and plain classes whose value methods `core.Frozen` derives from one
+field tuple, and no layer imports `dataclasses`, which generates and
+execs the methods of every class it decorates.
 """
 
 import importlib.util

@@ -21,6 +21,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, experiments, metrics, noise, oracle, rules
 from .core import (
     METRIC_KINDS,
@@ -32,7 +34,7 @@ from .core import (
     check_draws,
     check_sets,
     default_universe,
-    format_profile,
+    format_vote_masks,
     frac_str,
     parse_frac,
     parse_profile,
@@ -430,8 +432,8 @@ def cmd_hierarchy(args, runner):
 
 def cmd_sample(args, runner):
     model = _sampling_model(args, args.n, runner)
-    profile = noise.sample_profile(model, args.n, args.seed)
-    text = format_profile(model.universe, profile)
+    masks = noise.sample_vote_masks(model, args.n, np.random.default_rng(args.seed))
+    text = format_vote_masks(model.universe, masks)
     path = runner.write(f"sample_n{args.n}_seed{args.seed}.txt", text)
     print(str(path))
 

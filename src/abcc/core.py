@@ -554,10 +554,18 @@ def parse_profile(text: str) -> tuple[Universe, Profile]:
     return universe, Profile(tuple(vote for vote in parsed if vote is not None))
 
 
-def format_profile(universe: Universe, profile: Profile) -> str:
-    """The profile text of `parse_profile`, one label string per distinct vote."""
-    masks = [vote.mask for vote in profile]
-    distinct = dict(zip(masks, profile.votes))
-    label = {mask: ",".join(vote.labels(universe)) for mask, vote in distinct.items()}
-    lines = ["alternatives: " + ",".join(universe.names), *map(label.__getitem__, masks)]
+def format_vote_masks(universe: Universe, masks) -> str:
+    """The profile text of `parse_profile` for votes given as masks, one
+    label string per distinct vote, read off its binary digits."""
+    names = universe.names
+    label = {
+        mask: ",".join([name for name, bit in zip(names, bin(mask)[:1:-1]) if bit == "1"])
+        for mask in set(masks)
+    }
+    lines = ["alternatives: " + ",".join(names), *map(label.__getitem__, masks)]
     return "\n".join(lines) + "\n"
+
+
+def format_profile(universe: Universe, profile: Profile) -> str:
+    """The profile text of `parse_profile`."""
+    return format_vote_masks(universe, [vote.mask for vote in profile])

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import metrics, noise, oracle, rules
 from .core import (
     AlternativeSet,
     Committee,
@@ -26,20 +27,6 @@ from .core import (
     popcount,
 )
 from .errors import InvalidNoiseParamError, PreconditionError
-from .metrics import DistanceMetric, taxonomy_report
-from .noise import NoiseModel, sample_vote_masks
-from .oracle import RobustnessVerdict, robustness_verdict
-from .rules import (
-    BLOCK_CELLS,
-    AbccRule,
-    _vote_masks,
-    argmax_committees,
-    committee_totals,
-    has_top_jump,
-    integer_table,
-    is_nontrivial,
-    make_rule,
-)
 
 
 class TrialRates(NamedTuple):
@@ -48,7 +35,9 @@ class TrialRates(NamedTuple):
     wrong: Fraction
 
 
-def accuracy_trial(rule: AbccRule, model: NoiseModel, n: int, trials: int, seed) -> TrialRates:
+def accuracy_trial(
+    rule: rules.AbccRule, model: noise.NoiseModel, n: int, trials: int, seed
+) -> TrialRates:
     """Fraction of trials where the ground truth is the unique winner.
 
     Each trial samples n votes and computes the exact winner set;
@@ -64,8 +53,8 @@ def accuracy_trial(rule: AbccRule, model: NoiseModel, n: int, trials: int, seed)
     recovered = tied = 0
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
-        counts = Counter(sample_vote_masks(model, n, rng))
-        winner_masks = argmax_committees(rule, counts, masks)
+        counts = Counter(noise.sample_vote_masks(model, n, rng))
+        winner_masks = rules.argmax_committees(rule, counts, masks)
         if winner_masks == [gmask]:
             recovered += 1
         elif gmask in winner_masks:
@@ -80,7 +69,8 @@ class TrialConfig(Frozen):
     __slots__ = ("rule", "model", "n_grid", "trials", "seed")
 
     def __init__(
-        self, rule: AbccRule, model: NoiseModel, n_grid: tuple[int, ...], trials: int, seed: int
+        self, rule: rules.AbccRule, model: noise.NoiseModel, n_grid: tuple[int, ...],
+        trials: int, seed: int,
     ):
         if any(n < 1 for n in n_grid):
             raise PreconditionError("all grid sizes must be >= 1")
@@ -142,11 +132,11 @@ def _check_mle_p(p) -> None:
 def distance_totals(cmasks, m: int, counts) -> np.ndarray:
     """totals[i] = sum of count * |C_i △ S| over a {vote mask S: count} tally,
     from the popcounts of the masks' xor: the distance route, apart from the
-    score kernel. Votes are taken in blocks of at most BLOCK_CELLS cells."""
+    score kernel. Votes are taken in blocks of at most rules.BLOCK_CELLS cells."""
     votes, mult = list(counts), np.array(list(counts.values()), dtype=np.int64)
     cwords = mask_words(cmasks, m)[:, :, None]
     totals = np.zeros(len(cmasks), dtype=np.int64)
-    step = max(1, BLOCK_CELLS // len(cmasks))
+    step = max(1, rules.BLOCK_CELLS // len(cmasks))
     for lo in range(0, len(votes), step):
         vwords = mask_words(votes[lo : lo + step], m)[:, None, :]
         totals += popcount(cwords ^ vwords) @ mult[lo : lo + step]
@@ -163,14 +153,14 @@ def mle_committees(profile: Profile, p, m: int, k: int) -> MleResult:
     depends on p inside (1/2, 1].
     """
     _check_mle_p(p)
-    av = make_rule("av", m, k)
-    counts = Counter(_vote_masks(av, profile))
+    av = rules.make_rule("av", m, k)
+    counts = Counter(rules._vote_masks(av, profile))
     masks = committee_masks(m, k)
     distance = distance_totals(masks, m, counts)
     nearest = [masks[i] for i in np.flatnonzero(distance == distance.min())]
     by_distance, by_score = (
         tuple(Committee(AlternativeSet(c, m), k) for c in best)
-        for best in (nearest, argmax_committees(av, counts, masks))
+        for best in (nearest, rules.argmax_committees(av, counts, masks))
     )
     return MleResult(by_distance, by_score)
 
@@ -191,14 +181,14 @@ def mle_equivalence_check(
         raise PreconditionError(f"m={m}: random profiles are drawn for m <= 63 only")
     _check_mle_p(p)
     masks = committee_masks(m, k)
-    table = integer_table(make_rule("av", m, k), n_max)[0]
+    table = rules.integer_table(rules.make_rule("av", m, k), n_max)[0]
     agree = 0
     for i in range(profiles):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
         n = int(rng.integers(1, n_max + 1))
         counts = Counter(rng.integers(0, 1 << m, size=n).tolist())
         distance = distance_totals(masks, m, counts)
-        score = committee_totals(table, m, counts, masks)
+        score = rules.committee_totals(table, m, counts, masks)
         if ((distance == distance.min()) == (score == score.max())).all():
             agree += 1
     return agree, profiles
@@ -217,9 +207,15 @@ class HierarchyReport(NamedTuple):
     metric_taxonomy: dict  # metric_name -> TaxonomyReport
 
 
-def hierarchy_report(rules: list[AbccRule], metrics: list[DistanceMetric]) -> HierarchyReport:
+def hierarchy_report(
+    rules: list[rules.AbccRule], metrics: list[metrics.DistanceMetric]
+) -> HierarchyReport:
     """Verdict matrix over rule x metric, annotated with rule predicates
     and metric taxonomy flags."""
+    # the arguments shadow the `rules` and `metrics` layers in this body
+    from .metrics import taxonomy_report
+    from .rules import has_top_jump, is_nontrivial
+
     if not rules or not metrics:
         raise PreconditionError("need at least one rule and one metric")
     m, k = rules[0].m, rules[0].k
@@ -236,7 +232,7 @@ def hierarchy_report(rules: list[AbccRule], metrics: list[DistanceMetric]) -> Hi
     # before any verdict runs
     taxonomy = {metric.name: taxonomy_report(metric, k) for metric in metrics}
     verdicts = {
-        (rule.name, metric.name): robustness_verdict(rule, metric)
+        (rule.name, metric.name): oracle.robustness_verdict(rule, metric)
         for rule in rules
         for metric in metrics
     }

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import metrics, rules
 from .core import (  # RNG_SCHEME is re-exported
     RNG_SCHEME,
     AlternativeSet,
@@ -44,16 +45,6 @@ from .errors import (
     PreconditionError,
     ProfileParseError,
 )
-from .metrics import (
-    DistanceMetric,
-    LevelStructure,
-    level_structure,
-    make_metric,
-    metric_from_json,
-    metric_to_json,
-    neighborhood_count,
-)
-from .rules import AbccRule, level_gap_rows, make_rule
 
 
 class NoiseModel(Frozen):
@@ -69,9 +60,9 @@ class NoiseModel(Frozen):
         universe: Universe,
         ground: Committee,
         p: Fraction | None = None,
-        metric: DistanceMetric | None = None,
+        metric: metrics.DistanceMetric | None = None,
         level_probs: tuple[Fraction, ...] | None = None,
-        levels: LevelStructure | None = None,
+        levels: metrics.LevelStructure | None = None,
     ):
         vars(self).update(
             kind=kind, universe=universe, ground=ground, p=p,
@@ -89,7 +80,7 @@ class NoiseModel(Frozen):
     def m(self) -> int:
         return self.ground.m
 
-    def check_rule(self, rule: AbccRule) -> None:
+    def check_rule(self, rule: rules.AbccRule) -> None:
         """Refuse a rule for another number of alternatives or committee size."""
         if (self.m, self.ground.k) != (rule.m, rule.k):
             raise PreconditionError(
@@ -113,7 +104,7 @@ class NoiseModel(Frozen):
         check_sets(self.m)
         return [self.probability(mask) for mask in range(1 << self.m)]
 
-    def level_form(self) -> tuple[LevelStructure, tuple[Fraction, ...]]:
+    def level_form(self) -> tuple[metrics.LevelStructure, tuple[Fraction, ...]]:
         """(levels, probs): each set at level t has probability probs[t]. A
         product model is the level model of `set_difference`: its level d
         holds the sets at distance d = 0..m, each with p^(m-d) * (1-p)^d."""
@@ -122,9 +113,9 @@ class NoiseModel(Frozen):
         return self._product_levels
 
     @functools.cached_property
-    def _product_levels(self) -> tuple[LevelStructure, tuple[Fraction, ...]]:
+    def _product_levels(self) -> tuple[metrics.LevelStructure, tuple[Fraction, ...]]:
         m, p = self.m, self.p
-        levels = level_structure(make_metric("set_difference", m), self.ground)
+        levels = metrics.level_structure(metrics.make_metric("set_difference", m), self.ground)
         return levels, tuple(p ** (m - d) * (1 - p) ** d for d in range(m + 1))
 
 
@@ -140,7 +131,7 @@ def make_mp(p, universe: Universe, ground: Committee) -> NoiseModel:
 
 
 def make_level_model(
-    metric: DistanceMetric,
+    metric: metrics.DistanceMetric,
     ground: Committee,
     level_probs,
     universe: Universe | None = None,
@@ -151,7 +142,7 @@ def make_level_model(
     and exact normalization against the level sizes.
     """
     universe = universe or default_universe(metric.m)
-    levels = level_structure(metric, ground)
+    levels = metrics.level_structure(metric, ground)
     probs = tuple(Fraction(q) for q in level_probs)
     if len(probs) != levels.spn + 1:
         raise PreconditionError(
@@ -176,13 +167,13 @@ def make_level_model(
 
 
 def staggered_level_model(
-    metric: DistanceMetric,
+    metric: metrics.DistanceMetric,
     ground: Committee,
     universe: Universe | None = None,
     zero_tail: bool = False,
 ) -> NoiseModel:
     """Canonical strict model with linearly decreasing level probabilities."""
-    levels = level_structure(metric, ground)
+    levels = metrics.level_structure(metric, ground)
     s = levels.spn
     weights = [s + 1 - t for t in range(s + 1)] if not zero_tail else [s - t for t in range(s + 1)]
     if zero_tail and s == 0:
@@ -194,7 +185,7 @@ def staggered_level_model(
 
 
 def audit_d_monotonic(
-    model: NoiseModel, metric: DistanceMetric | None = None
+    model: NoiseModel, metric: metrics.DistanceMetric | None = None
 ) -> tuple[bool, tuple | None]:
     """Pairwise audit of the strict-iff condition.
 
@@ -219,11 +210,11 @@ def audit_d_monotonic(
     return True, None
 
 
-def expected_gaps(rule: AbccRule, model: NoiseModel, umask: int, vmasks) -> list[Fraction]:
+def expected_gaps(rule: rules.AbccRule, model: NoiseModel, umask: int, vmasks) -> list[Fraction]:
     """Exact E[f(U, S) - f(V_i, S)] per rival mask V_i, S drawn from the
     model: its level gap rows weighed by the level probabilities."""
     levels, probs = model.level_form()
-    coeffs, scale = level_gap_rows(rule, levels, umask, vmasks)
+    coeffs, scale = rules.level_gap_rows(rule, levels, umask, vmasks)
     weights, den = scaled_integers(probs)
     totals = coeffs.astype(object) @ weights.astype(object)
     return [Fraction(int(total), scale * den) for total in totals]
@@ -234,6 +225,8 @@ def expected_gaps(rule: AbccRule, model: NoiseModel, umask: int, vmasks) -> list
 
 def sample_vote_masks(model: NoiseModel, n: int, rng: np.random.Generator) -> list[int]:
     """Draw n i.i.d. vote masks. Product models avoid the 2^m table."""
+    if n < 0:
+        raise PreconditionError("n must be non-negative")
     if n == 0:
         return []
     if model.kind == "product":
@@ -254,10 +247,7 @@ def sample_vote_masks(model: NoiseModel, n: int, rng: np.random.Generator) -> li
 
 def sample_profile(model: NoiseModel, n: int, seed) -> Profile:
     """n i.i.d. votes from the model; deterministic for a given seed."""
-    if n < 0:
-        raise PreconditionError("n must be non-negative")
-    rng = np.random.default_rng(seed)
-    masks = sample_vote_masks(model, n, rng)
+    masks = sample_vote_masks(model, n, np.random.default_rng(seed))
     sets = {mask: AlternativeSet(mask, model.m) for mask in set(masks)}
     return Profile(tuple(map(sets.__getitem__, masks)))
 
@@ -268,7 +258,7 @@ def sample_profile(model: NoiseModel, n: int, seed) -> Profile:
 class CounterexamplePackage(NamedTuple):
     """A metric + model under which the rule prefers a rival to the ground truth."""
 
-    metric: DistanceMetric
+    metric: metrics.DistanceMetric
     model: NoiseModel
     ground: Committee
     rival: Committee
@@ -280,7 +270,7 @@ class CounterexamplePackage(NamedTuple):
 _MAX_HALVINGS = 64
 
 
-def jump_counterexample(rule: AbccRule) -> CounterexamplePackage:
+def jump_counterexample(rule: rules.AbccRule) -> CounterexamplePackage:
     """Adversarial distance metric and model defeating any rule with a
     score jump below the top cell.
 
@@ -322,7 +312,9 @@ def jump_counterexample(rule: AbccRule) -> CounterexamplePackage:
 
     # V and W hold alternative k or above, so both masks exceed U's
     near = {(umask, vmask): Fraction(1), (umask, wmask): Fraction(1)}
-    metric = DistanceMetric(f"jump_adversarial({rule.name})", m, table=near, default=Fraction(2))
+    metric = metrics.DistanceMetric(
+        f"jump_adversarial({rule.name})", m, table=near, default=Fraction(2)
+    )
 
     sets_total = 1 << m
     delta = Fraction(1, 3 * (sets_total - 1)) / 2
@@ -346,7 +338,7 @@ def jump_counterexample(rule: AbccRule) -> CounterexamplePackage:
 
 
 def av_refutation_model(
-    metric: DistanceMetric,
+    metric: metrics.DistanceMetric,
     ground: Committee,
     a: int,
     b: int,
@@ -369,12 +361,12 @@ def av_refutation_model(
         raise PreconditionError(
             f"need a member a and an outsider b of the ground, got a={a}, b={b}"
         )
-    levels = level_structure(metric, ground)
+    levels = metrics.level_structure(metric, ground)
     s = levels.spn
     if not 1 <= t_star <= s - 1:
         raise PreconditionError(f"t*={t_star} outside 1..{s - 1}")
-    n_ab = neighborhood_count(metric, ground, a, b, t_star)
-    n_ba = neighborhood_count(metric, ground, b, a, t_star)
+    n_ab = metrics.neighborhood_count(metric, ground, a, b, t_star)
+    n_ba = metrics.neighborhood_count(metric, ground, b, a, t_star)
     if n_ab >= n_ba:
         raise PreconditionError(
             f"no concentricity violation at (a={a}, b={b}, t*={t_star}): "
@@ -406,7 +398,7 @@ def av_refutation_model(
     probs += [tail[t] for t in range(t_star + 1, s + 1)]
     model = make_level_model(metric, ground, probs, universe)
 
-    av = make_rule("av", m, ground.k)
+    av = rules.make_rule("av", m, ground.k)
     vmask = ground.mask & ~(1 << a) | (1 << b)
     (gap,) = expected_gaps(av, model, ground.mask, [vmask])
     if gap >= 0:
@@ -430,7 +422,7 @@ def model_to_json(model: NoiseModel) -> dict:
     if model.kind == "product":
         doc["p"] = frac_str(model.p)
     else:
-        doc["metric"] = metric_to_json(model.metric, model.universe)
+        doc["metric"] = metrics.metric_to_json(model.metric, model.universe)
         doc["probs"] = [frac_str(q) for q in model.level_probs]
         if model.zero_tail:
             doc["zero_tail"] = True
@@ -458,9 +450,9 @@ def model_from_json(doc: dict, m: int | None = None) -> NoiseModel:
         if doc["type"] == "level":
             metric_doc = doc["metric"]
             metric = (
-                make_metric(metric_doc, universe.m)
+                metrics.make_metric(metric_doc, universe.m)
                 if isinstance(metric_doc, str)
-                else metric_from_json(metric_doc, universe.m)
+                else metrics.metric_from_json(metric_doc, universe.m)
             )
             probs = [parse_frac(str(q)) for q in doc["probs"]]
             return make_level_model(metric, ground, probs, universe)

@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import metrics, noise, rules
 from .core import (
     MAX_PAIR_ROWS,
     AlternativeSet,
@@ -40,9 +41,6 @@ from .core import (
     frac_str,
 )
 from .errors import NotAccurateError, PreconditionError, SizeMismatchError
-from .metrics import DistanceMetric, LevelStructure, deciding_committees, level_structure
-from .noise import NoiseModel, expected_gaps, make_level_model, staggered_level_model
-from .rules import AbccRule, gap_rows, integer_table, level_gap_rows, overlap_cells
 
 # Cells of the rival x group gap sums that one `gap_rows` call of
 # `accuracy_classify` returns; more zero-gap rivals are split into calls.
@@ -57,14 +55,16 @@ NOT_ROBUST = "not_robust"
 DEGENERATE_NOT_ROBUST = "degenerate_not_robust"
 
 
-def expected_gap(rule: AbccRule, model: NoiseModel, ground: Committee, rival: Committee) -> Fraction:
+def expected_gap(
+    rule: rules.AbccRule, model: noise.NoiseModel, ground: Committee, rival: Committee
+) -> Fraction:
     """Exact E[sc(ground, S) - sc(rival, S)] under the model's distribution."""
     if model.ground != ground:
         raise PreconditionError("model ground truth differs from the given committee")
     model.check_rule(rule)
     if rival.k != rule.k or rival.m != rule.m:
         raise PreconditionError("committees do not match the rule's (m, k)")
-    return expected_gaps(rule, model, ground.mask, [rival.mask])[0]
+    return noise.expected_gaps(rule, model, ground.mask, [rival.mask])[0]
 
 
 class AccuracyReport(NamedTuple):
@@ -78,7 +78,7 @@ class AccuracyReport(NamedTuple):
         return rival, self.gaps[rival]
 
 
-def accuracy_classify(rule: AbccRule, model: NoiseModel) -> AccuracyReport:
+def accuracy_classify(rule: rules.AbccRule, model: noise.NoiseModel) -> AccuracyReport:
     """Classify whether the rule recovers the model's ground truth in the limit.
 
     Accurate iff every rival committee has a strictly positive expected
@@ -90,7 +90,7 @@ def accuracy_classify(rule: AbccRule, model: NoiseModel) -> AccuracyReport:
     ground = model.ground
     masks = committee_masks(rule.m, rule.k)
     rivals = [cmask for cmask in masks if cmask != ground.mask]
-    rows = zip(rivals, expected_gaps(rule, model, ground.mask, rivals))
+    rows = zip(rivals, noise.expected_gaps(rule, model, ground.mask, rivals))
     gaps = {Committee(AlternativeSet(cmask, rule.m), rule.k): gap for cmask, gap in rows}
     # the zero gaps vote by vote on the support. On a grid, the rivals of an
     # overlap class move together: iff one of its vote cells with a non-zero
@@ -102,10 +102,10 @@ def accuracy_classify(rule: AbccRule, model: NoiseModel) -> AccuracyReport:
     if zero:
         levels, probs = model.level_form()
         if levels.cells is not None:
-            f = integer_table(rule, 1)[0].tolist()
+            f = rules.integer_table(rule, 1)[0].tolist()
             moves = Memo(lambda j: any(
                 gap and probs[levels.cells[x][y]]
-                for x, y, _, gap in overlap_cells(f, rule.m, rule.k, j)
+                for x, y, _, gap in rules.overlap_cells(f, rule.m, rule.k, j)
             ))
             moving = {vmask for vmask in zero if moves[(ground.mask & vmask).bit_count()]}
         else:
@@ -115,7 +115,7 @@ def accuracy_classify(rule: AbccRule, model: NoiseModel) -> AccuracyReport:
             step = max(1, BATCH_CELLS // (shown + 1))
             for lo in range(0, len(zero), step):
                 part = zero[lo : lo + step]
-                sums = gap_rows(rule, ground.mask, part, groups)[0][:, :shown]
+                sums = rules.gap_rows(rule, ground.mask, part, groups)[0][:, :shown]
                 moving.update(vmask for vmask, row in zip(part, sums) if row.any())
     rival_status = {
         rival: ("positive" if gap > 0 else "negative") if gap
@@ -174,7 +174,7 @@ class GapAnalysis(NamedTuple):
     metric_name: str
     ground: Committee
     rival: Committee
-    levels: LevelStructure
+    levels: metrics.LevelStructure
     coefficients: tuple[Fraction, ...]
     prefix: tuple[Fraction, ...]
 
@@ -201,7 +201,7 @@ class GapAnalysis(NamedTuple):
 def _level_gaps(rule, levels, rivals):
     """Level gap coefficients c_t of the ground against each rival, one row
     per rival, and their prefix sums E_j, both as integers over `scale`."""
-    coeffs, scale = level_gap_rows(rule, levels, levels.ground.mask, rivals)
+    coeffs, scale = rules.level_gap_rows(rule, levels, levels.ground.mask, rivals)
     return coeffs, np.cumsum(coeffs, axis=1), scale
 
 
@@ -210,7 +210,7 @@ def _fractions(row, scale) -> tuple[Fraction, ...]:
 
 
 def gap_analysis(
-    rule: AbccRule, metric: DistanceMetric, ground: Committee, rival: Committee
+    rule: rules.AbccRule, metric: metrics.DistanceMetric, ground: Committee, rival: Committee
 ) -> GapAnalysis:
     """Exact level coefficients, prefix sums, and both gap evaluators.
 
@@ -218,7 +218,7 @@ def gap_analysis(
     cross-checked on one seeded random strict model; a mismatch would be
     an internal bug, not a property of the inputs.
     """
-    levels = level_structure(metric, ground)
+    levels = metrics.level_structure(metric, ground)
     coeffs, prefix, scale = _level_gaps(rule, levels, [rival.mask])
     analysis = GapAnalysis(
         rule.name, metric.name, ground, rival, levels,
@@ -234,7 +234,7 @@ def gap_analysis(
     return analysis
 
 
-def _random_strict_probs(levels: LevelStructure, rng) -> list[Fraction]:
+def _random_strict_probs(levels: metrics.LevelStructure, rng) -> list[Fraction]:
     # strictly decreasing positive integers, normalized exactly
     increments = rng.integers(1, 8, size=levels.spn + 1)
     weights = list(np.cumsum(increments)[::-1])
@@ -267,14 +267,14 @@ class NotRobustWitness(NamedTuple):
     ground: Committee
     rival: Committee
     level_index: int
-    model: NoiseModel
+    model: noise.NoiseModel
     gap: Fraction
 
 
 class DegenerateWitness(NamedTuple):
     ground: Committee
     rival: Committee
-    model: NoiseModel
+    model: noise.NoiseModel
     identically_zero: bool
 
 
@@ -316,7 +316,7 @@ class RobustnessVerdict(Frozen):
         )
 
 
-def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerdict:
+def robustness_verdict(rule: rules.AbccRule, metric: metrics.DistanceMetric) -> RobustnessVerdict:
     """Decide accuracy in the limit over all monotone models of the metric.
 
     Robust iff every ordered committee pair has all prefix sums E_j >= 0
@@ -335,14 +335,14 @@ def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerd
     if rule.m != metric.m:
         raise PreconditionError("rule and metric universe sizes differ")
     m, k = rule.m, rule.k
-    grounds, masks = deciding_committees(metric, k)
+    grounds, masks = metrics.deciding_committees(metric, k)
     committees = {mask: Committee(AlternativeSet(mask, m), k) for mask in masks}
     fractions = Memo(lambda key: Fraction(*key))  # one per distinct (min_prefix, scale)
     rows = []
     negative = degenerate = None  # the first (ground, rival) of each failure
     for umask in grounds:
         ground = committees[umask]
-        levels = level_structure(metric, ground)
+        levels = metrics.level_structure(metric, ground)
         by_class = levels.cells is not None  # a signature metric's grid
         coeffs, prefix, scale = _level_gaps(rule, levels, masks)
         lowest = prefix.min(axis=1).tolist()
@@ -367,7 +367,7 @@ def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerd
             # ground's level structure (one object on the shared grid), as the
             # table sweep does, so a traced run (bench/shim.py) counts one per ground
             for mask in committee_masks(m, k)[1:]:
-                level_structure(metric, Committee(AlternativeSet(mask, m), k))
+                metrics.level_structure(metric, Committee(AlternativeSet(mask, m), k))
     if negative is not None:
         ground, rival, t, levels, coeffs = negative
         model, gap = _negative_gap_witness(metric, ground, levels, coeffs, t)
@@ -378,12 +378,12 @@ def robustness_verdict(rule: AbccRule, metric: DistanceMetric) -> RobustnessVerd
         # whether the per-vote gap variable itself vanishes everywhere
         # (permanent tie) or only its level aggregates cancel: a property
         # of the rule on the pair's overlap class, whatever the metric
-        f = integer_table(rule, 1)[0].tolist()
-        cells = overlap_cells(f, m, k, (ground.mask & rival.mask).bit_count())
+        f = rules.integer_table(rule, 1)[0].tolist()
+        cells = rules.overlap_cells(f, m, k, (ground.mask & rival.mask).bit_count())
         identically_zero = not any(gap for *_, gap in cells)
         # strict decrease with zero mass on the farthest level: the gap of a
         # fully-cancelling pair is exactly zero under this model
-        model = staggered_level_model(metric, ground, zero_tail=True)
+        model = noise.staggered_level_model(metric, ground, zero_tail=True)
         witness = DegenerateWitness(ground, rival, model, identically_zero)
         status = DEGENERATE_NOT_ROBUST
     else:
@@ -410,7 +410,7 @@ def _negative_gap_witness(metric, ground, levels, coeffs, j):
     ]
     scale = sum((Fraction(size) * q for size, q in zip(levels.sizes, raw)), Fraction(0))
     probs = [q / scale for q in raw]
-    model = make_level_model(metric, ground, probs)
+    model = noise.make_level_model(metric, ground, probs)
     gap = sum((c * q for c, q in zip(coeffs, probs)), start=Fraction(0))
     if gap >= 0:
         raise RuntimeError("witness stagger failed to preserve the negative gap")
@@ -428,7 +428,7 @@ class SampleSizeBound(NamedTuple):
     worst_rival: Committee
 
 
-def sample_size_bound(rule: AbccRule, model: NoiseModel, eps) -> SampleSizeBound:
+def sample_size_bound(rule: rules.AbccRule, model: noise.NoiseModel, eps) -> SampleSizeBound:
     """Vote count guaranteeing unique recovery with probability >= 1 - eps.
 
     n = ceil((b' - a')^2 / (2 mu_min^2) * ln(2 m^k / eps)), where [a', b']
@@ -461,8 +461,6 @@ def verdict_to_json(verdict: RobustnessVerdict, universe) -> dict:
     """The verdict document; rows that name the same committee share its
     label list, and equal rationals share their "p/q" string. A signature
     verdict over more than MAX_PAIR_ROWS pairs lists its class rows instead."""
-    from .noise import model_to_json
-
     names = Memo(lambda mask: list(AlternativeSet(mask, verdict.m).labels(universe)))
     fracs = Memo(frac_str)
     doc = {
@@ -505,7 +503,7 @@ def verdict_to_json(verdict: RobustnessVerdict, universe) -> dict:
             "rival": names[w.rival.mask],
             "level_index": w.level_index,
             "gap": frac_str(w.gap),
-            "model": model_to_json(w.model),
+            "model": noise.model_to_json(w.model),
         }
     elif isinstance(w, DegenerateWitness):
         doc["witness"] = {
@@ -513,6 +511,6 @@ def verdict_to_json(verdict: RobustnessVerdict, universe) -> dict:
             "rival": names[w.rival.mask],
             "identically_zero": w.identically_zero,
             "gap": "0",
-            "model": model_to_json(w.model),
+            "model": noise.model_to_json(w.model),
         }
     return doc

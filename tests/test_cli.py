@@ -8,10 +8,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from abcc.cli import main
-from abcc.core import frac_str, parse_profile
-from abcc.metrics import DistanceMetric, metric_from_json, metric_to_json, random_metric
-from abcc.noise import jump_counterexample, model_from_json
+from abcc.core import Committee, default_universe, format_profile, frac_str, parse_profile
+from abcc.metrics import (
+    DistanceMetric,
+    make_metric,
+    metric_from_json,
+    metric_to_json,
+    random_metric,
+)
+from abcc.noise import (
+    jump_counterexample,
+    make_mp,
+    model_from_json,
+    model_to_json,
+    sample_profile,
+    staggered_level_model,
+)
 from abcc.oracle import expected_gap
 from abcc.rules import make_rule, rule_to_json
 from conftest import committee_of
@@ -277,7 +291,7 @@ class TestOracleCommands:
         def no_verdict(rule, metric):
             raise AssertionError("a robustness verdict ran")
 
-        monkeypatch.setattr("abcc.experiments.robustness_verdict", no_verdict)
+        monkeypatch.setattr("abcc.oracle.robustness_verdict", no_verdict)
         # the builtins build no matrix: the taxonomy's sweeps over the 2^m
         # sets are the tightest limit, which the command checks first
         code, out, err = run(
@@ -401,6 +415,30 @@ class TestSamplingCommands:
         bytes1 = Path(out1.strip()).read_bytes()
         bytes2 = Path(out2.strip()).read_bytes()
         assert bytes1 == bytes2
+
+    @pytest.mark.parametrize("m", [1, 3, 10, 16, 63, 70])
+    def test_sample_text_is_the_sampled_profile_text(self, m, tmp_path, capsys):
+        # `sample` writes straight from the drawn masks; the profile path and
+        # the line-at-a-time writer of reference.py are its oracles
+        universe = default_universe(m)
+        ground = Committee.from_indices(range(min(m, 3)), m)
+        models = [make_mp(Fraction(3, 4), universe, ground)]
+        if m <= 16:  # a level model samples over its table of the 2^m sets
+            models += [staggered_level_model(make_metric(kind, m), ground)
+                       for kind in ("jaccard", "zelinka")]
+        for i, model in enumerate(models):
+            path = tmp_path / f"model{i}.json"
+            path.write_text(json.dumps(model_to_json(model)), encoding="utf-8")
+            for n in (0, 1, 2000):
+                code, out, err = run(
+                    capsys, "sample", "--model-file", str(path), "--n", str(n), "--seed", "5",
+                    "--out", str(tmp_path / f"out{i}"),
+                )
+                assert code == 0, err
+                profile = sample_profile(model, n, 5)
+                text = format_profile(universe, profile)
+                assert text == reference.format_profile(universe, profile)
+                assert Path(out.strip()).read_bytes() == text.encode()
 
     def test_bad_p_exits_6(self, tmp_path, capsys):
         code, _, err = run(
@@ -732,6 +770,14 @@ class TestInputErrors:
             "--seed", "1", "--out", str(tmp_path / "out"),
         )
         assert "m <= 63" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sample_negative_n(self, tmp_path, capsys):
+        err = self.assert_exit_2(
+            capsys, "sample", "--model", "mp", "--p", "3/4", "--m", "3", "--ground", "a",
+            "--n", "-1", "--seed", "1", "--out", str(tmp_path / "out"),
+        )
+        assert err == "error: n must be non-negative\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [

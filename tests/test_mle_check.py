@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import reference
-from abcc import experiments, oracle
+from abcc import oracle, rules
 from abcc.core import AlternativeSet, Committee, Profile, committee_masks, default_universe
 from abcc.experiments import distance_totals, mle_committees, mle_equivalence_check
 from abcc.metrics import make_metric
@@ -58,8 +58,8 @@ def test_distance_totals_are_the_summed_symmetric_differences():
 def test_a_broken_score_kernel_fails_the_mle_check(monkeypatch):
     # the distance route does not go through the score kernel, so a kernel
     # that ranks committees upside down makes the routes disagree
-    kernel = experiments.committee_totals
-    monkeypatch.setattr(experiments, "committee_totals", lambda *args: -kernel(*args))
+    kernel = rules.committee_totals
+    monkeypatch.setattr(rules, "committee_totals", lambda *args: -kernel(*args))
     agree, total = mle_equivalence_check(Fraction(3, 4), 6, 2, 20, 1)
     assert total == 20 and agree < 10
 

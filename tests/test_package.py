@@ -3,10 +3,12 @@ which module knows a metric's form.
 
 `import abcc` runs only `core` and `errors`; the other layers are lazy
 modules whose bodies run on first attribute access. These tests pin which
-layers each command runs, that every public name still resolves to its
-layer's object, and that the parser's help text is unchanged.
+layers each command runs, that the layers bind each other as modules,
+that every public name still resolves to its layer's object, and that the
+parser's help text is unchanged.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -55,8 +57,11 @@ print(json.dumps([code, sorted(name[5:] for name in loaded), "dataclasses" in sy
 """
 
 BASE = ["cli", "core", "errors"]
-ALL_LAYERS = BASE + ["experiments", "metrics", "noise", "oracle", "rules"]
+LAZY = ["experiments", "metrics", "noise", "oracle", "rules"]
+ALL_LAYERS = BASE + LAZY
 MP = ["--model", "mp", "--p", "3/4", "--m", "3", "--ground", "a,b"]
+LEVEL = ["--model-file", "{model}"]
+CONVERGE = ["converge", "--rule", "av", "--n-grid", "3", "--trials", "2", "--seed", "1"]
 COMMANDS = [
     (["--version"], BASE),
     (["--help"], BASE),
@@ -64,26 +69,38 @@ COMMANDS = [
     (["score", "--rule", "pav", "--committee", "a,b", "--profile", "{votes}"], BASE + ["rules"]),
     (["check-metric", "--metric", "jaccard", "--m", "3"], BASE + ["metrics"]),
     (["taxonomy", "--metric", "jaccard", "--m", "3", "--k", "2"], BASE + ["metrics"]),
-    (["sample", *MP, "--n", "5", "--seed", "1"], BASE + ["metrics", "noise", "rules"]),
+    (["sample", *MP, "--n", "5", "--seed", "1"], BASE + ["noise"]),
+    (["sample", *LEVEL, "--n", "5", "--seed", "1"], BASE + ["metrics", "noise"]),
     (["robust", "--rule", "av", "--metric", "jaccard", "--m", "3", "--k", "2"],
+     BASE + ["metrics", "oracle", "rules"]),
+    (["robust", "--rule", "cc", "--metric", "example2", "--m", "3", "--k", "2"],
      BASE + ["metrics", "noise", "oracle", "rules"]),
     (["counterexample", "--rule", "cc", "--m", "3", "--k", "2"],
      BASE + ["metrics", "noise", "oracle", "rules"]),
-    (["hierarchy", "--rules", "av", "--metrics", "jaccard", "--m", "3", "--k", "2"], ALL_LAYERS),
-    (["converge", "--rule", "av", *MP, "--n-grid", "3", "--trials", "2", "--seed", "1"],
-     ALL_LAYERS),
+    (["hierarchy", "--rules", "av", "--metrics", "jaccard", "--m", "3", "--k", "2"],
+     BASE + ["experiments", "metrics", "oracle", "rules"]),
+    ([*CONVERGE, *MP], BASE + ["experiments", "noise", "rules"]),
+    ([*CONVERGE, *LEVEL], BASE + ["experiments", "metrics", "noise", "rules"]),
     (["mle-check", "--p", "3/4", "--m", "3", "--k", "1", "--profiles", "1", "--seed", "1"],
-     ALL_LAYERS),
+     BASE + ["experiments", "rules"]),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, layers", COMMANDS, ids=[argv[0].strip("-") for argv, _ in COMMANDS]
+    "argv, layers", COMMANDS,
+    ids=[
+        argv[0].strip("-") + ("-level" if "{model}" in argv else "-not-robust" * ("example2" in argv))
+        for argv, _ in COMMANDS
+    ],
 )
 def test_each_command_runs_only_its_layers(argv, layers, tmp_path):
     votes = tmp_path / "votes.txt"
     votes.write_text("alternatives: a,b,c\na\na,b\n", encoding="utf-8")
-    argv = [arg.format(votes=votes) for arg in argv]
+    model = tmp_path / "model.json"
+    metric, ground = metrics.make_metric("jaccard", 3), core.Committee.from_indices([0, 1], 3)
+    level_model = noise.staggered_level_model(metric, ground)
+    model.write_text(json.dumps(noise.model_to_json(level_model)), encoding="utf-8")
+    argv = [arg.format(votes=votes, model=model) for arg in argv]
     if argv[0] not in ("--version", "--help"):
         argv += ["--out", str(tmp_path / "out")]
     src = str(Path(abcc.__file__).parents[1])
@@ -95,6 +112,20 @@ def test_each_command_runs_only_its_layers(argv, layers, tmp_path):
     assert code == 0
     assert loaded == sorted(layers)
     assert not dataclasses
+
+
+def test_layers_bind_each_other_as_lazy_modules():
+    # `from .noise import name` at import time loads `noise` wherever its
+    # importer loads; `from . import noise` binds the lazy module, whose body
+    # runs only when a command reaches one of its names
+    eager = [
+        f"{layer}.py:{node.lineno}"
+        for layer in LAZY
+        for node in ast.parse(Path(abcc.__file__).with_name(f"{layer}.py").read_text("utf-8")).body
+        if isinstance(node, ast.ImportFrom) and node.level
+        and node.module not in (None, "core", "errors")
+    ]
+    assert eager == []
 
 
 def test_public_names_are_pinned_and_resolve_to_their_layer():
