@@ -41,10 +41,6 @@ class NoCounterexampleError(AbccError):
     """No adversarial construction exists for this rule."""
 
 
-class DeltaSearchError(AbccError):
-    """The delta halving search did not reach a negative gap (indicates a bug)."""
-
-
 class PreconditionError(AbccError):
     """A documented operation precondition does not hold."""
 

@@ -36,7 +36,6 @@ from .core import (  # RNG_SCHEME is re-exported
     scaled_integers,
 )
 from .errors import (
-    DeltaSearchError,
     DomainMismatchError,
     InvalidNoiseParamError,
     NoCounterexampleError,
@@ -267,7 +266,38 @@ class CounterexamplePackage(NamedTuple):
     delta: Fraction
 
 
-_MAX_HALVINGS = 64
+def negative_gap_model(
+    metric: metrics.DistanceMetric,
+    ground: Committee,
+    coeffs,
+    t: int,
+    universe: Universe | None = None,
+) -> tuple[NoiseModel, Fraction]:
+    """(model, gap): a strict level model whose gap sum(c_j * p_j) over the
+    level gap coefficients `coeffs` of a pair is negative, given that their
+    prefix sum through level t is negative.
+
+    The vertex of the monotone polytope at level t (equal mass on levels
+    0..t, none beyond) has gap prefix_t / |levels 0..t| < 0; a linear
+    stagger small enough to keep that sign restores strict decrease. The
+    exact gap of the resulting model is recomputed and checked before
+    return.
+    """
+    levels = metrics.level_structure(metric, ground)
+    s = levels.spn
+    vertex_mass = Fraction(1, sum(levels.sizes[: t + 1]))
+    vertex_gap = sum(coeffs[: t + 1], start=Fraction(0)) * vertex_mass
+    eta = -vertex_gap / (4 * (1 << metric.m) * max(abs(c) for c in coeffs) + 1)
+    raw = [
+        (vertex_mass if j <= t else 0) + eta * Fraction(s + 1 - j, s + 1) for j in range(s + 1)
+    ]
+    scale = sum((Fraction(size) * q for size, q in zip(levels.sizes, raw)), Fraction(0))
+    probs = [q / scale for q in raw]
+    model = make_level_model(metric, ground, probs, universe)
+    gap = sum((c * q for c, q in zip(coeffs, probs)), start=Fraction(0))
+    if gap >= 0:
+        raise RuntimeError("witness stagger failed to preserve the negative gap")
+    return model, gap
 
 
 def jump_counterexample(rule: rules.AbccRule) -> CounterexamplePackage:
@@ -276,8 +306,11 @@ def jump_counterexample(rule: rules.AbccRule) -> CounterexamplePackage:
 
     Finds the first feasible (x*, y*) != (k, k) with f(x*, y*) > f(x*-1, y*),
     pins distances d(U,V) = d(U,W) = 1 with every other distance 2 (a
-    table of two entries and a default), and lowers delta by halving until
-    the exact expected gap for the rival V turns negative.
+    table of two entries and a default), and gives the three levels the
+    probabilities (1/3, 1/3 - delta, 2 delta / (2^m - 3)). The exact gap
+    for the rival V is linear in delta and equals -J/3 < 0 at delta = 0,
+    with J = f(x*, y*) - f(x*-1, y*), so halving delta from 1/(6 (2^m - 1))
+    on the pair's three level coefficients ends with a negative gap.
 
     Raises
     ------
@@ -315,26 +348,19 @@ def jump_counterexample(rule: rules.AbccRule) -> CounterexamplePackage:
     metric = metrics.DistanceMetric(
         f"jump_adversarial({rule.name})", m, table=near, default=Fraction(2)
     )
-
-    sets_total = 1 << m
-    delta = Fraction(1, 3 * (sets_total - 1)) / 2
-    for _ in range(_MAX_HALVINGS):
-        probs = [
-            Fraction(1, 3),
-            Fraction(1, 3) - delta,
-            2 * delta / (sets_total - 3),
-        ]
-        model = make_level_model(metric, ground, probs)
-        (gap,) = expected_gaps(rule, model, umask, [vmask])
-        if gap < 0:
-            audited, pair = audit_d_monotonic(model, metric)
-            if not audited:
-                raise RuntimeError(f"constructed model failed its own audit at {pair}")
-            return CounterexamplePackage(metric, model, ground, rival, gap, jump, delta)
+    levels = metrics.level_structure(metric, ground)  # sizes 1, 2 and 2^m - 3
+    row, scale = rules.level_gap_rows(rule, levels, umask, [vmask])
+    c0, c1, c2 = (Fraction(int(c), scale) for c in row[0])
+    at_zero, slope = (c0 + c1) / 3, 2 * c2 / ((1 << m) - 3) - c1  # gap = at_zero + delta * slope
+    delta = Fraction(1, 6 * ((1 << m) - 1))
+    while (gap := at_zero + delta * slope) >= 0:
         delta /= 2
-    raise DeltaSearchError(
-        f"gap still non-negative after {_MAX_HALVINGS} halvings (rule {rule.name!r})"
-    )
+    probs = [Fraction(1, 3), Fraction(1, 3) - delta, 2 * delta / ((1 << m) - 3)]
+    model = make_level_model(metric, ground, probs)
+    audited, pair = audit_d_monotonic(model, metric)
+    if not audited:
+        raise RuntimeError(f"constructed model failed its own audit at {pair}")
+    return CounterexamplePackage(metric, model, ground, rival, gap, jump, delta)
 
 
 def av_refutation_model(
@@ -349,63 +375,31 @@ def av_refutation_model(
     a out for b.
 
     Requires a member a and an outsider b of the ground, and the violation
-    N^{t*}(a|b) < N^{t*}(b|a) at the given radius index. Probabilities form
-    two strictly decreasing blocks: from tau down to tau - eps through level
-    t*, then from 2*eps down to eps, with eps = 1/(s*8^m); tau comes out of
-    exact normalization. Interior values interpolate linearly (any strictly
-    decreasing choice works).
+    N^{t*}(a|b) < N^{t*}(b|a) at the given radius index. AV scores a vote S
+    for the ground minus the swap as [a in S] - [b in S], so the prefix
+    through t* of their level gap coefficients is exactly
+    N^{t*}(a|b) - N^{t*}(b|a), and the model is `negative_gap_model` at t*.
+    A signature metric's coefficients come from its level grid, at any m.
     """
-    universe = universe or default_universe(metric.m)
     m = metric.m
     if not (0 <= a < m and 0 <= b < m and ground.mask >> a & 1 and not ground.mask >> b & 1):
         raise PreconditionError(
             f"need a member a and an outsider b of the ground, got a={a}, b={b}"
         )
     levels = metrics.level_structure(metric, ground)
-    s = levels.spn
-    if not 1 <= t_star <= s - 1:
-        raise PreconditionError(f"t*={t_star} outside 1..{s - 1}")
-    n_ab = metrics.neighborhood_count(metric, ground, a, b, t_star)
-    n_ba = metrics.neighborhood_count(metric, ground, b, a, t_star)
-    if n_ab >= n_ba:
-        raise PreconditionError(
-            f"no concentricity violation at (a={a}, b={b}, t*={t_star}): "
-            f"{n_ab} >= {n_ba}"
-        )
-    eps = Fraction(1, s * 8**m)
-    # block 2 first: fixed once eps is fixed
-    tail = {}
-    if t_star + 1 == s:
-        tail[s] = eps
-    else:
-        span = s - t_star - 1
-        for t in range(t_star + 1, s + 1):
-            tail[t] = 2 * eps - eps * Fraction(t - t_star - 1, span)
-    # block 1: p_t = tau - eps * t/t*, solve normalization for tau
-    head_sizes = levels.sizes[: t_star + 1]
-    head_weight = sum(head_sizes)
-    head_offset = sum(
-        (Fraction(size) * eps * Fraction(t, t_star) for t, size in enumerate(head_sizes)),
-        start=Fraction(0),
-    )
-    tail_mass = sum(
-        (Fraction(levels.sizes[t]) * q for t, q in tail.items()), start=Fraction(0)
-    )
-    tau = (1 - tail_mass + head_offset) / head_weight
-    if tau <= Fraction(1, 1 << m):
-        raise PreconditionError(f"tau = {frac_str(tau)} not above 1/2^m; degenerate input")
-    probs = [tau - eps * Fraction(t, t_star) for t in range(t_star + 1)]
-    probs += [tail[t] for t in range(t_star + 1, s + 1)]
-    model = make_level_model(metric, ground, probs, universe)
-
+    if not 1 <= t_star < levels.spn:
+        raise PreconditionError(f"t*={t_star} outside 1..{levels.spn - 1}")
     av = rules.make_rule("av", m, ground.k)
     vmask = ground.mask & ~(1 << a) | (1 << b)
-    (gap,) = expected_gaps(av, model, ground.mask, [vmask])
-    if gap >= 0:
-        raise DeltaSearchError(
-            f"refutation model failed to produce a negative gap ({frac_str(gap)})"
+    row, scale = rules.level_gap_rows(av, levels, ground.mask, [vmask])
+    coeffs = [Fraction(int(c), scale) for c in row[0]]
+    violation = sum(coeffs[: t_star + 1], start=Fraction(0))
+    if violation >= 0:
+        raise PreconditionError(
+            f"no concentricity violation at (a={a}, b={b}, t*={t_star}): "
+            f"N(a|b) - N(b|a) = {frac_str(violation)} >= 0"
         )
-    return model
+    return negative_gap_model(metric, ground, coeffs, t_star, universe)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -357,7 +357,7 @@ def robustness_verdict(rule: rules.AbccRule, metric: metrics.DistanceMetric) -> 
                         if by_class else PairSummary(ground, committees[vmask], *summary))
             if lowest[i] < 0 and negative is None:
                 t = next(t for t, e in enumerate(prefix[i]) if e < 0)
-                negative = ground, committees[vmask], t, levels, _fractions(coeffs[i], scale)
+                negative = ground, committees[vmask], t, _fractions(coeffs[i], scale)
             elif flat and degenerate is None:
                 degenerate = ground, committees[vmask]
     if by_class:
@@ -369,8 +369,8 @@ def robustness_verdict(rule: rules.AbccRule, metric: metrics.DistanceMetric) -> 
             for mask in committee_masks(m, k)[1:]:
                 metrics.level_structure(metric, Committee(AlternativeSet(mask, m), k))
     if negative is not None:
-        ground, rival, t, levels, coeffs = negative
-        model, gap = _negative_gap_witness(metric, ground, levels, coeffs, t)
+        ground, rival, t, coeffs = negative
+        model, gap = noise.negative_gap_model(metric, ground, coeffs, t)
         witness = NotRobustWitness(ground, rival, t, model, gap)
         status = NOT_ROBUST
     elif degenerate is not None:
@@ -390,31 +390,6 @@ def robustness_verdict(rule: rules.AbccRule, metric: metrics.DistanceMetric) -> 
         witness = None
         status = ROBUST
     return RobustnessVerdict(status, rule.name, metric.name, m, k, witness, tuple(rows))
-
-
-def _negative_gap_witness(metric, ground, levels, coeffs, j):
-    """Vertex of the monotone polytope at level j, staggered to strict decrease.
-
-    The stagger size provably preserves the vertex gap's sign; the exact
-    gap of the resulting model is recomputed and checked before return.
-    """
-    s = levels.spn
-    vertex_mass = Fraction(1, sum(levels.sizes[: j + 1]))
-    vertex_gap = sum(coeffs[: j + 1], start=Fraction(0)) * vertex_mass
-    max_coeff = max(abs(c) for c in coeffs)
-    eta = -vertex_gap / (4 * (1 << metric.m) * max_coeff + 1)
-    stagger = [Fraction(s + 1 - t, s + 1) for t in range(s + 1)]
-    raw = [
-        (vertex_mass if t <= j else Fraction(0)) + eta * stagger[t]
-        for t in range(s + 1)
-    ]
-    scale = sum((Fraction(size) * q for size, q in zip(levels.sizes, raw)), Fraction(0))
-    probs = [q / scale for q in raw]
-    model = noise.make_level_model(metric, ground, probs)
-    gap = sum((c * q for c, q in zip(coeffs, probs)), start=Fraction(0))
-    if gap >= 0:
-        raise RuntimeError("witness stagger failed to preserve the negative gap")
-    return model, gap
 
 
 # ---------------------------------------------------------------------------

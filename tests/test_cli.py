@@ -357,6 +357,21 @@ class TestOracleCommands:
         assert code == 0, err
         assert (tmp_path / "counterexample_cc_m10k2.json").stat().st_size < 10_000
 
+    def test_counterexample_huge_jump_exits_0(self, tmp_path, capsys):
+        # f(1,1) = 2^80 over f(1,2) = 1: the gap turns negative only at delta
+        # near 2^-83, some 80 halvings down
+        table = {(0, 0): 0, (0, 1): 0, (0, 2): 0, (1, 1): 2**80, (1, 2): 1, (1, 3): 0}
+        rule_path = tmp_path / "rule.json"
+        rule_path.write_text(json.dumps(rule_to_json(make_rule("custom", 3, 1, table=table))))
+        code, out, err = run(
+            capsys, "counterexample", "--rule-file", str(rule_path), "--m", "3", "--k", "1",
+            "--out", str(tmp_path),
+        )
+        assert code == 0, err
+        from abcc.core import parse_frac
+
+        assert parse_frac(json.loads(out)["expected_gap"]) < 0
+
     def test_counterexample_mc_exits_5(self, tmp_path, capsys):
         code, _, err = run(
             capsys,

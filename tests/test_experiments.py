@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from abcc.core import Committee, Profile, default_universe
-from abcc.errors import InvalidNoiseParamError, PreconditionError
+from abcc.errors import CapExceededError, InvalidNoiseParamError, PreconditionError
 from abcc.experiments import (
     TrialConfig,
     accuracy_trial,
@@ -226,6 +226,16 @@ class TestHierarchy:
     def test_shape_validation(self):
         with pytest.raises(PreconditionError):
             hierarchy_report([make_rule("av", 4, 2)], [make_metric("trivial", 3)])
+
+    def test_taxonomy_refuses_before_any_verdict(self, monkeypatch):
+        # a builtin's verdict runs on its overlap classes at m = 17, but its
+        # taxonomy sweeps the 2^m sets: that cap must be hit first
+        def no_verdict(rule, metric):
+            raise AssertionError("a robustness verdict ran")
+
+        monkeypatch.setattr("abcc.oracle.robustness_verdict", no_verdict)
+        with pytest.raises(CapExceededError, match="2\\^m sets"):
+            hierarchy_report([make_rule("av", 17, 2)], [make_metric("jaccard", 17)])
 
     def test_duplicate_names_refused(self):
         # the report keys its verdicts by name: the second thiele rule overwrote the first

@@ -7,8 +7,9 @@ metric's full distance matrix (`check_matrix`) and MAX_CLASS_WORK for the overla
 signature-metric verdict and of the nontriviality check (`check_classes`).
 Each public function that enumerates must raise CapExceededError before it
 builds a distance row or allocates anything sizeable. A signature metric's
-level structure and verdict never list the 2^m sets, so they are capped by
-the classes, not by m; a table metric's still are. A signature metric's
+level structure, verdict and AV refutation model never list the 2^m sets,
+so they are capped by the classes, not by m; a table metric's still are,
+so the refutation model's case takes a table metric. A signature metric's
 axiom check and taxonomy build no matrix, so they are held to m <= MAX_M,
 and a table metric's to the matrix cap: `random_metric` draws a signature
 metric within the first and a table metric within the second.
@@ -110,7 +111,7 @@ CASES = {
     "prob_table": lambda: product(S).prob_table(),
     "audit_d_monotonic": lambda: audit_d_monotonic(product(S)),
     "staggered_level_model": lambda: staggered_level_model(table(S), committee(S, 1)),
-    "av_refutation_model": lambda: av_refutation_model(jaccard(S), committee(S, 1), 0, 1, 1),
+    "av_refutation_model": lambda: av_refutation_model(table(S), committee(S, 1), 0, 1, 1),
     "jump_counterexample": lambda: jump_counterexample(make_rule("cc", S, 1)),
     "expected_gap": lambda: expected_gap(AbccRule("huge", 200, 100, {}), product(200, 100),
                                          committee(200, (1 << 100) - 1),

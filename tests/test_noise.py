@@ -1,10 +1,13 @@
 import json
+import time
 from collections import Counter
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from abcc.core import AlternativeSet, Committee, default_universe
 from abcc.errors import (
@@ -15,7 +18,13 @@ from abcc.errors import (
     NotNormalizedError,
     PreconditionError,
 )
-from abcc.metrics import is_alternative_independent, is_majority_concentric, make_metric
+from abcc.metrics import (
+    DistanceMetric,
+    is_alternative_independent,
+    is_majority_concentric,
+    make_metric,
+    random_metric,
+)
 from abcc.noise import (
     audit_d_monotonic,
     av_refutation_model,
@@ -23,12 +32,13 @@ from abcc.noise import (
     make_mp,
     model_from_json,
     model_to_json,
+    negative_gap_model,
     sample_profile,
     sample_vote_masks,
     staggered_level_model,
     jump_counterexample,
 )
-from abcc.oracle import expected_gap
+from abcc.oracle import expected_gap, gap_analysis, robustness_verdict
 from abcc.rules import make_rule
 from conftest import committee_of, random_strict_model
 
@@ -258,11 +268,41 @@ class TestTheorem3Construction:
         assert pkg.model.level_probs[0] == Fraction(1, 3)
 
 
+@st.composite
+def custom_rules(draw):
+    """A valid custom rule at m <= 4: entries up to 2^200, non-decreasing in x."""
+    m = draw(st.integers(2, 4))
+    k = draw(st.integers(1, m - 1))
+    entry = st.one_of(st.integers(0, 3), st.integers(0, 2**200))
+    table = {}
+    for y in range(m + 1):
+        xs = range(max(k + y - m, 0), min(y, k) + 1)
+        for x, value in zip(xs, sorted(draw(st.lists(entry, min_size=len(xs), max_size=len(xs))))):
+            table[(x, y)] = value
+    return make_rule("custom", m, k, table=table)
+
+
+# f(1,1) = 2^80 over f(1,2) = 1: the gap turns negative only at delta near
+# 2^-83, some 80 halvings down
+HUGE_JUMP = {(0, 0): 0, (0, 1): 0, (0, 2): 0, (1, 1): 2**80, (1, 2): 1, (1, 3): 0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(custom_rules())
+@example(make_rule("custom", 3, 1, table=HUGE_JUMP))
+def test_jump_counterexample_on_any_valid_rule(rule):
+    try:
+        pkg = jump_counterexample(rule)
+    except NoCounterexampleError:
+        return
+    assert pkg.expected_gap < 0
+    assert expected_gap(rule, pkg.model, pkg.ground, pkg.rival) == pkg.expected_gap
+    assert audit_d_monotonic(pkg.model, pkg.metric)[0]
+
+
 class TestAvRefutation:
     def _violating_metric(self):
         # random alternative-dependent tables violate concentricity readily
-        from abcc.metrics import random_metric
-
         for seed in range(40):
             d = random_metric(4, seed=[99, seed])
             check = is_majority_concentric(d, 2)
@@ -271,19 +311,49 @@ class TestAvRefutation:
         raise AssertionError("no violation found in 40 seeds")
 
     def test_refutation_gap_negative(self):
-        d, (ground, a, b, t) = self._violating_metric()
-        model = av_refutation_model(d, ground, a, b, t)
-        av = make_rule("av", 4, 2)
-        rival_mask = ground.mask & ~(1 << a) | (1 << b)
-        rival = Committee(AlternativeSet(rival_mask, 4), 2)
-        assert expected_gap(av, model, ground, rival) < 0
-        ok, _ = audit_d_monotonic(model, d)
-        assert ok
+        refuted = 0
+        for m in range(3, 6):
+            for seed in range(12):
+                d = random_metric(m, seed=[7, m, seed])
+                check = is_majority_concentric(d, 2)
+                if check:
+                    continue
+                ground, a, b, t = check.witness
+                model = av_refutation_model(d, ground, a, b, t)
+                rival = Committee(AlternativeSet(ground.mask & ~(1 << a) | (1 << b), m), 2)
+                assert expected_gap(make_rule("av", m, 2), model, ground, rival) < 0
+                assert audit_d_monotonic(model, d)[0]
+                assert model.level_probs[0] > Fraction(1, 2**m)
+                refuted += 1
+        assert refuted >= 10
 
     def test_tau_exceeds_uniform_probability(self):
+        # the ground's probability p_0 is above the uniform 1/2^m
         d, (ground, a, b, t) = self._violating_metric()
         model = av_refutation_model(d, ground, a, b, t)
         assert model.level_probs[0] > Fraction(1, 2**4)
+
+    def test_signature_metric_refuted_at_m40(self):
+        # g passes the metric axioms (checked at m <= 12); at k = 3 its prefix
+        # row for the swap of 0 and 3 is [1, -35, 0]. The 2^40 sets are never
+        # listed: the coefficients come from the level grid
+        def g(a, b, c):
+            if a == b == 0:
+                return Fraction(0)
+            return Fraction(1) if c == 0 and {a, b} == {2, 3} else Fraction(2)
+
+        m = 40
+        d = DistanceMetric("g", m, signature=g)
+        ground, rival = (Committee(AlternativeSet(mask, m), 3) for mask in (0b111, 0b1110))
+        assert gap_analysis(make_rule("av", m, 3), d, ground, rival).prefix == (1, -35, 0)
+        start = time.perf_counter()
+        model = av_refutation_model(d, ground, 0, 3, 1)
+        assert time.perf_counter() - start < 1
+        probs = model.level_probs
+        assert probs[0] > probs[1] > probs[2] > 0
+        assert expected_gap(make_rule("av", m, 3), model, ground, rival) < 0
+        with pytest.raises(PreconditionError, match="no concentricity violation"):
+            av_refutation_model(make_metric("jaccard", m), ground, 0, 3, 1)
 
     def test_concentric_metric_rejected(self, u4):
         d = make_metric("set_difference", 4)
@@ -293,11 +363,21 @@ class TestAvRefutation:
 
     @pytest.mark.parametrize("a,b", [(7, 2), (0, 7), (-1, 2), (2, 3), (0, 1)])
     def test_a_member_and_an_outsider_required(self, a, b):
-        # a = 7 at m = 5 used to end in DeltaSearchError
+        # a must be a member and b an outsider, both among the m = 5 alternatives
         d = make_metric("zelinka", 5)
         ground = Committee(AlternativeSet(0b11, 5), 2)
         with pytest.raises(PreconditionError):
             av_refutation_model(d, ground, a, b, 1)
+
+
+class TestNegativeGapModel:
+    def test_verdict_witness_is_the_builder_model(self):
+        d = random_metric(4, seed=[99, 0])
+        verdict = robustness_verdict(make_rule("av", 4, 2), d)
+        w = verdict.witness
+        coeffs = gap_analysis(make_rule("av", 4, 2), d, w.ground, w.rival).coefficients
+        assert verdict.status == "not_robust"
+        assert negative_gap_model(d, w.ground, coeffs, w.level_index) == (w.model, w.gap)
 
 
 class TestModelFiles:

@@ -184,6 +184,25 @@ def test_help_text_is_unchanged(monkeypatch):
     } == HELP_SHA256
 
 
+def test_every_error_class_is_raised():
+    # an error class that nothing raises documents a failure that cannot
+    # happen; a base class is raised through its subclasses
+    package = Path(abcc.__file__).parent
+    classes = [
+        node for node in ast.parse((package / "errors.py").read_text("utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    ]
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    raised = {
+        (node.exc.func if isinstance(node.exc, ast.Call) else node.exc).id
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and isinstance(node.exc.func if isinstance(node.exc, ast.Call) else node.exc, ast.Name)
+    }
+    assert [node.name for node in classes if node.name not in bases | raised] == []
+
+
 def test_only_metrics_reads_a_metrics_private_state():
     # a signature or table metric is told apart by what `metrics` returns
     # (a level structure's `cells`), never by the fields that hold its form
