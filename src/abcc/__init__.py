@@ -1,6 +1,11 @@
 """Approval-based committee voting rules, committee noise models, and
 exact + Monte Carlo robustness verifiers.
 
+The public names (`__all__`) are the rules, metrics, noise models,
+verdicts and recovery experiments that a command, the README's library
+example or a paper check (`tests/test_acceptance.py`) reads; brute-force
+oracles that only tests read live in `tests/reference.py`.
+
 `import abcc` runs `core` and `errors`. The other layers are lazy modules:
 each one's body runs when one of its attributes is first read, so a
 command loads only the layers it uses. The layers bind each other the
@@ -30,17 +35,17 @@ for _layer in _LAZY:
 _LAYER_OF = {
     name: layer
     for layer, names in {
-        "core": "AlternativeSet Committee Profile Universe default_universe enumerate_committees "
-        "enumerate_subsets feasible_pairs parse_profile format_profile",
+        "core": "AlternativeSet Committee Profile Universe default_universe feasible_pairs "
+        "parse_profile",
         "rules": "AbccRule has_top_jump is_nontrivial make_rule profile_score vote_score winners",
         "metrics": "DistanceMetric check_metric_axioms is_alternative_independent "
         "is_majority_concentric is_natural is_similarity level_structure make_metric "
-        "neighborhood_count random_metric taxonomy_report",
+        "random_metric taxonomy_report",
         "noise": "NoiseModel av_refutation_model make_level_model make_mp sample_profile "
         "staggered_level_model jump_counterexample",
         "oracle": "accuracy_classify expected_gap gap_analysis robustness_verdict "
         "sample_size_bound uv_bijection",
-        "experiments": "TrialConfig accuracy_trial convergence_curve hierarchy_report mle_committees",
+        "experiments": "accuracy_trial convergence_curve hierarchy_report mle_committees",
     }.items()
     for name in names.split()
 }

@@ -72,10 +72,12 @@ def _sha256(path: Path) -> str:
 
 
 class Runner:
-    """Output directory, manifest bookkeeping, and format flags for one command."""
+    """Output directory, manifest bookkeeping, and format flags for one command
+    run with the arguments `argv`."""
 
-    def __init__(self, args):
+    def __init__(self, args, argv):
         self.args = args
+        self.argv = argv
         self.out = Path(getattr(args, "out", ".") or ".")
         self.approx = getattr(args, "approx", False)
         self.outputs: list[str] = []
@@ -92,11 +94,20 @@ class Runner:
         return path
 
     def write(self, name: str, *pieces: str) -> Path:
-        self.out.mkdir(parents=True, exist_ok=True)
-        path = self.out / name
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+        path = self._put(name, "w", pieces)
         self.outputs.append(str(path))
+        return path
+
+    def _put(self, name: str, mode: str, pieces) -> Path:
+        """Write `pieces` to `name` in the output directory, made if missing;
+        a path that cannot be written is an input error."""
+        path = self.out / name
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+            with open(path, mode, encoding="utf-8") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:
+            raise ProfileParseError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
         return path
 
     def write_json(self, name: str, doc, known=None) -> Path:
@@ -111,7 +122,7 @@ class Runner:
         }
         canonical = json.dumps(config, sort_keys=True, default=str)
         record = {
-            "command": " ".join(sys.argv),
+            "command": " ".join(["abcc", *self.argv]),
             "config": json.loads(canonical),
             "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
             "seed": getattr(self.args, "seed", None),
@@ -123,9 +134,7 @@ class Runner:
             "finished": datetime.now(timezone.utc).isoformat(),
             "wall_seconds": round(time.monotonic() - self.t0, 6),
         }
-        self.out.mkdir(parents=True, exist_ok=True)
-        with open(self.out / "manifest.jsonl", "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self._put("manifest.jsonl", "a", [json.dumps(record, sort_keys=True) + "\n"])
 
 
 def _pretty_json(doc, known=None) -> str:
@@ -254,6 +263,8 @@ def _resolve_metric(args, m: int, runner: Runner):
 def _resolve_model(args, runner: Runner):
     if args.model_file:
         return noise.load_model_file(runner.track_input(args.model_file), args.m)
+    if args.model is None:
+        raise ProfileParseError("no model given (use --model or --model-file)")
     universe = _universe(args.m)
     if args.ground is None:
         raise ProfileParseError("--ground is required without --model-file")
@@ -264,13 +275,11 @@ def _resolve_model(args, runner: Runner):
         if args.p is None:
             raise ProfileParseError("model mp requires --p")
         return noise.make_mp(parse_frac(args.p), universe, ground)
-    if args.model == "level":
-        metric = _resolve_metric(args, args.m, runner)
-        if not args.probs:
-            raise ProfileParseError("model level requires --probs p0,p1,...")
-        probs = [parse_frac(q) for q in args.probs.split(",")]
-        return noise.make_level_model(metric, ground, probs, universe)
-    raise ProfileParseError(f"unknown model {args.model!r}")
+    metric = _resolve_metric(args, args.m, runner)  # "level", the only other choice
+    if not args.probs:
+        raise ProfileParseError("model level requires --probs p0,p1,...")
+    probs = [parse_frac(q) for q in args.probs.split(",")]
+    return noise.make_level_model(metric, ground, probs, universe)
 
 
 def _sampling_model(args, votes: int, runner: Runner):
@@ -450,8 +459,7 @@ def cmd_converge(args, runner):
     model = _sampling_model(args, max(n_grid), runner)  # each trial draws and drops its votes
     check_committees(model.m, model.ground.k)
     rule = _resolve_rule(args, args.m or model.m, model.ground.k, runner)
-    config = experiments.TrialConfig(rule, model, n_grid, args.trials, args.seed)
-    curve = experiments.convergence_curve(config)
+    curve = experiments.convergence_curve(rule, model, n_grid, args.trials, args.seed)
     stem = f"converge_{_slug(rule.name)}_seed{args.seed}"
     runner.write(stem + ".csv", experiments.curve_to_csv(curve, runner.approx))
     runner.write_json(stem + ".json", experiments.curve_to_json(curve, runner.approx))
@@ -563,21 +571,21 @@ _EXIT_CODES = [
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    runner = Runner(args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    runner = Runner(args, argv)
     try:
         if getattr(args, "seed", 0) < 0:  # sample, converge, mle-check
             raise ProfileParseError(f"--seed must be a non-negative integer, got {args.seed}")
         args.func(args, runner)
+        if runner.outputs:  # a command that wrote result files appends their manifest record
+            runner.finish_manifest()
     except AbccError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for types, code in _EXIT_CODES:
             if isinstance(exc, types):
                 return code
         return 1
-    if runner.outputs:  # a command that wrote result files appends their manifest record
-        runner.finish_manifest()
     return 0
 
 

@@ -342,19 +342,6 @@ def check_draws(votes: int, m: int) -> None:
         )
 
 
-def enumerate_subsets(universe: Universe) -> list[AlternativeSet]:
-    """All 2^m subsets in ascending bitmask order."""
-    m = universe.m
-    check_sets(m)
-    return [AlternativeSet(mask, m) for mask in range(1 << m)]
-
-
-def enumerate_committees(universe: Universe, k: int) -> list[Committee]:
-    """All C(m, k) size-k committees in ascending bitmask order."""
-    m = universe.m
-    return [Committee(AlternativeSet(mask, m), k) for mask in committee_masks(m, k)]
-
-
 def check_committees(m: int, k: int) -> None:
     """Refuse a sweep over the C(m, k) committees when there are more than
     MAX_COMMITTEES; a k outside 0..m is left to `check_k`."""
@@ -564,8 +551,3 @@ def format_vote_masks(universe: Universe, masks) -> str:
     }
     lines = ["alternatives: " + ",".join(names), *map(label.__getitem__, masks)]
     return "\n".join(lines) + "\n"
-
-
-def format_profile(universe: Universe, profile: Profile) -> str:
-    """The profile text of `parse_profile`."""
-    return format_vote_masks(universe, [vote.mask for vote in profile])

@@ -18,7 +18,6 @@ from . import metrics, noise, oracle, rules
 from .core import (
     AlternativeSet,
     Committee,
-    Frozen,
     Profile,
     check_k,
     committee_masks,
@@ -65,21 +64,6 @@ def accuracy_trial(
     )
 
 
-class TrialConfig(Frozen):
-    __slots__ = ("rule", "model", "n_grid", "trials", "seed")
-
-    def __init__(
-        self, rule: rules.AbccRule, model: noise.NoiseModel, n_grid: tuple[int, ...],
-        trials: int, seed: int,
-    ):
-        if any(n < 1 for n in n_grid):
-            raise PreconditionError("all grid sizes must be >= 1")
-        if trials < 1:
-            raise PreconditionError("trials must be >= 1")
-        for name, value in zip(self.__slots__, (rule, model, n_grid, trials, seed)):
-            object.__setattr__(self, name, value)
-
-
 class CurveRow(NamedTuple):
     n: int
     recovery: Fraction
@@ -95,21 +79,20 @@ class ConvergenceCurve(NamedTuple):
     seed: int
 
 
-def convergence_curve(config: TrialConfig) -> ConvergenceCurve:
-    """One accuracy_trial row per grid size, on derived per-row streams."""
-    rows = []
-    for i, n in enumerate(config.n_grid):
-        rates = accuracy_trial(
-            config.rule, config.model, n, config.trials, [config.seed, i]
-        )
-        rows.append(CurveRow(n, *rates))
-    return ConvergenceCurve(
-        tuple(rows),
-        config.rule.name,
-        config.model.kind,
-        config.trials,
-        config.seed,
-    )
+def convergence_curve(
+    rule: rules.AbccRule, model: noise.NoiseModel, n_grid: tuple[int, ...], trials: int, seed: int
+) -> ConvergenceCurve:
+    """One accuracy_trial row per grid size, on derived per-row streams.
+    Every size and the trial count are checked before the first trial."""
+    if any(n < 1 for n in n_grid):
+        raise PreconditionError("all grid sizes must be >= 1")
+    if trials < 1:
+        raise PreconditionError("trials must be >= 1")
+    rows = [
+        CurveRow(n, *accuracy_trial(rule, model, n, trials, [seed, i]))
+        for i, n in enumerate(n_grid)
+    ]
+    return ConvergenceCurve(tuple(rows), rule.name, model.kind, trials, seed)
 
 
 # ---------------------------------------------------------------------------

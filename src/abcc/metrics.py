@@ -325,10 +325,6 @@ class LevelStructure(Frozen):
         x = popcount(words & mask_words([self.ground.mask], m))
         return tuple(np.asarray(self.cells)[x, popcount(words) - x].tolist())
 
-    def level_sets(self, t: int) -> list[AlternativeSet]:
-        m = self.ground.m
-        return [AlternativeSet(s, m) for s, lev in enumerate(self.level_of) if lev == t]
-
 
 def level_structure(metric: DistanceMetric, ground: Committee) -> LevelStructure:
     """Group all 2^m subsets by their exact distance from the ground committee;
@@ -379,22 +375,6 @@ def _signature_levels(metric: DistanceMetric, ground: Committee) -> tuple:
         for y, t in enumerate(row):
             sizes[t] += comb(k, x) * outside[y]
     return tuple(values), tuple(sizes), cells
-
-
-def neighborhood_count(
-    metric: DistanceMetric, ground: Committee, a: int, b: int, t: int
-) -> int:
-    """Number of sets containing a but not b within the t-th distance level."""
-    m = metric.m
-    check_sets(m)
-    if not (0 <= a < m and 0 <= b < m) or a == b:
-        raise PreconditionError(f"need two distinct alternatives in 0..{m - 1}, got {a} and {b}")
-    levels = level_structure(metric, ground)
-    if not 0 <= t <= levels.spn:
-        raise PreconditionError(f"t={t} outside 0..{levels.spn}")
-    sets = np.arange(1 << m)
-    a_not_b = (sets >> a & 1) > (sets >> b & 1)
-    return int(_ball_counts(levels, a_not_b[:, None])[t, 0])
 
 
 def _ball_counts(levels: LevelStructure, marked) -> np.ndarray:

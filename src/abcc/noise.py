@@ -28,7 +28,6 @@ from .core import (  # RNG_SCHEME is re-exported
     Profile,
     Universe,
     check_matrix,
-    check_sets,
     default_universe,
     frac_str,
     parse_frac,
@@ -90,18 +89,6 @@ class NoiseModel(Frozen):
     def zero_tail(self) -> bool:
         """Whether the farthest level carries zero probability (admitted, flagged)."""
         return self.kind == "level" and self.level_probs[-1] == 0
-
-    def probability(self, vote: AlternativeSet | int) -> Fraction:
-        mask = vote if isinstance(vote, int) else vote.mask
-        if self.kind == "product":
-            dist = (mask ^ self.ground.mask).bit_count()
-            return self.p ** (self.m - dist) * (1 - self.p) ** dist
-        return self.level_probs[self.levels.level_of[mask]]
-
-    def prob_table(self) -> list[Fraction]:
-        """Exact probabilities indexed by vote mask."""
-        check_sets(self.m)
-        return [self.probability(mask) for mask in range(1 << self.m)]
 
     def level_form(self) -> tuple[metrics.LevelStructure, tuple[Fraction, ...]]:
         """(levels, probs): each set at level t has probability probs[t]. A

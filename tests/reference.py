@@ -11,7 +11,8 @@ given here in their mask form, the form they had before they became
 functions of the signature (|X∖Y|, |Y∖X|, |X∩Y|). The profile text
 format is parsed and written one line per vote, and a profile is scored
 one vote at a time. Expected gaps weigh each vote by the model's per-vote
-probability table, and the product model's most likely committees sum
+probability table, read one vote at a time off the product model's closed
+form or the level model's level probabilities, and the product model's most likely committees sum
 |C △ S| one committee at a time, and the MLE check decides one profile
 per call. Result files are written by the standard library's JSON
 encoder. `nontrivial_sweep` keeps the integer kernel: it compares every
@@ -27,7 +28,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from abcc.core import AlternativeSet, Profile, Universe, committee_masks, scaled_integers
+from abcc.core import (
+    AlternativeSet,
+    Profile,
+    Universe,
+    check_sets,
+    committee_masks,
+    scaled_integers,
+)
 from abcc.errors import ProfileParseError
 from abcc.metrics import DistanceMetric
 from abcc.rules import (
@@ -227,11 +235,27 @@ def mle_equivalence_check(m, k, profiles, seed, n_max=12):
     return agree, profiles
 
 
-def weighted_gap(rule, prob_table, umask, vmask):
+def probability(model, mask):
+    """A noise model's exact probability of the vote `mask`: the product
+    model's closed form p^(m-d) * (1-p)^d at distance d from the ground,
+    or the level model's probability of the vote's level."""
+    if model.kind == "product":
+        dist = (mask ^ model.ground.mask).bit_count()
+        return model.p ** (model.m - dist) * (1 - model.p) ** dist
+    return model.level_probs[model.levels.level_of[mask]]
+
+
+def prob_table(model):
+    """Exact probabilities indexed by vote mask, for m <= MAX_M."""
+    check_sets(model.m)
+    return [probability(model, mask) for mask in range(1 << model.m)]
+
+
+def weighted_gap(rule, table, umask, vmask):
     """(sum_S p(S) * gap(S), whether some S with p(S) > 0 has gap(S) != 0)."""
     total = Fraction(0)
     support_nonzero = False
-    for s, prob in enumerate(prob_table):
+    for s, prob in enumerate(table):
         g = _gap(rule, umask, vmask, s)
         if g and prob:
             total += g * prob
@@ -241,7 +265,7 @@ def weighted_gap(rule, prob_table, umask, vmask):
 
 def direct_gap(rule, model, umask, vmask):
     """Exact expected score gap under a noise model's full probability table."""
-    return weighted_gap(rule, model.prob_table(), umask, vmask)[0]
+    return weighted_gap(rule, prob_table(model), umask, vmask)[0]
 
 
 def vote_gaps(rule, umask, vmask):
@@ -400,7 +424,7 @@ def audit_d_monotonic(model, metric):
     """(ok, witness): the first neighbours in the distance-sorted order
     whose probabilities break "equal distance iff equal probability,
     nearer iff likelier"."""
-    table = model.prob_table()
+    table = prob_table(model)
     dist = row(metric, model.ground.mask)
     order = sorted(range(1 << model.m), key=lambda s: dist[s])
     for prev, cur in zip(order, order[1:]):

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +12,7 @@ import pytest
 
 import reference
 from abcc.cli import main
-from abcc.core import Committee, default_universe, format_profile, frac_str, parse_profile
+from abcc.core import Committee, default_universe, format_vote_masks, frac_str, parse_profile
 from abcc.metrics import (
     DistanceMetric,
     make_metric,
@@ -451,7 +453,7 @@ class TestSamplingCommands:
                 )
                 assert code == 0, err
                 profile = sample_profile(model, n, 5)
-                text = format_profile(universe, profile)
+                text = format_vote_masks(universe, [vote.mask for vote in profile])
                 assert text == reference.format_profile(universe, profile)
                 assert Path(out.strip()).read_bytes() == text.encode()
 
@@ -812,6 +814,32 @@ class TestInputErrors:
         assert "--seed" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "3"],
+        ["converge", "--rule", "av", "--n-grid", "3", "--trials", "1"],
+    ])
+    def test_no_model_given(self, argv, tmp_path, capsys):
+        # it said `unknown model None`
+        err = self.assert_exit_2(
+            capsys, *argv, "--m", "4", "--ground", "a,b", "--seed", "1", "--out", str(tmp_path)
+        )
+        assert err == "error: no model given (use --model or --model-file)\n"
+
+    def test_out_that_cannot_be_written(self, tmp_path, capsys):
+        # each ended in an OSError traceback with exit 1
+        robust = ["robust", "--rule", "av", "--metric", "jaccard", "--m", "3", "--k", "2"]
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        for out, number in [(blocker, errno.EEXIST), (blocker / "sub", errno.ENOTDIR)]:
+            err = self.assert_exit_2(capsys, *robust, "--out", str(out))
+            assert err == f"error: cannot write {out}: {os.strerror(number)}\n"
+        # the result file is written, then the manifest cannot be appended
+        manifest = tmp_path / "out" / "manifest.jsonl"
+        manifest.mkdir(parents=True)
+        code, out, err = run(capsys, *robust, "--out", str(tmp_path / "out"))
+        assert code == 2 and out == '{"status": "robust"}\n'
+        assert err == f"error: cannot write {manifest}: {os.strerror(errno.EISDIR)}\n"
+
 
 class TestManifests:
     def test_every_output_referenced_once(self, tmp_path, capsys):
@@ -865,6 +893,18 @@ class TestManifests:
             record = json.loads(lines[0])
             assert sorted(record["outputs"]) == written
             assert record["config"]["command"] == argv[0]
+
+    def test_command_is_the_parsed_arguments(self, tmp_path, capsys, monkeypatch):
+        # it recorded the host's sys.argv: `-c` under `python -c`, and the
+        # shim's arguments under the benchmark's tracer
+        argv = ["taxonomy", "--metric", "trivial", "--m", "3", "--k", "2"]
+        monkeypatch.setattr(sys, "argv", ["python", "-c"])
+        assert run(capsys, *argv, "--out", str(tmp_path / "given"))[0] == 0
+        monkeypatch.setattr(sys, "argv", ["abcc", *argv, "--out", str(tmp_path / "parsed")])
+        assert main() == 0
+        for out in ("given", "parsed"):
+            record = json.loads((tmp_path / out / "manifest.jsonl").read_text())
+            assert record["command"] == " ".join(["abcc", *argv, "--out", str(tmp_path / out)])
 
     def test_no_record_without_result_files(self, tmp_path, capsys):
         profile = write_profile(tmp_path)

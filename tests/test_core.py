@@ -11,11 +11,11 @@ from abcc.core import (
     Committee,
     Profile,
     Universe,
+    check_sets,
+    committee_masks,
     default_universe,
-    enumerate_committees,
-    enumerate_subsets,
     feasible_pairs,
-    format_profile,
+    format_vote_masks,
     frac_str,
     parse_frac,
     parse_profile,
@@ -24,51 +24,62 @@ from abcc.errors import CapExceededError, InvalidCommitteeSizeError, ProfilePars
 
 
 class TestEnumerateSubsets:
+    """The 2^m subsets are the masks 0 .. 2^m - 1: bit i is the i-th label,
+    and a sweep over them is capped by `check_sets`."""
+
     def test_empty_universe(self):
-        assert enumerate_subsets(Universe(())) == [AlternativeSet(0, 0)]
+        u = Universe(())
+        assert u.m == 0 and u.set_of([]) == AlternativeSet(0, 0)
+        assert AlternativeSet(0, 0).labels(u) == ()
 
     def test_canonical_order_m2(self):
         u = default_universe(2)
-        labels = [s.labels(u) for s in enumerate_subsets(u)]
+        labels = [AlternativeSet(mask, 2).labels(u) for mask in range(4)]
         assert labels == [(), ("a",), ("b",), ("a", "b")]
 
     def test_cardinality_m16(self):
-        assert len(enumerate_subsets(default_universe(16))) == 65536
+        from abcc.metrics import level_structure, make_metric
+
+        check_sets(16)  # the cap admits m = 16
+        levels = level_structure(make_metric("trivial", 16), Committee.from_indices([0], 16))
+        assert len(levels.level_of) == 65536
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            enumerate_subsets(default_universe(17))
+            check_sets(17)
 
     @given(st.integers(min_value=0, max_value=10))
     @settings(max_examples=20, deadline=None)
     def test_bijection_onto_power_set(self, m):
-        subsets = enumerate_subsets(default_universe(m))
-        assert len(subsets) == 1 << m
-        assert len({s.mask for s in subsets}) == 1 << m
+        u = default_universe(m)
+        labels = [AlternativeSet(mask, m).labels(u) for mask in range(1 << m)]
+        assert len(set(labels)) == 1 << m
+        assert [u.set_of(names).mask for names in labels] == list(range(1 << m))
 
 
 class TestEnumerateCommittees:
+    """`committee_masks` lists the size-k committees in ascending mask order."""
+
     def test_all_two_subsets(self, u3):
-        labels = [c.labels(u3) for c in enumerate_committees(u3, 2)]
+        labels = [AlternativeSet(mask, 3).labels(u3) for mask in committee_masks(3, 2)]
         assert labels == [("a", "b"), ("a", "c"), ("b", "c")]
 
     def test_single_committee_when_k_equals_m(self, u4):
-        committees = enumerate_committees(u4, 4)
-        assert len(committees) == 1
-        assert committees[0].labels(u4) == ("a", "b", "c", "d")
+        assert committee_masks(4, 4) == [0b1111]
+        assert AlternativeSet(0b1111, 4).labels(u4) == ("a", "b", "c", "d")
 
     def test_count_five_choose_two(self):
-        assert len(enumerate_committees(default_universe(5), 2)) == 10
+        assert len(committee_masks(5, 2)) == 10
 
-    def test_bad_k(self, u3):
+    def test_bad_k(self):
         with pytest.raises(InvalidCommitteeSizeError):
-            enumerate_committees(u3, 0)
+            committee_masks(3, 0)
         with pytest.raises(InvalidCommitteeSizeError):
-            enumerate_committees(u3, 4)
+            committee_masks(3, 4)
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            enumerate_committees(default_universe(20), 10)  # C(20,10) = 184,756
+            committee_masks(20, 10)  # C(20,10) = 184,756
 
 
 class TestFeasiblePairs:
@@ -101,10 +112,9 @@ class TestFeasiblePairs:
         # every (|U∩S|, |S|) lands in the domain, and every domain member is hit
         dom = feasible_pairs(m, k)
         seen = set()
-        u = default_universe(m)
         umask = (1 << k) - 1
-        for s in enumerate_subsets(u):
-            pair = ((umask & s.mask).bit_count(), s.size)
+        for s in range(1 << m):
+            pair = ((umask & s).bit_count(), s.bit_count())
             assert pair in dom
             seen.add(pair)
         # overlap count only depends on |U| by symmetry, so one U suffices
@@ -203,7 +213,6 @@ class TestLayerValues:
     G_TEXT = "Committee(members=AlternativeSet(mask=1, m=2), k=1)"
 
     def values(self):
-        from abcc.experiments import TrialConfig
         from abcc.metrics import level_structure, make_metric, random_metric
         from abcc.noise import make_mp, staggered_level_model
         from abcc.oracle import robustness_verdict
@@ -217,7 +226,6 @@ class TestLayerValues:
             mp,
             staggered_level_model(random_metric(2, 0), self.G, u),
             robustness_verdict(make_rule("av", 3, 1), make_metric("trivial", 3)),
-            TrialConfig(make_rule("av", 2, 1), mp, (1, 2), 3, 4),
         ]
 
     def test_repr(self):
@@ -225,7 +233,7 @@ class TestLayerValues:
         from abcc.oracle import RobustnessVerdict
 
         g = self.G_TEXT
-        trivial, table, mp, level, verdict, config = self.values()
+        trivial, table, mp, level, verdict = self.values()
         assert repr(trivial) == (
             f"LevelStructure(ground={g}, values=(Fraction(0, 1), Fraction(1, 1)), "
             "sizes=(1, 3), cells=((1, 1), (0, 1)))"
@@ -257,18 +265,13 @@ class TestLayerValues:
             "RobustnessVerdict(status='robust', rule_name='av', metric_name='trivial', m=2, "
             "k=1, witness=None, rows=())"
         )
-        assert repr(config) == (
-            f"TrialConfig(rule={config.rule!r}, model={mp!r}, n_grid=(1, 2), trials=3, seed=4)"
-        )
 
     def test_equality_and_hashing(self):
-        from abcc.experiments import TrialConfig
         from abcc.metrics import LevelStructure, make_metric
         from abcc.noise import NoiseModel
         from abcc.oracle import RobustnessVerdict
-        from abcc.rules import make_rule
 
-        trivial, table, mp, level, verdict, config = self.values()
+        trivial, table, mp, level, verdict = self.values()
         for value, again in zip(self.values(), self.values()):
             assert value == again and value is not again
         # hashed as the field tuple, where every field hashes
@@ -289,12 +292,13 @@ class TestLayerValues:
         assert level == other and hash(level) == hash(other)
         assert level != NoiseModel(*fields, None, level.level_probs, None)
         assert level != NoiseModel(*fields, level.metric, (Fraction(1, 2),), level.levels)
-        assert mp != level and mp != config
-        # a rule holds its table in a dict: a config over one hashes as no value
-        assert config == TrialConfig(make_rule("av", 2, 1), mp, (1, 2), 3, 4)
-        assert config != TrialConfig(make_rule("av", 2, 1), mp, (1, 2), 3, 5)
+        assert mp != level and mp != verdict
+        # a field that does not hash leaves the value comparable but unhashable
+        listed = LevelStructure(self.G, [0, 1], (1, 3), None, (0, 1, 1, 1))
+        assert listed == LevelStructure(self.G, [0, 1], (1, 3), None, (0, 1, 1, 1))
+        assert listed != LevelStructure(self.G, [0, 2], (1, 3), None, (0, 1, 1, 1))
         with pytest.raises(TypeError):
-            hash(config)
+            hash(listed)
 
     def test_copies(self):
         for value in self.values():
@@ -332,7 +336,7 @@ class TestProfileFormat:
         profile = Profile(
             (u3.set_of(["a", "b"]), u3.set_of([]), u3.set_of(["c"]))
         )
-        text = format_profile(u3, profile)
+        text = format_vote_masks(u3, [vote.mask for vote in profile])
         universe2, profile2 = parse_profile(text)
         assert universe2 == u3
         assert profile2 == profile

@@ -5,7 +5,6 @@ import pytest
 from abcc.core import Committee, Profile, default_universe
 from abcc.errors import CapExceededError, InvalidNoiseParamError, PreconditionError
 from abcc.experiments import (
-    TrialConfig,
     accuracy_trial,
     convergence_curve,
     curve_to_csv,
@@ -71,7 +70,7 @@ class TestAccuracyTrial:
         with pytest.raises(PreconditionError, match="model has m=5, k=2; rule has m=4, k=2"):
             accuracy_trial(av, model, n=5, trials=2, seed=1)
         with pytest.raises(PreconditionError):
-            convergence_curve(TrialConfig(av, model, (5,), trials=2, seed=1))
+            convergence_curve(av, model, (5,), trials=2, seed=1)
 
 
 class TestOracleExperimentAgreement:
@@ -102,16 +101,14 @@ class TestConvergenceCurve:
     def test_accurate_configuration_improves(self, u4):
         av = make_rule("av", 4, 2)
         model = make_mp(Fraction(2, 3), u4, committee_of(u4, ["a", "b"]))
-        config = TrialConfig(av, model, (2, 50, 400), trials=60, seed=7)
-        curve = convergence_curve(config)
+        curve = convergence_curve(av, model, (2, 50, 400), trials=60, seed=7)
         assert curve.rows[-1].recovery > curve.rows[0].recovery
         assert curve.rows[-1].recovery >= Fraction(95, 100)
 
     def test_adversarial_model_drives_wrong_rate_up(self):
         cc = make_rule("cc", 4, 2)
         pkg = jump_counterexample(cc)
-        config = TrialConfig(cc, pkg.model, (10, 200, 1500), trials=60, seed=13)
-        curve = convergence_curve(config)
+        curve = convergence_curve(cc, pkg.model, (10, 200, 1500), trials=60, seed=13)
         assert curve.rows[-1].recovery < Fraction(1, 2)
         assert curve.rows[-1].wrong > curve.rows[0].wrong
         assert curve.rows[-1].wrong >= Fraction(3, 4)
@@ -119,28 +116,34 @@ class TestConvergenceCurve:
     def test_rows_follow_grid(self, u4):
         av = make_rule("av", 4, 2)
         model = make_mp(Fraction(3, 4), u4, committee_of(u4, ["a", "b"]))
-        config = TrialConfig(av, model, (1, 5, 10), trials=8, seed=3)
-        curve = convergence_curve(config)
+        curve = convergence_curve(av, model, (1, 5, 10), trials=8, seed=3)
         assert [row.n for row in curve.rows] == [1, 5, 10]
 
     def test_bit_identical_reruns(self, u4):
         av = make_rule("av", 4, 2)
         model = make_mp(Fraction(3, 4), u4, committee_of(u4, ["c", "d"]))
-        config = TrialConfig(av, model, (5, 20), trials=25, seed=99)
-        assert curve_to_csv(convergence_curve(config)) == curve_to_csv(
-            convergence_curve(config)
+        config = (av, model, (5, 20), 25, 99)
+        assert curve_to_csv(convergence_curve(*config)) == curve_to_csv(
+            convergence_curve(*config)
         )
 
-    def test_grid_validation(self, u4):
+    def test_grid_validation(self, u4, monkeypatch):
+        # every size and the trial count are checked before the first trial
+        def trial(*args):
+            raise AssertionError("a trial ran before the arguments were checked")
+
         av = make_rule("av", 4, 2)
         model = make_mp(Fraction(3, 4), u4, committee_of(u4, ["a", "b"]))
-        with pytest.raises(PreconditionError):
-            TrialConfig(av, model, (0, 5), trials=5, seed=1)
+        monkeypatch.setattr("abcc.experiments.accuracy_trial", trial)
+        with pytest.raises(PreconditionError, match="^all grid sizes must be >= 1$"):
+            convergence_curve(av, model, (5, 0), trials=5, seed=1)
+        with pytest.raises(PreconditionError, match="^trials must be >= 1$"):
+            convergence_curve(av, model, (5,), trials=0, seed=1)
 
     def test_csv_shape(self, u4):
         av = make_rule("av", 4, 2)
         model = make_mp(Fraction(3, 4), u4, committee_of(u4, ["a", "b"]))
-        curve = convergence_curve(TrialConfig(av, model, (2, 4), trials=4, seed=2))
+        curve = convergence_curve(av, model, (2, 4), trials=4, seed=2)
         lines = curve_to_csv(curve).strip().splitlines()
         assert lines[0] == "n,recovery_rate,tie_rate,wrong_rate"
         assert len(lines) == 3

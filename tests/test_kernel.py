@@ -69,7 +69,7 @@ def assert_level_gaps_match(rule, metric_list):
 
 def assert_expected_gaps_match(rule, model):
     report = accuracy_classify(rule, model)
-    table = model.prob_table()
+    table = reference.prob_table(model)
     for rival, gap in report.gaps.items():
         want, support_nonzero = reference.weighted_gap(rule, table, model.ground.mask, rival.mask)
         assert gap == want

@@ -34,8 +34,6 @@ from abcc.core import (
     Profile,
     committee_masks,
     default_universe,
-    enumerate_committees,
-    enumerate_subsets,
 )
 from abcc.errors import CapExceededError
 from abcc.experiments import accuracy_trial, hierarchy_report, mle_committees
@@ -48,7 +46,6 @@ from abcc.metrics import (
     is_similarity,
     level_structure,
     make_metric,
-    neighborhood_count,
     random_metric,
     taxonomy_report,
 )
@@ -96,10 +93,8 @@ def product(m, k=1):
 
 CASES = {
     # the 2^m sets
-    "enumerate_subsets": lambda: enumerate_subsets(default_universe(S)),
     "level_structure": lambda: level_structure(table(S), committee(S, 1)),
     "level_of": lambda: level_structure(jaccard(S), committee(S, 1)).level_of,
-    "neighborhood_count": lambda: neighborhood_count(jaccard(S), committee(S, 1), 0, 1, 0),
     "is_majority_concentric": lambda: is_majority_concentric(jaccard(S), 1),
     "is_natural": lambda: is_natural(jaccard(S), 1),
     "is_similarity": lambda: is_similarity(jaccard(S), 1),
@@ -108,7 +103,6 @@ CASES = {
     "hierarchy_report_signature": lambda: hierarchy_report([av(S, 3)], [jaccard(S)]),
     "random_metric_signature": lambda: random_metric(S, seed=1, family="signature"),
     "is_nontrivial": lambda: is_nontrivial(over_classes()),
-    "prob_table": lambda: product(S).prob_table(),
     "audit_d_monotonic": lambda: audit_d_monotonic(product(S)),
     "staggered_level_model": lambda: staggered_level_model(table(S), committee(S, 1)),
     "av_refutation_model": lambda: av_refutation_model(table(S), committee(S, 1), 0, 1, 1),
@@ -122,7 +116,6 @@ CASES = {
     "robustness_verdict": lambda: robustness_verdict(av(S), table(S)),
     "robustness_verdict_classes": lambda: robustness_verdict(over_classes(), jaccard(10**7)),
     # the C(m, k) committees
-    "enumerate_committees": lambda: enumerate_committees(default_universe(C), K),
     "committee_masks": lambda: committee_masks(C, K),
     "winners": lambda: winners(av(C, K), Profile(())),
     "accuracy_trial": lambda: accuracy_trial(av(C, K), product(C, K), 1, 1, 0),

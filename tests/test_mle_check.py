@@ -100,7 +100,7 @@ def test_zero_gap_rivals_in_chunks_match_reference(monkeypatch, batch):
         for rule in [make_rule(kind, m, k) for kind in ("cc", "mc", "sav")]:
             for model in models:
                 report = oracle.accuracy_classify(rule, model)
-                table = model.prob_table()
+                table = reference.prob_table(model)
                 for rival, gap in report.gaps.items():
                     want, moves = reference.weighted_gap(
                         rule, table, model.ground.mask, rival.mask

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from abcc.core import AlternativeSet, Committee, default_universe
 from abcc.errors import (
     DomainMismatchError,
@@ -59,16 +60,16 @@ def definition_route_probability(p, universe, ground, vote):
 class TestProductModel:
     def test_probability_at_ground(self, u4):
         model = make_mp(Fraction(3, 4), u4, committee_of(u4, ["a", "b"]))
-        assert model.probability(u4.set_of(["a", "b"])) == Fraction(81, 256)
+        assert reference.probability(model, u4.set_of(["a", "b"]).mask) == Fraction(81, 256)
 
     def test_probability_one_flip_away(self, u4):
         model = make_mp(Fraction(3, 4), u4, committee_of(u4, ["a", "b"]))
-        assert model.probability(u4.set_of(["a", "b", "c"])) == Fraction(27, 256)
+        assert reference.probability(model, u4.set_of(["a", "b", "c"]).mask) == Fraction(27, 256)
 
     def test_deterministic_limit(self, u4):
         model = make_mp(1, u4, committee_of(u4, ["a", "b"]))
-        assert model.probability(u4.set_of(["a", "b"])) == 1
-        assert model.probability(u4.set_of(["a"])) == 0
+        assert reference.probability(model, u4.set_of(["a", "b"]).mask) == 1
+        assert reference.probability(model, u4.set_of(["a"]).mask) == 0
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), Fraction(0), Fraction(-1)])
     def test_parameter_range(self, u4, bad):
@@ -83,13 +84,13 @@ class TestProductModel:
         rng = np.random.default_rng(m)
         for mask in rng.integers(0, 1 << m, size=min(1 << m, 32)):
             vote = AlternativeSet(int(mask), m)
-            assert model.probability(vote) == definition_route_probability(
+            assert reference.probability(model, vote.mask) == definition_route_probability(
                 Fraction(2, 3), u, ground, vote
             )
 
     def test_table_sums_to_one(self, u4):
         model = make_mp(Fraction(5, 7), u4, committee_of(u4, ["b", "d"]))
-        assert sum(model.prob_table(), Fraction(0)) == 1
+        assert sum(reference.prob_table(model), Fraction(0)) == 1
 
     def test_product_model_is_monotonic_for_set_difference(self, u4):
         model = make_mp(Fraction(3, 4), u4, committee_of(u4, ["a", "b"]))
@@ -103,9 +104,9 @@ class TestLevelModel:
         d = make_metric("trivial", 2)
         ground = committee_of(u, ["a"])
         model = make_level_model(d, ground, [Fraction(2, 5), Fraction(1, 5)], u)
-        assert model.probability(u.set_of(["a"])) == Fraction(2, 5)
-        assert model.probability(u.set_of(["b"])) == Fraction(1, 5)
-        assert sum(model.prob_table(), Fraction(0)) == 1
+        assert reference.probability(model, u.set_of(["a"]).mask) == Fraction(2, 5)
+        assert reference.probability(model, u.set_of(["b"]).mask) == Fraction(1, 5)
+        assert sum(reference.prob_table(model), Fraction(0)) == 1
 
     def test_models_on_different_partitions_differ(self):
         # {} and {a, b} swap levels 1 and 2 around the ground {a}: equal
@@ -122,7 +123,7 @@ class TestLevelModel:
             )
             for near, far in [(1, Fraction(3, 2)), (Fraction(3, 2), 1)]
         ]
-        assert models[0].prob_table() != models[1].prob_table()
+        assert reference.prob_table(models[0]) != reference.prob_table(models[1])
         assert models[0] != models[1] and hash(models[0]) != hash(models[1])
 
     def test_equal_probabilities_rejected(self):
@@ -223,7 +224,7 @@ class TestSampling:
         model = random_strict_model(d, ground, np.random.default_rng(77))
         profile = sample_profile(model, n, seed=4096)
         counts = Counter(v.mask for v in profile)
-        table = model.prob_table()
+        table = reference.prob_table(model)
         for mask in range(1 << m):
             expect = float(table[mask])
             se = sqrt(max(expect * (1 - expect), 1e-12) / n)
@@ -386,7 +387,7 @@ class TestModelFiles:
         doc = model_to_json(model)
         assert doc["type"] == "mp" and doc["p"] == "3/4" and doc["ground"] == ["a", "b"]
         again = model_from_json(doc)
-        assert again.prob_table() == model.prob_table()
+        assert reference.prob_table(again) == reference.prob_table(model)
 
     def test_alternatives_for_another_m_refused(self, u4):
         doc = model_to_json(make_mp(Fraction(3, 4), u4, committee_of(u4, ["a", "b"])))
@@ -401,7 +402,7 @@ class TestModelFiles:
         ground = committee_of(u4, ["c", "d"])
         model = staggered_level_model(d, ground, u4)
         again = model_from_json(model_to_json(model))
-        assert again.prob_table() == model.prob_table()
+        assert reference.prob_table(again) == reference.prob_table(model)
 
     def test_json_serializable(self, u4):
         model = staggered_level_model(make_metric("jaccard", 4), committee_of(u4, ["a", "b"]), u4)

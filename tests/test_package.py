@@ -4,7 +4,8 @@ which module knows a metric's form.
 `import abcc` runs only `core` and `errors`; the other layers are lazy
 modules whose bodies run on first attribute access. These tests pin which
 layers each command runs, that the layers bind each other as modules,
-that every public name still resolves to its layer's object, and that the
+that every public name still resolves to its layer's object and is read
+by a layer, the README's library example or a paper check, and that the
 parser's help text is unchanged.
 """
 
@@ -26,13 +27,12 @@ from abcc.cli import build_parser
 
 PUBLIC = [
     "AbccRule", "AlternativeSet", "Committee", "DistanceMetric", "NoiseModel", "Profile",
-    "TrialConfig", "Universe", "accuracy_classify", "accuracy_trial", "av_refutation_model",
-    "check_metric_axioms", "convergence_curve", "core", "default_universe",
-    "enumerate_committees", "enumerate_subsets", "errors", "expected_gap", "experiments",
-    "feasible_pairs", "format_profile", "gap_analysis", "has_top_jump", "hierarchy_report",
-    "is_alternative_independent", "is_majority_concentric", "is_natural", "is_nontrivial",
-    "is_similarity", "jump_counterexample", "level_structure", "make_level_model",
-    "make_metric", "make_mp", "make_rule", "metrics", "mle_committees", "neighborhood_count",
+    "Universe", "accuracy_classify", "accuracy_trial", "av_refutation_model",
+    "check_metric_axioms", "convergence_curve", "core", "default_universe", "errors",
+    "expected_gap", "experiments", "feasible_pairs", "gap_analysis", "has_top_jump",
+    "hierarchy_report", "is_alternative_independent", "is_majority_concentric", "is_natural",
+    "is_nontrivial", "is_similarity", "jump_counterexample", "level_structure",
+    "make_level_model", "make_metric", "make_mp", "make_rule", "metrics", "mle_committees",
     "noise", "oracle", "parse_profile", "profile_score", "random_metric",
     "robustness_verdict", "rules", "sample_profile", "sample_size_bound",
     "staggered_level_model", "taxonomy_report", "uv_bijection", "vote_score", "winners",
@@ -201,6 +201,26 @@ def test_every_error_class_is_raised():
         and isinstance(node.exc.func if isinstance(node.exc, ast.Call) else node.exc, ast.Name)
     }
     assert [node.name for node in classes if node.name not in bases | raised] == []
+
+
+def test_every_public_name_has_a_caller():
+    # a name that `abcc` exports is read by a layer, by the README's library
+    # example or by a paper check; one that only tests read is reference
+    # code, and belongs in tests/reference.py
+    package, root = Path(abcc.__file__).parent, Path(__file__).parents[1]
+    readme = (root / "README.md").read_text("utf-8").split("## Library example", 1)[1]
+    sources = [
+        *(path.read_text("utf-8") for path in package.glob("*.py") if path.name != "__init__.py"),
+        readme.split("```python\n", 1)[1].split("```", 1)[0],
+        (root / "tests" / "test_acceptance.py").read_text("utf-8"),
+    ]
+    read = {  # names and attributes read; a `def` or `class` line binds, it does not read
+        node.id if isinstance(node, ast.Name) else node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert sorted(set(abcc._LAYER_OF) - read) == []
 
 
 def test_only_metrics_reads_a_metrics_private_state():
