@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import re
+import shlex
 import sys
 import time
 from datetime import datetime, timezone
@@ -94,6 +95,8 @@ class Runner:
         return path
 
     def write(self, name: str, *pieces: str) -> Path:
+        if not self.outputs:  # a manifest that cannot be appended fails before any result file
+            self._put("manifest.jsonl", "a", ())
         path = self._put(name, "w", pieces)
         self.outputs.append(str(path))
         return path
@@ -122,7 +125,7 @@ class Runner:
         }
         canonical = json.dumps(config, sort_keys=True, default=str)
         record = {
-            "command": " ".join(["abcc", *self.argv]),
+            "command": shlex.join(["abcc", *self.argv]),
             "config": json.loads(canonical),
             "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
             "seed": getattr(self.args, "seed", None),

@@ -174,40 +174,15 @@ class AlternativeSet(Frozen):
     def __lt__(self, other):
         return self._values() < other._values() if type(other) is type(self) else NotImplemented
 
-    @classmethod
-    def from_indices(cls, indices, m: int) -> AlternativeSet:
-        mask = 0
-        for i in indices:
-            i = int(i)
-            if not 0 <= i < m:
-                raise ValueError(f"index {i} outside universe of size {m}")
-            mask |= 1 << i
-        return cls(mask, m)
-
     @property
     def size(self) -> int:
         return self.mask.bit_count()
-
-    def contains(self, index: int) -> bool:
-        return bool(self.mask >> index & 1)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.m) if self.mask >> i & 1)
 
     def labels(self, universe: Universe) -> tuple[str, ...]:
         return tuple(universe.names[i] for i in self.indices())
-
-    def intersection(self, other: AlternativeSet) -> AlternativeSet:
-        return AlternativeSet(self.mask & other.mask, self.m)
-
-    def union(self, other: AlternativeSet) -> AlternativeSet:
-        return AlternativeSet(self.mask | other.mask, self.m)
-
-    def difference(self, other: AlternativeSet) -> AlternativeSet:
-        return AlternativeSet(self.mask & ~other.mask, self.m)
-
-    def symmetric_difference(self, other: AlternativeSet) -> AlternativeSet:
-        return AlternativeSet(self.mask ^ other.mask, self.m)
 
     def __len__(self) -> int:
         return self.size
@@ -234,11 +209,6 @@ class Committee(Frozen):
 
     __lt__ = AlternativeSet.__lt__  # on _values(), within the class
 
-    @classmethod
-    def from_indices(cls, indices, m: int) -> Committee:
-        members = AlternativeSet.from_indices(indices, m)
-        return cls(members, members.size)
-
     @property
     def mask(self) -> int:
         return self.members.mask
@@ -260,10 +230,6 @@ class Profile(Frozen):
         if len({v.m for v in votes}) > 1:
             raise ValueError("all votes must live in the same universe")
         _set(self, "votes", votes)
-
-    @property
-    def n(self) -> int:
-        return len(self.votes)
 
     def __iter__(self):
         return iter(self.votes)
@@ -410,19 +376,6 @@ def frac_str(value: Fraction | int, approx: bool = False) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-class Memo(dict):
-    """`memo[key]` is `f(key)`, computed once per distinct key: serializers
-    share one label list per set and one "p/q" string per rational."""
-
-    def __init__(self, f):
-        super().__init__()
-        self.f = f
-
-    def __missing__(self, key):
-        value = self[key] = self.f(key)
-        return value
-
-
 def parse_frac(text: str) -> Fraction:
     """Parse "p/q" or a plain integer string into an exact Fraction."""
     try:
@@ -432,37 +385,28 @@ def parse_frac(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Popcount over masks of any width, as numpy arrays of 16-bit words.
+# Popcount over masks of any width, as numpy arrays of 63-bit words.
 
-_WORD = 16
-
-
-@functools.cache
-def _popcount16() -> np.ndarray:
-    bits = np.unpackbits(np.arange(1 << _WORD, dtype=">u2").view(np.uint8))
-    lut = bits.reshape(-1, _WORD).sum(axis=1, dtype=np.uint8)
-    lut.setflags(write=False)
-    return lut
+_WORD = 63
 
 
 def mask_words(masks, m: int) -> np.ndarray:
-    """The masks' 16-bit words, shape (ceil(m / 16), *shape of masks).
+    """The masks' 63-bit words as int64, shape (ceil(m / 63), *shape of
+    masks); a mask of up to 63 bits is one word.
 
-    Masks wider than 62 bits stay Python ints until they are split.
+    Masks wider than 63 bits stay Python ints until they are split.
     """
-    arr = np.asarray(masks, dtype=np.int64 if m <= 62 else object)
-    return np.array(
-        [(arr >> shift) & 0xFFFF for shift in range(0, max(m, 1), _WORD)], dtype=np.int64
-    )
+    if m <= _WORD:
+        return np.asarray(masks, dtype=np.int64)[None]
+    arr = np.asarray(masks, dtype=object)
+    low = (1 << _WORD) - 1
+    return np.array([(arr >> shift) & low for shift in range(0, m, _WORD)], dtype=np.int64)
 
 
 def popcount(words) -> np.ndarray:
-    """Set bits per mask from its 16-bit words (axis 0), as int64.
-
-    The lookup table holds uint8 counts; they are widened before they are
-    summed, so arithmetic on the counts (such as signature codes) cannot wrap.
-    """
-    return _popcount16()[words].sum(axis=0, dtype=np.int64)
+    """Set bits per mask from its words (axis 0), as int64, so that
+    arithmetic on the counts (such as signature codes) cannot wrap."""
+    return np.bitwise_count(words).sum(axis=0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .core import (  # METRIC_KINDS is re-exported
     AlternativeSet,
     Committee,
     Frozen,
-    Memo,
     Universe,
     binomial_row,
     check_classes,
@@ -93,11 +92,6 @@ class DistanceMetric:
             return Fraction(0)
         key = (xmask, ymask) if xmask < ymask else (ymask, xmask)
         return self._table.get(key, self._default)
-
-    def distance(self, x: AlternativeSet, y: AlternativeSet) -> Fraction:
-        if x.m != self.m or y.m != self.m:
-            raise PreconditionError("sets do not match the metric's universe size")
-        return self.d(x.mask, y.mask)
 
     def rows(self, masks, terms: int = 1) -> tuple[np.ndarray, int]:
         """(A, scale) with A[i, s] = scale * d(masks[i], s) for all 2^m sets s,
@@ -640,10 +634,10 @@ def metric_to_json(metric: DistanceMetric, universe: Universe | None = None) -> 
         check_matrix(metric.m)
         table = {(a, b): metric.d(a, b) for a, b in combinations(range(1 << metric.m), 2)}
     # one label list per set and one "p/q" string per distinct value
-    names = Memo(lambda mask: list(AlternativeSet(mask, metric.m).labels(universe)))
-    fracs = Memo(frac_str)
+    names = functools.cache(lambda mask: list(AlternativeSet(mask, metric.m).labels(universe)))
+    fracs = functools.cache(frac_str)
     entries = [
-        {"x": names[a], "y": names[b], "d": fracs[value]}
+        {"x": names(a), "y": names(b), "d": fracs(value)}
         for (a, b), value in sorted(table.items())
     ]
     doc = {
@@ -679,13 +673,13 @@ def metric_from_json(doc: dict, m: int | None = None) -> DistanceMetric:
             raise ProfileParseError("alternatives list does not match m")
         # each distinct label list and "d" text is read once; the first
         # bad one raises as it would have alone
-        masks = Memo(lambda names: universe.set_of(names).mask)
-        values = Memo(parse_frac)
+        masks = functools.cache(lambda names: universe.set_of(names).mask)
+        values = functools.cache(parse_frac)
         table = {}
         for row in doc["entries"]:
             x = _mask_of(row["x"], masks)
             y = _mask_of(row["y"], masks)
-            table[(x, y)] = values[str(row["d"])]
+            table[(x, y)] = values(str(row["d"]))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ProfileParseError(f"bad metric file: {exc}") from None
     return make_metric(
@@ -693,13 +687,13 @@ def metric_from_json(doc: dict, m: int | None = None) -> DistanceMetric:
     )
 
 
-def _mask_of(names, masks: Memo) -> int:
-    """`masks[tuple(names)]`; a value that is no hashable sequence goes
+def _mask_of(names, masks) -> int:
+    """`masks(tuple(names))`; a value that is no hashable sequence goes
     to `set_of` uncached, so that it fails there as it always did."""
     try:
-        return masks[tuple(names)]
+        return masks(tuple(names))
     except TypeError:
-        return masks.f(names)
+        return masks.__wrapped__(names)
 
 
 def load_metric_file(path, m: int | None = None) -> DistanceMetric:

@@ -258,7 +258,6 @@ def negative_gap_model(
     ground: Committee,
     coeffs,
     t: int,
-    universe: Universe | None = None,
 ) -> tuple[NoiseModel, Fraction]:
     """(model, gap): a strict level model whose gap sum(c_j * p_j) over the
     level gap coefficients `coeffs` of a pair is negative, given that their
@@ -280,7 +279,7 @@ def negative_gap_model(
     ]
     scale = sum((Fraction(size) * q for size, q in zip(levels.sizes, raw)), Fraction(0))
     probs = [q / scale for q in raw]
-    model = make_level_model(metric, ground, probs, universe)
+    model = make_level_model(metric, ground, probs)
     gap = sum((c * q for c, q in zip(coeffs, probs)), start=Fraction(0))
     if gap >= 0:
         raise RuntimeError("witness stagger failed to preserve the negative gap")
@@ -356,7 +355,6 @@ def av_refutation_model(
     a: int,
     b: int,
     t_star: int,
-    universe: Universe | None = None,
 ) -> NoiseModel:
     """Model under which a concentricity violation makes AV prefer swapping
     a out for b.
@@ -386,7 +384,7 @@ def av_refutation_model(
             f"no concentricity violation at (a={a}, b={b}, t*={t_star}): "
             f"N(a|b) - N(b|a) = {frac_str(violation)} >= 0"
         )
-    return negative_gap_model(metric, ground, coeffs, t_star, universe)[0]
+    return negative_gap_model(metric, ground, coeffs, t_star)[0]
 
 
 # ---------------------------------------------------------------------------

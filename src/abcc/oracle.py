@@ -36,7 +36,6 @@ from .core import (
     AlternativeSet,
     Committee,
     Frozen,
-    Memo,
     committee_masks,
     frac_str,
 )
@@ -103,11 +102,11 @@ def accuracy_classify(rule: rules.AbccRule, model: noise.NoiseModel) -> Accuracy
         levels, probs = model.level_form()
         if levels.cells is not None:
             f = rules.integer_table(rule, 1)[0].tolist()
-            moves = Memo(lambda j: any(
+            moves = functools.cache(lambda j: any(
                 gap and probs[levels.cells[x][y]]
                 for x, y, _, gap in rules.overlap_cells(f, rule.m, rule.k, j)
             ))
-            moving = {vmask for vmask in zero if moves[(ground.mask & vmask).bit_count()]}
+            moving = {vmask for vmask in zero if moves((ground.mask & vmask).bit_count())}
         else:
             support = np.array([q != 0 for q in probs])[np.asarray(levels.level_of)]
             shown = int(support.sum())
@@ -146,9 +145,6 @@ class UVBijection(NamedTuple):
             if mask >> i & 1:
                 out |= 1 << target
         return out
-
-    def map_set(self, s: AlternativeSet) -> AlternativeSet:
-        return AlternativeSet(self.map_mask(s.mask), s.m)
 
 
 def uv_bijection(ground: Committee, rival: Committee) -> UVBijection:
@@ -337,7 +333,7 @@ def robustness_verdict(rule: rules.AbccRule, metric: metrics.DistanceMetric) -> 
     m, k = rule.m, rule.k
     grounds, masks = metrics.deciding_committees(metric, k)
     committees = {mask: Committee(AlternativeSet(mask, m), k) for mask in masks}
-    fractions = Memo(lambda key: Fraction(*key))  # one per distinct (min_prefix, scale)
+    fractions = functools.cache(Fraction)  # one per distinct (min_prefix, scale)
     rows = []
     negative = degenerate = None  # the first (ground, rival) of each failure
     for umask in grounds:
@@ -351,7 +347,7 @@ def robustness_verdict(rule: rules.AbccRule, metric: metrics.DistanceMetric) -> 
             if vmask == umask:
                 continue
             flat = lowest[i] >= 0 and not positive[i]
-            summary = fractions[lowest[i], scale], positive[i], flat
+            summary = fractions(lowest[i], scale), positive[i], flat
             j = (umask & vmask).bit_count()
             rows.append(ClassSummary(j, comb(m, k) * comb(k, j) * comb(m - k, k - j), *summary)
                         if by_class else PairSummary(ground, committees[vmask], *summary))
@@ -436,8 +432,8 @@ def verdict_to_json(verdict: RobustnessVerdict, universe) -> dict:
     """The verdict document; rows that name the same committee share its
     label list, and equal rationals share their "p/q" string. A signature
     verdict over more than MAX_PAIR_ROWS pairs lists its class rows instead."""
-    names = Memo(lambda mask: list(AlternativeSet(mask, verdict.m).labels(universe)))
-    fracs = Memo(frac_str)
+    names = functools.cache(lambda mask: list(AlternativeSet(mask, verdict.m).labels(universe)))
+    fracs = functools.cache(frac_str)
     doc = {
         "status": verdict.status,
         "rule": verdict.rule_name,
@@ -449,7 +445,7 @@ def verdict_to_json(verdict: RobustnessVerdict, universe) -> dict:
 
     def summary(row):  # the fields that pair and class rows share
         return {
-            "min_prefix": fracs[row.min_prefix],
+            "min_prefix": fracs(row.min_prefix),
             "positive_below_last": row.positive_below_last,
             "degenerate": row.degenerate,
         }
@@ -461,29 +457,29 @@ def verdict_to_json(verdict: RobustnessVerdict, universe) -> dict:
         by_overlap = {c.j: summary(c) for c in classes}
         masks = committee_masks(verdict.m, verdict.k)
         doc["per_pair_summary"] = [
-            {"ground": names[u], "rival": names[v], **by_overlap[(u & v).bit_count()]}
+            {"ground": names(u), "rival": names(v), **by_overlap[(u & v).bit_count()]}
             for u in masks
             for v in masks
             if u != v
         ]
     else:
         doc["per_pair_summary"] = [
-            {"ground": names[p.ground.mask], "rival": names[p.rival.mask], **summary(p)}
+            {"ground": names(p.ground.mask), "rival": names(p.rival.mask), **summary(p)}
             for p in verdict.rows
         ]
     w = verdict.witness
     if isinstance(w, NotRobustWitness):
         doc["witness"] = {
-            "ground": names[w.ground.mask],
-            "rival": names[w.rival.mask],
+            "ground": names(w.ground.mask),
+            "rival": names(w.rival.mask),
             "level_index": w.level_index,
             "gap": frac_str(w.gap),
             "model": noise.model_to_json(w.model),
         }
     elif isinstance(w, DegenerateWitness):
         doc["witness"] = {
-            "ground": names[w.ground.mask],
-            "rival": names[w.rival.mask],
+            "ground": names(w.ground.mask),
+            "rival": names(w.rival.mask),
             "identically_zero": w.identically_zero,
             "gap": "0",
             "model": noise.model_to_json(w.model),

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,14 @@ import pytest
 
 import reference
 from abcc.cli import main
-from abcc.core import Committee, default_universe, format_vote_masks, frac_str, parse_profile
+from abcc.core import (
+    AlternativeSet,
+    Committee,
+    default_universe,
+    format_vote_masks,
+    frac_str,
+    parse_profile,
+)
 from abcc.metrics import (
     DistanceMetric,
     make_metric,
@@ -418,7 +426,7 @@ class TestSamplingCommands:
         assert code == 0
         path = Path(out.strip())
         universe, profile = parse_profile(path.read_text())
-        assert profile.n == 100
+        assert len(profile) == 100
         assert universe.m == 8
 
     def test_sample_deterministic_bytes(self, tmp_path, capsys):
@@ -438,7 +446,7 @@ class TestSamplingCommands:
         # `sample` writes straight from the drawn masks; the profile path and
         # the line-at-a-time writer of reference.py are its oracles
         universe = default_universe(m)
-        ground = Committee.from_indices(range(min(m, 3)), m)
+        ground = Committee(AlternativeSet((1 << min(m, 3)) - 1, m), min(m, 3))
         models = [make_mp(Fraction(3, 4), universe, ground)]
         if m <= 16:  # a level model samples over its table of the 2^m sets
             models += [staggered_level_model(make_metric(kind, m), ground)
@@ -833,12 +841,15 @@ class TestInputErrors:
         for out, number in [(blocker, errno.EEXIST), (blocker / "sub", errno.ENOTDIR)]:
             err = self.assert_exit_2(capsys, *robust, "--out", str(out))
             assert err == f"error: cannot write {out}: {os.strerror(number)}\n"
-        # the result file is written, then the manifest cannot be appended
+        # a manifest that cannot be appended is found before any result file
+        # is written (the result file was written and the status line printed)
         manifest = tmp_path / "out" / "manifest.jsonl"
         manifest.mkdir(parents=True)
         code, out, err = run(capsys, *robust, "--out", str(tmp_path / "out"))
-        assert code == 2 and out == '{"status": "robust"}\n'
+        assert code == 2 and out == ""
         assert err == f"error: cannot write {manifest}: {os.strerror(errno.EISDIR)}\n"
+        assert list((tmp_path / "out").iterdir()) == [manifest]
+        assert list(manifest.iterdir()) == []
 
 
 class TestManifests:
@@ -905,6 +916,14 @@ class TestManifests:
         for out in ("given", "parsed"):
             record = json.loads((tmp_path / out / "manifest.jsonl").read_text())
             assert record["command"] == " ".join(["abcc", *argv, "--out", str(tmp_path / out)])
+
+    def test_command_splits_back_into_the_arguments(self, tmp_path, capsys):
+        # the arguments were joined with spaces, so "o u t" read as three words
+        argv = ["taxonomy", "--metric", "trivial", "--m", "3", "--k", "2",
+                "--out", str(tmp_path / "o u t")]
+        assert run(capsys, *argv)[0] == 0
+        record = json.loads((tmp_path / "o u t" / "manifest.jsonl").read_text())
+        assert shlex.split(record["command"]) == ["abcc", *argv]
 
     def test_no_record_without_result_files(self, tmp_path, capsys):
         profile = write_profile(tmp_path)

@@ -15,7 +15,7 @@ from abcc.experiments import (
     mle_committees,
     mle_equivalence_check,
 )
-from abcc.metrics import make_metric, random_metric
+from abcc.metrics import DistanceMetric, make_metric, random_metric
 from abcc.noise import make_mp, jump_counterexample
 from abcc.rules import make_rule
 from conftest import committee_of, random_profile
@@ -239,6 +239,17 @@ class TestHierarchy:
         monkeypatch.setattr("abcc.oracle.robustness_verdict", no_verdict)
         with pytest.raises(CapExceededError, match="2\\^m sets"):
             hierarchy_report([make_rule("av", 17, 2)], [make_metric("jaccard", 17)])
+
+    def test_matrix_cap_refuses_before_any_verdict(self, monkeypatch):
+        # a table metric's taxonomy needs the full 2^m x 2^m matrix, which
+        # check_matrix refuses at m = 13, a limit builtins never reach
+        def no_verdict(rule, metric):
+            raise AssertionError("a robustness verdict ran")
+
+        monkeypatch.setattr("abcc.oracle.robustness_verdict", no_verdict)
+        table = DistanceMetric("t", 13, table={}, default=Fraction(1))
+        with pytest.raises(CapExceededError, match="full distance matrix has 4\\^13 cells"):
+            hierarchy_report([make_rule("av", 13, 2)], [table])
 
     def test_duplicate_names_refused(self):
         # the report keys its verdicts by name: the second thiele rule overwrote the first

@@ -20,6 +20,8 @@ from abcc.core import (
     committee_masks,
     default_universe,
     feasible_pairs,
+    mask_words,
+    popcount,
 )
 from abcc.metrics import level_structure, make_metric, random_metric
 from abcc.experiments import mle_committees
@@ -143,12 +145,12 @@ def test_mle_distance_minimizers_match_reference():
         votes = random_profile(m, 3, rng).votes
         cases.append((m, k, Profile(votes * 4)))  # repeated votes
     a, b, c, d = (AlternativeSet(1 << i, 4) for i in range(4))
-    cases.append((4, 2, Profile((a.union(b), c.union(d)))))  # all six tie at 4
+    cases.append((4, 2, Profile((AlternativeSet(0b0011, 4), AlternativeSet(0b1100, 4)))))  # six tie
     cases.append((4, 1, Profile((a, b))))  # {a} and {b} tie at 2
-    # masks past bit 62 and across 16-bit words; x69 with x1, x15 or x63 tie
+    # masks past bit 62 and across 63-bit words; x69 with x1, x15 or x63 tie
     m = 70
-    wide = [AlternativeSet.from_indices(members, m) for members in ([15, 63, 69], [1, 69])]
-    cases.append((m, 2, Profile((*wide, *wide, AlternativeSet.from_indices([62, 64], m)))))
+    wide = [AlternativeSet(sum(1 << i for i in members), m) for members in ([15, 63, 69], [1, 69])]
+    cases.append((m, 2, Profile((*wide, *wide, AlternativeSet(1 << 62 | 1 << 64, m)))))
     for m, k, profile in cases:
         counts = Counter(v.mask for v in profile)
         by_distance = mle_committees(profile, Fraction(3, 4), m, k).by_distance
@@ -230,16 +232,38 @@ class TestWideMasks:
         votes = []
         for _ in range(25):
             members = rng.choice(m, size=int(rng.integers(0, 6)), replace=False)
-            votes.append(AlternativeSet.from_indices(members, m))
-        # make the top pair straddle bit 62 and a 16-bit word boundary
-        votes += [AlternativeSet.from_indices([15, 69], m)] * 4
-        votes += [AlternativeSet.from_indices([63, 69], m)] * 3
+            votes.append(AlternativeSet(sum(1 << int(i) for i in members), m))
+        # make the top pair straddle bit 62 and the 63-bit word boundary
+        votes += [AlternativeSet(1 << 15 | 1 << 69, m)] * 4
+        votes += [AlternativeSet(1 << 63 | 1 << 69, m)] * 3
         for kind in ("av", "cc", "pav", "sav"):
             rule = make_rule(kind, m, k)
             profile = Profile(tuple(votes))
             assert_winners_match(rule, profile)
         result = winners(make_rule("av", m, k), Profile(tuple(votes)))
         assert [c.mask for c in result] == [(1 << 15) | (1 << 69)]
+
+    @pytest.mark.parametrize("m", [1, 16, 62, 63, 64, 126, 127, 190])
+    def test_popcount_at_word_boundaries(self, m):
+        # masks with their top bits set, on either side of each 63-bit word edge
+        rng = np.random.default_rng(m)
+        full, top = (1 << m) - 1, 1 << (m - 1)
+        masks = [0, full, top, top | 1, full >> 1]
+        masks += [top | int("".join(map(str, rng.integers(0, 2, size=m))), 2) for _ in range(20)]
+        assert popcount(mask_words(masks, m)).tolist() == [mask.bit_count() for mask in masks]
+
+    @pytest.mark.parametrize("m", [63, 64])
+    def test_winners_at_the_word_boundary(self, m):
+        # one word at m = 63, two at m = 64; the leading pair holds the top bit
+        rng = np.random.default_rng(m)
+        votes = [
+            AlternativeSet(sum(1 << int(i) for i in rng.choice(m, size=4, replace=False)), m)
+            for _ in range(12)
+        ]
+        votes += [AlternativeSet(1 << (m - 1) | 1 << (m - 2), m)] * 3
+        votes += [AlternativeSet(1 << (m - 1) | 1, m)] * 2
+        for kind in ("av", "cc", "pav", "sav"):
+            assert_winners_match(make_rule(kind, m, 2), Profile(tuple(votes)))
 
 
 @pytest.mark.parametrize("kind,metric_kind", [("pav", "jaccard"), ("cc", "trivial"), ("av", "zelinka")])

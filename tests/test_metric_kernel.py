@@ -187,7 +187,7 @@ def test_scaled_integers_guard():
 
 
 def test_popcount_counts_are_wide():
-    # 16-bit lookup counts are uint8; a base-7 signature code of them wraps
+    # np.bitwise_count gives uint8 counts; a base-7 signature code of them wraps
     # unless the counts are widened
     words = np.array([[0xFFFF, 0x0F0F, 0]])
     counts = popcount(words)
@@ -263,7 +263,7 @@ def test_rows_at_the_int64_guard():
 
 
 def test_wide_universe_row():
-    # m = 18: masks span two 16-bit words, and codes reach (m+1)^3
+    # m = 18: codes reach (m+1)^3
     m = 18
     metric = make_metric("jaccard", m)
     x = (1 << 17) | (1 << 16) | 0b1011

@@ -72,8 +72,8 @@ def test_mle_committees_routes_match_reference_profile_by_profile():
             votes = tuple(AlternativeSet(int(v), m) for v in rng.integers(0, 1 << m, size=n))
             samples.append((m, k, Profile(votes)))
     m = 70
-    wide = [AlternativeSet.from_indices(members, m) for members in ([15, 63, 69], [1, 69])]
-    samples.append((m, 2, Profile((*wide, *wide, AlternativeSet.from_indices([62, 64], m)))))
+    wide = [AlternativeSet(sum(1 << i for i in members), m) for members in ([15, 63, 69], [1, 69])]
+    samples.append((m, 2, Profile((*wide, *wide, AlternativeSet(1 << 62 | 1 << 64, m)))))
     for m, k, profile in samples:
         counts = Counter(v.mask for v in profile)
         masks = committee_masks(m, k)

@@ -179,8 +179,8 @@ class TestUVBijection:
 
     def test_single_swap(self, u4):
         mu = uv_bijection(committee_of(u4, ["a", "b"]), committee_of(u4, ["a", "c"]))
-        assert mu.map_set(u4.set_of(["b", "d"])) == u4.set_of(["c", "d"])
-        assert mu.map_set(u4.set_of(["c"])) == u4.set_of(["b"])
+        assert mu.map_mask(u4.set_of(["b", "d"]).mask) == u4.set_of(["c", "d"]).mask
+        assert mu.map_mask(u4.set_of(["c"]).mask) == u4.set_of(["b"]).mask
 
     def test_size_mismatch(self, u4):
         with pytest.raises(SizeMismatchError):
@@ -191,10 +191,10 @@ class TestUVBijection:
             m = int(rng.integers(3, 7))
             k = int(rng.integers(1, m))
             u = default_universe(m)
-            masks = rng.permutation(m)
-            ground = Committee(AlternativeSet.from_indices(masks[:k], m), k)
+            ground_indices = rng.permutation(m)[:k]
+            ground = Committee(AlternativeSet(sum(1 << int(i) for i in ground_indices), m), k)
             rival_indices = rng.permutation(m)[:k]
-            rival = Committee(AlternativeSet.from_indices(rival_indices, m), k)
+            rival = Committee(AlternativeSet(sum(1 << int(i) for i in rival_indices), m), k)
             mu = uv_bijection(ground, rival)
             for s in range(1 << m):
                 image = mu.map_mask(s)
@@ -252,7 +252,7 @@ class TestGapAnalysis:
         mu = uv_bijection(ground, rival)
         for mask in range(16):
             vote = AlternativeSet(mask, 4)
-            image = mu.map_set(vote)
+            image = AlternativeSet(mu.map_mask(mask), 4)
             assert vote_score(rule, ground, image) == vote_score(rule, rival, vote)
             assert vote_score(rule, rival, image) == vote_score(rule, ground, vote)
 

@@ -97,7 +97,7 @@ def test_each_command_runs_only_its_layers(argv, layers, tmp_path):
     votes = tmp_path / "votes.txt"
     votes.write_text("alternatives: a,b,c\na\na,b\n", encoding="utf-8")
     model = tmp_path / "model.json"
-    metric, ground = metrics.make_metric("jaccard", 3), core.Committee.from_indices([0, 1], 3)
+    metric, ground = metrics.make_metric("jaccard", 3), core.Committee(core.AlternativeSet(0b11, 3), 2)
     level_model = noise.staggered_level_model(metric, ground)
     model.write_text(json.dumps(noise.model_to_json(level_model)), encoding="utf-8")
     argv = [arg.format(votes=votes, model=model) for arg in argv]

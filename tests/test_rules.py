@@ -178,7 +178,7 @@ class TestScoring:
             u = default_universe(m)
             committee = Committee(u.set_of(u.names[:k]), k)
             appearances = sum(
-                sum(1 for v in profile if v.contains(i)) for i in committee.members
+                sum(1 for v in profile if v.mask >> i & 1) for i in committee.members
             )
             assert profile_score(rule, committee, profile).total == appearances
 
