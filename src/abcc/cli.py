@@ -234,7 +234,12 @@ def _resolve_rule(args, m: int, k: int, runner: Runner):
     spec = args.rule
     if spec is None:
         raise ProfileParseError("no rule given (use --rule or --rule-file)")
-    kind, _, param = spec.partition(":")
+    # a parameter that the kind would not read is refused, not dropped
+    kind, colon, param = spec.partition(":")
+    if colon and kind in RULE_KINDS and kind not in ("thiele", "p_geometric"):
+        raise ProfileParseError(f"rule {kind} takes no parameter, got {spec!r}")
+    if getattr(args, "weights", None) is not None and kind != "thiele":
+        raise ProfileParseError(f"--weights applies only to --rule thiele, not {kind}")
     if kind == "p_geometric":
         return rules.make_rule(kind, m, k, p=parse_frac(param or "1/2"))
     if kind == "thiele":

@@ -191,21 +191,18 @@ class HierarchyReport(NamedTuple):
 
 
 def hierarchy_report(
-    rules: list[rules.AbccRule], metrics: list[metrics.DistanceMetric]
+    rule_list: list[rules.AbccRule], metric_list: list[metrics.DistanceMetric]
 ) -> HierarchyReport:
     """Verdict matrix over rule x metric, annotated with rule predicates
     and metric taxonomy flags."""
-    # the arguments shadow the `rules` and `metrics` layers in this body
-    from .metrics import taxonomy_report
-    from .rules import has_top_jump, is_nontrivial
-
-    if not rules or not metrics:
+    if not rule_list or not metric_list:
         raise PreconditionError("need at least one rule and one metric")
-    m, k = rules[0].m, rules[0].k
-    if any(r.m != m or r.k != k for r in rules) or any(d.m != m for d in metrics):
+    m, k = rule_list[0].m, rule_list[0].k
+    if any(r.m != m or r.k != k for r in rule_list) or any(d.m != m for d in metric_list):
         raise PreconditionError("all rules and metrics must share the same (m, k)")
     # the report keys its rows by name: a repeated name would overwrite a row
-    rule_names, metric_names = tuple(r.name for r in rules), tuple(d.name for d in metrics)
+    rule_names = tuple(r.name for r in rule_list)
+    metric_names = tuple(d.name for d in metric_list)
     for kind, names in (("rule", rule_names), ("metric", metric_names)):
         repeated = [name for name, count in Counter(names).items() if count > 1]
         if repeated:
@@ -213,17 +210,17 @@ def hierarchy_report(
     # the taxonomy first: its sweeps over the 2^m sets (and a table metric's
     # full matrix) are the tightest limits, so an m over them is refused
     # before any verdict runs
-    taxonomy = {metric.name: taxonomy_report(metric, k) for metric in metrics}
+    taxonomy = {metric.name: metrics.taxonomy_report(metric, k) for metric in metric_list}
     verdicts = {
         (rule.name, metric.name): oracle.robustness_verdict(rule, metric)
-        for rule in rules
-        for metric in metrics
+        for rule in rule_list
+        for metric in metric_list
     }
     predicates = {}
-    for rule in rules:
-        jump = has_top_jump(rule)
+    for rule in rule_list:
+        jump = rules.has_top_jump(rule)
         predicates[rule.name] = {
-            "is_nontrivial": bool(is_nontrivial(rule)),
+            "is_nontrivial": bool(rules.is_nontrivial(rule)),
             "has_top_jump": bool(jump),
             "top_jump_vacuous": jump.vacuous,
         }

@@ -79,8 +79,6 @@ class DistanceMetric:
         self._table = table
         self._default = default
         self._signature = signature
-        self._ints = None  # (integer grid or matrix, scale), built by the first rows()
-        self._axioms = None  # the AxiomCheck, made by the first check_metric_axioms()
         self._level_cache: dict = {}  # ground mask or ("grid", k) -> levels
 
     def d(self, xmask: int, ymask: int) -> Fraction:
@@ -101,18 +99,22 @@ class DistanceMetric:
         rows by signature code, table metrics scale their table once into a
         dense 2^m x 2^m matrix.
         """
-        ints, scale = self._integers()
+        ints, scale = self._integers
         if self._signature is not None:
             gathered = ints[_signature_codes(masks, self.m)]
         else:
             gathered = ints[np.asarray(masks)]
         return int64_if_fits(gathered, terms), scale
 
+    @functools.cached_property
     def _integers(self) -> tuple[np.ndarray, int]:
         """The scaled signature grid or table matrix, built once."""
-        if self._ints is None:
-            self._ints = self._signature_grid() if self._table is None else self._table_matrix()
-        return self._ints
+        return self._signature_grid() if self._table is None else self._table_matrix()
+
+    @functools.cached_property
+    def _axioms(self) -> AxiomCheck:
+        """The AxiomCheck, made by the first check_metric_axioms()."""
+        return _axiom_check(self)
 
     def _signature_grid(self) -> tuple[np.ndarray, int]:
         # cells with a + b + c > m are the signature of no pair of sets; 0
@@ -221,8 +223,6 @@ def check_metric_axioms(metric: DistanceMetric) -> AxiomCheck:
     (diagonal first), then in (pivot j, i, k) order for the triangle
     inequality. The check is made once per metric.
     """
-    if metric._axioms is None:
-        metric._axioms = _axiom_check(metric)
     return metric._axioms
 
 
@@ -263,7 +263,7 @@ def _signature_axioms_hold(metric: DistanceMetric) -> bool:
     """
     m = metric.m
     check_sets(m)  # C(m+7, 7) vectors: 245,157 at m = 16
-    grid = int64_if_fits(metric._integers()[0], terms=2).reshape((m + 1,) * 3)
+    grid = int64_if_fits(metric._integers[0], terms=2).reshape((m + 1,) * 3)
     a, b, c = np.indices(grid.shape)
     bad = (grid != grid.transpose(1, 0, 2)) | ((grid <= 0) & (a + b > 0))
     if (grid[0, 0] != 0).any() or (bad & (a + b + c <= m)).any():

@@ -35,15 +35,10 @@ from .core import (
     MAX_PAIR_ROWS,
     AlternativeSet,
     Committee,
-    Frozen,
     committee_masks,
     frac_str,
 )
 from .errors import NotAccurateError, PreconditionError, SizeMismatchError
-
-# Cells of the rival x group gap sums that one `gap_rows` call of
-# `accuracy_classify` returns; more zero-gap rivals are split into calls.
-BATCH_CELLS = 1 << 20
 
 ACCURATE = "accurate_in_limit"
 NOT_ACCURATE = "not_accurate"
@@ -93,9 +88,8 @@ def accuracy_classify(rule: rules.AbccRule, model: noise.NoiseModel) -> Accuracy
     gaps = {Committee(AlternativeSet(cmask, rule.m), rule.k): gap for cmask, gap in rows}
     # the zero gaps vote by vote on the support. On a grid, the rivals of an
     # overlap class move together: iff one of its vote cells with a non-zero
-    # gap lies on a level of non-zero probability. Otherwise one group per
-    # support vote and one for the rest, all zero-gap rivals in as few calls
-    # as BATCH_CELLS allows.
+    # gap lies on a level of non-zero probability. Otherwise one sweep scores
+    # the ground and every zero-gap rival on each support vote.
     zero = [rival.mask for rival, gap in gaps.items() if not gap]
     moving = set()
     if zero:
@@ -108,14 +102,13 @@ def accuracy_classify(rule: rules.AbccRule, model: noise.NoiseModel) -> Accuracy
             ))
             moving = {vmask for vmask in zero if moves((ground.mask & vmask).bit_count())}
         else:
-            support = np.array([q != 0 for q in probs])[np.asarray(levels.level_of)]
-            shown = int(support.sum())
-            groups = np.where(support, np.cumsum(support) - 1, shown)
-            step = max(1, BATCH_CELLS // (shown + 1))
-            for lo in range(0, len(zero), step):
-                part = zero[lo : lo + step]
-                sums = rules.gap_rows(rule, ground.mask, part, groups)[0][:, :shown]
-                moving.update(vmask for vmask, row in zip(part, sums) if row.any())
+            table, _ = rules.integer_table(rule, 1)
+            on_support = np.array([q != 0 for q in probs])[np.asarray(levels.level_of)]
+            support = np.flatnonzero(on_support)
+            differs = np.zeros(len(zero), dtype=bool)
+            for _, scores in rules.score_blocks(table, rule.m, [ground.mask, *zero], support):
+                differs |= (scores[1:] != scores[0]).any(axis=1)
+            moving = {vmask for vmask, moves in zip(zero, differs.tolist()) if moves}
     rival_status = {
         rival: ("positive" if gap > 0 else "negative") if gap
         else "zero_mean" if rival.mask in moving else "zero_tie"
@@ -274,28 +267,19 @@ class DegenerateWitness(NamedTuple):
     identically_zero: bool
 
 
-class RobustnessVerdict(Frozen):
+class RobustnessVerdict(NamedTuple):
     """`rows` holds one PairSummary per ordered committee pair (table
     metrics) or one ClassSummary per overlap class (signature metrics)."""
 
-    _fields = ("status", "rule_name", "metric_name", "m", "k", "witness", "rows")
+    status: str
+    rule_name: str
+    metric_name: str
+    m: int
+    k: int
+    witness: NotRobustWitness | DegenerateWitness | None
+    rows: tuple[PairSummary, ...] | tuple[ClassSummary, ...]
 
-    def __init__(
-        self,
-        status: str,
-        rule_name: str,
-        metric_name: str,
-        m: int,
-        k: int,
-        witness: NotRobustWitness | DegenerateWitness | None,
-        rows: tuple[PairSummary, ...] | tuple[ClassSummary, ...],
-    ):
-        vars(self).update(
-            status=status, rule_name=rule_name, metric_name=metric_name,
-            m=m, k=k, witness=witness, rows=rows,
-        )
-
-    @functools.cached_property
+    @property
     def pair_summaries(self) -> tuple[PairSummary, ...]:
         """One row per ordered pair, ground-major in mask order; a class row
         stands for each pair of its class."""
@@ -453,19 +437,10 @@ def verdict_to_json(verdict: RobustnessVerdict, universe) -> dict:
     classes = [c for c in verdict.rows if isinstance(c, ClassSummary)]
     if sum(c.pairs for c in classes) > MAX_PAIR_ROWS:
         doc["per_class_summary"] = [{"j": c.j, "pairs": c.pairs, **summary(c)} for c in classes]
-    elif classes:
-        by_overlap = {c.j: summary(c) for c in classes}
-        masks = committee_masks(verdict.m, verdict.k)
-        doc["per_pair_summary"] = [
-            {"ground": names(u), "rival": names(v), **by_overlap[(u & v).bit_count()]}
-            for u in masks
-            for v in masks
-            if u != v
-        ]
     else:
         doc["per_pair_summary"] = [
             {"ground": names(p.ground.mask), "rival": names(p.rival.mask), **summary(p)}
-            for p in verdict.rows
+            for p in verdict.pair_summaries
         ]
     w = verdict.witness
     if isinstance(w, NotRobustWitness):

@@ -50,7 +50,6 @@ class AbccRule(NamedTuple):
 class ScoreBreakdown(NamedTuple):
     committee: Committee
     total: Fraction
-    per_vote: tuple[Fraction, ...]
 
 
 class NontrivialityResult(NamedTuple):
@@ -190,19 +189,13 @@ def _vote_masks(rule: AbccRule, profile: Profile) -> list[int]:
 
 
 def profile_score(rule: AbccRule, committee: Committee, profile: Profile) -> ScoreBreakdown:
-    """Total (and per-vote) exact score of a committee over a profile.
-
-    The total is one integer product over the distinct votes and their
-    multiplicities; each distinct vote is scored once for `per_vote`.
-    """
+    """Total exact score of a committee over a profile: one integer product
+    over the distinct votes and their multiplicities."""
     _check_committee(rule, committee)
     masks = _vote_masks(rule, profile)
-    counts = Counter(masks)
     table, scale = integer_table(rule, len(masks))
-    total = committee_totals(table, rule.m, counts, [committee.mask])[0]
-    score = {s: rule.table[((committee.mask & s).bit_count(), s.bit_count())] for s in counts}
-    per_vote = tuple(map(score.__getitem__, masks))
-    return ScoreBreakdown(committee, Fraction(int(total), scale), per_vote)
+    total = committee_totals(table, rule.m, Counter(masks), [committee.mask])[0]
+    return ScoreBreakdown(committee, Fraction(int(total), scale))
 
 
 # ---------------------------------------------------------------------------

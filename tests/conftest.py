@@ -1,13 +1,14 @@
 import contextlib
 import io
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from abcc.cli import main
 from abcc.core import AlternativeSet, Committee, Profile, default_universe, feasible_pairs
-from abcc.metrics import level_structure
+from abcc.metrics import DistanceMetric, level_structure
 from abcc.noise import make_level_model
 from abcc.rules import make_rule
 
@@ -49,6 +50,12 @@ def random_strict_model(metric, ground, rng, zero_tail=False):
         weights[-1] = 0
     total = sum(w * size for w, size in zip(weights, levels.sizes))
     return make_level_model(metric, ground, [Fraction(w, total) for w in weights])
+
+
+def table_form(metric):
+    """The metric as a table over all unordered pairs of sets."""
+    table = {(a, b): metric.d(a, b) for a, b in combinations(range(1 << metric.m), 2)}
+    return DistanceMetric(metric.name, metric.m, table=table)
 
 
 def random_profile(m, n, rng):

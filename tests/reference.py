@@ -130,9 +130,9 @@ def score_from_counts(rule, committee_mask, counts):
 
 
 def profile_score(rule, committee, profile):
-    """ScoreBreakdown with one Fraction per vote, summed in vote order."""
-    per_vote = tuple(vote_score(rule, committee, vote) for vote in profile)
-    return ScoreBreakdown(committee, sum(per_vote, Fraction(0)), per_vote)
+    """ScoreBreakdown of one Fraction per vote, summed in vote order."""
+    per_vote = (vote_score(rule, committee, vote) for vote in profile)
+    return ScoreBreakdown(committee, sum(per_vote, Fraction(0)))
 
 
 def parse_profile(text):

@@ -24,7 +24,7 @@ forms of AV under a product model at m = 40 and m = 200.
 
 import functools
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import comb, prod
 
 import pytest
@@ -43,7 +43,6 @@ from abcc.core import (
     first_rival,
 )
 from abcc.metrics import (
-    DistanceMetric,
     level_structure,
     make_metric,
     random_metric,
@@ -63,16 +62,10 @@ from abcc.oracle import (
     verdict_to_json,
 )
 from abcc.rules import AbccRule, is_nontrivial, make_rule
-from conftest import random_strict_model
+from conftest import random_strict_model, table_form
 
 BUILTIN_METRICS = ["set_difference", "jaccard", "zelinka", "bunke_shearer", "trivial"]
 SIZES = [(m, k) for m in range(1, 9) for k in range(1, m + 1)]
-
-
-def table_form(metric):
-    """The metric as a table over all unordered pairs of sets."""
-    table = {(a, b): metric.d(a, b) for a, b in combinations(range(1 << metric.m), 2)}
-    return DistanceMetric(metric.name, metric.m, table=table)
 
 
 @functools.cache

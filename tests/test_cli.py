@@ -566,6 +566,34 @@ class TestInputErrors:
         assert f"{kind[:-1]} name {repeated!r}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("rule, unread", [
+        # each used to run plain av or pav with exit 0
+        (["--rule", "av:7"], "'av:7'"),
+        (["--rule", "pav:1/2"], "'pav:1/2'"),
+        (["--rule", "av", "--weights", "1,2"], "--weights"),
+        (["--rule", "p_geometric:1/3", "--weights", "1,2"], "--weights"),
+    ], ids=["av-param", "pav-param", "av-weights", "p_geometric-weights"])
+    def test_rule_parameter_the_kind_does_not_read(self, rule, unread, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        err = self.assert_exit_2(
+            capsys, "robust", *rule, "--metric", "jaccard", "--m", "4", "--k", "2", "--out", out
+        )
+        assert unread in err
+        profile = write_profile(tmp_path)
+        err = self.assert_exit_2(
+            capsys, "score", *rule, "--committee", "a,b", "--profile", profile
+        )
+        assert unread in err
+        assert not (tmp_path / "out").exists()
+
+    def test_rule_parameter_in_hierarchy_list(self, tmp_path, capsys):
+        err = self.assert_exit_2(
+            capsys, "hierarchy", "--rules", "av:3,pav", "--metrics", "jaccard",
+            "--m", "4", "--k", "2", "--out", str(tmp_path / "out"),
+        )
+        assert "'av:3'" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", [
         # converge ended in an IndexError traceback with exit 1
         ["converge", "--rule", "av", "--n-grid", "5", "--trials", "2"],

@@ -7,9 +7,10 @@ counts, on every (m, k) with m <= 8. The distance route sums |C △ S| by
 popcount, apart from the score kernel, so a broken kernel shows as
 disagreeing profiles. `mle_committees`' two routes must give the
 reference's distance minimizers and approval winners profile by
-profile. `accuracy_classify` sweeps all its zero-gap rivals in one
-`gap_rows` call, or one per chunk of rivals, and must give the
-reference's gaps and statuses.
+profile. `accuracy_classify` splits the zero gaps of a grid model by
+overlap class and those of a table model by one `score_blocks` sweep over
+the support votes, in one block or many, and must give the reference's
+gaps and statuses.
 """
 
 from collections import Counter
@@ -23,9 +24,9 @@ from abcc import oracle, rules
 from abcc.core import AlternativeSet, Committee, Profile, committee_masks, default_universe
 from abcc.experiments import distance_totals, mle_committees, mle_equivalence_check
 from abcc.metrics import make_metric
-from abcc.noise import make_mp, staggered_level_model
+from abcc.noise import make_level_model, make_mp, staggered_level_model
 from abcc.rules import make_rule
-from conftest import random_strict_model
+from conftest import random_strict_model, table_form
 
 SIZES = [(m, k) for m in range(1, 9) for k in range(1, m + 1)]
 
@@ -84,21 +85,33 @@ def test_mle_committees_routes_match_reference_profile_by_profile():
         )
 
 
-@pytest.mark.parametrize("batch", [1, 40, oracle.BATCH_CELLS])
-def test_zero_gap_rivals_in_chunks_match_reference(monkeypatch, batch):
+@pytest.mark.parametrize("block", [1, 40, rules.BLOCK_CELLS])
+def test_zero_gap_rivals_in_chunks_match_reference(monkeypatch, block):
     # p = 1 leaves the ground as the only vote, so every zero gap of cc is
     # a tie; under a trivial-metric model its overlapping rivals have zero
-    # mean; a zero tail hides the farthest level from the support
-    monkeypatch.setattr(oracle, "BATCH_CELLS", batch)
-    rng = np.random.default_rng(batch)
-    statuses = Counter()
+    # mean; a zero tail hides the farthest level from the support. The
+    # table twins sweep the support votes in blocks of `block` cells.
+    monkeypatch.setattr(rules, "BLOCK_CELLS", block)
+    rng = np.random.default_rng(block)
+    statuses = {"grid": Counter(), "table": Counter()}
     for m, k in [(4, 2), (5, 2), (6, 3)]:
-        trivial = make_metric("trivial", m)
-        jaccard = make_metric("jaccard", m)
-        models = [mp("1", m, k), mp("3/5", m, k), staggered_level_model(trivial, ground(m, k)),
-                  random_strict_model(jaccard, ground(m, k), rng, zero_tail=True)]
+        g = ground(m, k)
+        trivial, jaccard = make_metric("trivial", m), make_metric("jaccard", m)
+        grid = [mp("1", m, k), mp("3/5", m, k), staggered_level_model(trivial, g),
+                random_strict_model(jaccard, g, rng, zero_tail=True),
+                random_strict_model(jaccard, g, rng)]
+        # the same models over table metrics, which take the set-indexed
+        # branch; MP is a level model of set_difference
+        tables = {name: table_form(make_metric(name, m))
+                  for name in ("set_difference", "trivial", "jaccard")}
+        twins = [make_level_model(tables["set_difference"], g, grid[1].level_form()[1])]
+        twins += [make_level_model(tables[model.metric.name], g, model.level_probs)
+                  for model in grid[2:]]
+        twins.append(random_strict_model(tables["trivial"], g, rng, zero_tail=True))
+        models = [(model, "grid") for model in grid] + [(model, "table") for model in twins]
         for rule in [make_rule(kind, m, k) for kind in ("cc", "mc", "sav")]:
-            for model in models:
+            for model, form in models:
+                assert (model.level_form()[0].cells is None) == (form == "table")
                 report = oracle.accuracy_classify(rule, model)
                 table = reference.prob_table(model)
                 for rival, gap in report.gaps.items():
@@ -108,5 +121,6 @@ def test_zero_gap_rivals_in_chunks_match_reference(monkeypatch, batch):
                     status = ("positive" if want > 0 else "negative") if want else (
                         "zero_mean" if moves else "zero_tie")
                     assert (gap, report.rival_status[rival]) == (want, status)
-                statuses.update(report.rival_status.values())
-    assert statuses.keys() == {"positive", "zero_mean", "zero_tie"}
+                statuses[form].update(report.rival_status.values())
+    for seen in statuses.values():
+        assert seen.keys() == {"positive", "zero_mean", "zero_tie"}
