@@ -65,7 +65,8 @@ EXIT_BAD_MODEL = 6
 
 
 def _slug(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_-]+", "-", name).strip("-")
+    # ';' first, so that thiele(1/2;3) and thiele(1;2/3) keep distinct stems
+    return re.sub(r"[^A-Za-z0-9_-]+", "-", name.replace(";", "_")).strip("-")
 
 
 def _sha256(path: Path) -> str:
@@ -227,6 +228,9 @@ def _committee(universe, labels: str) -> Committee:
 def _resolve_rule(args, m: int, k: int, runner: Runner):
     """The rule of --rule or --rule-file for committees of k among m alternatives."""
     if getattr(args, "rule_file", None):
+        for flag, value in (("--rule", args.rule), ("--weights", args.weights)):
+            if value is not None:
+                raise ProfileParseError(f"{flag} cannot be given with --rule-file")
         rule = rules.load_rule_file(runner.track_input(args.rule_file))
         if (rule.m, rule.k) != (m, k):
             raise DomainMismatchError(f"rule file has m={rule.m}, k={rule.k}; need m={m}, k={k}")

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
+from . import rules
 from .core import (  # METRIC_KINDS is re-exported
     METRIC_KINDS,
     AlternativeSet,
@@ -371,19 +372,6 @@ def _signature_levels(metric: DistanceMetric, ground: Committee) -> tuple:
     return tuple(values), tuple(sizes), cells
 
 
-def _ball_counts(levels: LevelStructure, marked) -> np.ndarray:
-    """counts[t, j] = number of sets S within level t with marked[S, j].
-
-    `marked` is a boolean (2^m, J) array; the counts of each level come
-    from one bincount and are accumulated over the levels.
-    """
-    sets, cols = np.nonzero(marked)
-    width = marked.shape[1]
-    cells = np.asarray(levels.level_of)[sets] * width + cols
-    counts = np.bincount(cells, minlength=len(levels.sizes) * width)
-    return counts.reshape(-1, width).cumsum(axis=0)
-
-
 class MetricPropertyCheck(NamedTuple):
     ok: bool
     witness: tuple | None = None
@@ -416,24 +404,30 @@ def is_majority_concentric(metric: DistanceMetric, k: int) -> MetricPropertyChec
 
     For each k-committee U, member a, outsider b, and radius index t, the
     ball of radius delta_t around U must contain at least as many sets
-    with a-but-not-b as with b-but-not-a. Witness on failure: (U, a, b, t),
-    the first in (U, t, a, b) order. A signature metric is decided on the
-    first committee alone (`deciding_committees`).
+    with a-but-not-b as with b-but-not-a. AV scores a vote S for U over
+    U - a + b by [a in S] - [b in S], so these counts N^t(a|b) - N^t(b|a)
+    are the prefix sums of AV's level gap row of that swap. Witness on
+    failure: (U, a, b, t), the first in (U, t, a, b) order. A signature
+    metric is decided on the first committee and its first swap alone
+    (`deciding_committees`).
     """
     m = metric.m
-    check_sets(m)
-    sets = np.arange(1 << m)
-    has = (sets[:, None] >> np.arange(m) & 1) == 1
+    av = None
     for umask in deciding_committees(metric, k)[0]:
         ground = Committee(AlternativeSet(umask, m), k)
-        # N^t(a|b) - N^t(b|a) = (sets within level t holding a) - (those holding b)
-        holding = _ball_counts(level_structure(metric, ground), has)
+        levels = level_structure(metric, ground)
+        av = av or rules.make_rule("av", m, k)  # once the first levels pass their caps
         members = [i for i in range(m) if umask >> i & 1]
         outsiders = [i for i in range(m) if not umask >> i & 1]
-        worse = holding[:, members, None] < holding[:, None, outsiders]
-        if worse.any():
-            t, i, j = np.argwhere(worse)[0]
-            return MetricPropertyCheck(False, (ground, members[i], outsiders[j], int(t)))
+        pairs = product(members, outsiders)
+        # a relabelling that fixes U maps every swap onto the first one
+        pairs = list(islice(pairs, 1) if metric._signature is not None else pairs)
+        swaps = [umask & ~(1 << a) | 1 << b for a, b in pairs]
+        rows, _ = rules.level_gap_rows(av, levels, umask, swaps)
+        negative = (np.cumsum(rows, axis=1) < 0).T
+        if negative.any():
+            t, i = np.argwhere(negative)[0]
+            return MetricPropertyCheck(False, (ground, *pairs[i], int(t)))
     return MetricPropertyCheck(True)
 
 

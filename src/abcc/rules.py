@@ -137,7 +137,8 @@ def make_rule(kind: str, m: int, k: int, *, weights=None, p=None, table=None) ->
     if kind == "thiele":
         if weights is None:
             raise InvalidRuleError("thiele requires a weight vector")
-        return thiele("thiele", weights)
+        # named by its exact weights, in the syntax of --rule thiele:w1;w2;...
+        return thiele(f"thiele({';'.join(frac_str(Fraction(w)) for w in weights)})", weights)
     if kind == "p_geometric":
         if p is None:
             raise InvalidRuleError("p_geometric requires p")

@@ -13,7 +13,7 @@ import reference
 from abcc.cli import main
 from abcc.core import AlternativeSet, Committee, default_universe
 from abcc.experiments import accuracy_trial, mle_committees
-from abcc.metrics import is_majority_concentric, make_metric, random_metric
+from abcc.metrics import DistanceMetric, is_majority_concentric, make_metric, random_metric
 from abcc.noise import (
     audit_d_monotonic,
     av_refutation_model,
@@ -92,6 +92,39 @@ def test_criterion_3_av_characterization():
         concentric_count + violation_count == 200,
         f"verdict == concentricity on 200 metrics "
         f"({concentric_count} concentric, {violation_count} refuted with negative gaps)",
+    )
+
+
+def _unit_form(m, seed):
+    """A seeded symmetric signature form with values in [1, 2] (eighths) off
+    the diagonal; 1 + 1 >= 2, so every triangle holds."""
+    values = np.random.default_rng(seed).integers(8, 17, size=(m + 1,) * 3)
+    return lambda a, b, c: Fraction(int(values[min(a, b), max(a, b), c]), 8) if a or b else Fraction(0)
+
+
+def test_criterion_3_av_characterization_at_m40():
+    # criterion 3 past the 2^m sets: the concentricity check, the verdict and
+    # the refutation model all run on the signature grid
+    m, k = 40, 5
+    av = make_rule("av", m, k)
+    metrics = [make_metric(kind, m) for kind in
+               ("set_difference", "jaccard", "zelinka", "bunke_shearer", "trivial")]
+    metrics += [DistanceMetric(f"form{i}", m, signature=_unit_form(m, [3, m, i])) for i in range(10)]
+    refuted = 0
+    for metric in metrics:
+        check = is_majority_concentric(metric, k)
+        assert bool(check) == (robustness_verdict(av, metric).status == "robust"), metric.name
+        if not check:
+            refuted += 1
+            ground, a, b, t = check.witness
+            model = av_refutation_model(metric, ground, a, b, t)
+            rival = Committee(AlternativeSet(ground.mask & ~(1 << a) | (1 << b), m), k)
+            assert expected_gap(av, model, ground, rival) < 0, metric.name
+    _report(
+        "3 at m = 40",
+        0 < refuted < len(metrics),
+        f"verdict == concentricity on {len(metrics)} metrics "
+        f"({len(metrics) - refuted} concentric, {refuted} refuted with negative gaps)",
     )
 
 

@@ -402,6 +402,26 @@ class TestOracleCommands:
         assert doc["matrix"]["cc"]["trivial"] == "degenerate_not_robust"
         assert doc["matrix"]["mc"]["set_difference"] == "robust"
 
+    def test_thiele_rules_are_named_by_their_weights(self, tmp_path, capsys):
+        # both were named thiele: the second verdict overwrote the first's
+        # file, and hierarchy refused the two as one rule name
+        for weights in ("1;1", "1;0"):
+            code, _, err = run(
+                capsys, "robust", "--rule", f"thiele:{weights}", "--metric", "jaccard",
+                "--m", "4", "--k", "2", "--out", str(tmp_path),
+            )
+            assert code == 0, err
+        assert sorted(path.name for path in tmp_path.glob("robust_*")) == [
+            "robust_thiele-1_0_jaccard_m4k2.json", "robust_thiele-1_1_jaccard_m4k2.json",
+        ]
+        code, _, err = run(
+            capsys, "hierarchy", "--rules", "thiele:1;1,thiele:1;0", "--metrics", "jaccard",
+            "--m", "4", "--k", "2", "--out", str(tmp_path),
+        )
+        assert code == 0, err
+        doc = json.loads((tmp_path / "hierarchy_m4k2.json").read_text())
+        assert sorted(doc["matrix"]) == ["thiele(1;0)", "thiele(1;1)"]
+
     def test_taxonomy_bad_custom_metric_exits_4(self, tmp_path, capsys):
         doc = metric_to_json(random_metric(2, seed=3))
         doc["entries"][0]["d"] = "99"
@@ -554,9 +574,9 @@ class TestInputErrors:
         )
 
     @pytest.mark.parametrize("kind, names, repeated", [
-        # the two thiele rows both printed the verdicts of the second one
-        ("rules", ["--rules", "thiele:1;1,thiele:1;0,av", "--metrics", "jaccard,trivial"],
-         "thiele"),
+        # one thiele rule, its weights spelled twice
+        ("rules", ["--rules", "thiele:1;1,thiele:2/2;1,av", "--metrics", "jaccard,trivial"],
+         "thiele(1;1)"),
         ("metrics", ["--rules", "av,pav", "--metrics", "jaccard,trivial,jaccard"], "jaccard"),
     ])
     def test_duplicate_name_in_hierarchy(self, kind, names, repeated, tmp_path, capsys):
@@ -584,6 +604,24 @@ class TestInputErrors:
             capsys, "score", *rule, "--committee", "a,b", "--profile", profile
         )
         assert unread in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [["--rule", "pav"], ["--weights", "5,7"]],
+                             ids=["rule", "weights"])
+    def test_rule_or_weights_next_to_a_rule_file(self, flag, tmp_path, capsys):
+        # the rule file won and the flag was dropped, with exit 0
+        rule_path = tmp_path / "rule.json"
+        rule_path.write_text(json.dumps(rule_to_json(make_rule("av", 3, 2))))
+        rule, out = ["--rule-file", str(rule_path), *flag], str(tmp_path / "out")
+        err = self.assert_exit_2(
+            capsys, "robust", *rule, "--metric", "jaccard", "--m", "3", "--k", "2", "--out", out
+        )
+        assert flag[0] in err
+        profile = write_profile(tmp_path)
+        err = self.assert_exit_2(
+            capsys, "score", *rule, "--committee", "a,b", "--profile", profile, "--out", out
+        )
+        assert flag[0] in err
         assert not (tmp_path / "out").exists()
 
     def test_rule_parameter_in_hierarchy_list(self, tmp_path, capsys):

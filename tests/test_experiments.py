@@ -252,11 +252,12 @@ class TestHierarchy:
             hierarchy_report([make_rule("av", 13, 2)], [table])
 
     def test_duplicate_names_refused(self):
-        # the report keys its verdicts by name: the second thiele rule overwrote the first
-        thiele = [make_rule("thiele", 4, 2, weights=w) for w in ([1, 1], [1, 0])]
-        assert thiele[0].name == thiele[1].name == "thiele"
+        # the report keys its verdicts by name: a second rule of one name
+        # would overwrite the first; one thiele rule, its weights spelled twice
+        thiele = [make_rule("thiele", 4, 2, weights=w) for w in ([1, 1], [Fraction(2, 2), 1])]
+        assert thiele[0].name == thiele[1].name == "thiele(1;1)"
         trivial = make_metric("trivial", 4)
-        with pytest.raises(PreconditionError, match="duplicate rule name 'thiele'"):
+        with pytest.raises(PreconditionError, match=r"duplicate rule name 'thiele\(1;1\)'"):
             hierarchy_report(thiele, [trivial])
         with pytest.raises(PreconditionError, match="duplicate metric name 'trivial'"):
             hierarchy_report(thiele[:1], [trivial, make_metric("jaccard", 4), trivial])

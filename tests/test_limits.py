@@ -7,9 +7,10 @@ metric's full distance matrix (`check_matrix`) and MAX_CLASS_WORK for the overla
 signature-metric verdict and of the nontriviality check (`check_classes`).
 Each public function that enumerates must raise CapExceededError before it
 builds a distance row or allocates anything sizeable. A signature metric's
-level structure, verdict and AV refutation model never list the 2^m sets,
-so they are capped by the classes, not by m; a table metric's still are,
-so the refutation model's case takes a table metric. A signature metric's
+level structure, verdict, AV refutation model and majority-concentricity
+check never list the 2^m sets, so they are capped by the classes, not by
+m; a table metric's still are, so the cases of the refutation model and
+of the concentricity check take a table metric. A signature metric's
 axiom check and taxonomy build no matrix, so they are held to m <= MAX_M,
 and a table metric's to the matrix cap: `random_metric` draws a signature
 metric within the first and a table metric within the second.
@@ -95,7 +96,7 @@ CASES = {
     # the 2^m sets
     "level_structure": lambda: level_structure(table(S), committee(S, 1)),
     "level_of": lambda: level_structure(jaccard(S), committee(S, 1)).level_of,
-    "is_majority_concentric": lambda: is_majority_concentric(jaccard(S), 1),
+    "is_majority_concentric": lambda: is_majority_concentric(table(S), 1),
     "is_natural": lambda: is_natural(jaccard(S), 1),
     "is_similarity": lambda: is_similarity(jaccard(S), 1),
     "check_metric_axioms_signature": lambda: check_metric_axioms(jaccard(S)),
@@ -264,10 +265,23 @@ def test_signature_levels_and_verdicts_are_not_capped_by_m():
     assert sum(levels.sizes) == 1 << m and len(levels.cells) == 4
     assert robustness_verdict(make_rule("pav", m, 3), jaccard(m)).status == "robust"
     assert is_nontrivial(make_rule("cc", m, 3)).value
+    assert is_majority_concentric(jaccard(m), 3)
     model = staggered_level_model(jaccard(m), ground)
     assert sum(q * size for q, size in zip(model.level_probs, levels.sizes)) == 1
     with pytest.raises(CapExceededError):
         levels.level_of
+
+
+def test_signature_concentricity_lists_no_sets(monkeypatch):
+    # it counted balls on a (2^m x m) incidence array under check_sets; AV's
+    # level gap row of one swap, on the grid, decides it at any m
+    def refuse(*args, **kwargs):
+        raise AssertionError("the 2^m sets were listed")
+
+    monkeypatch.setattr(DistanceMetric, "rows", refuse)
+    monkeypatch.setattr("abcc.metrics.check_sets", refuse)
+    for kind in ("set_difference", "jaccard", "zelinka", "bunke_shearer", "trivial"):
+        assert is_majority_concentric(make_metric(kind, 1000), 10), kind
 
 
 def test_random_signature_metric_over_the_matrix_cap():

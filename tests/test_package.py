@@ -5,8 +5,8 @@ which module knows a metric's form.
 modules whose bodies run on first attribute access. These tests pin which
 layers each command runs, that the layers bind each other as modules,
 that every public name still resolves to its layer's object and is read
-by a layer, the README's library example or a paper check, and that the
-parser's help text is unchanged.
+by a layer, the README's library example or a paper check, that the
+example runs, and that the parser's help text is unchanged.
 """
 
 import ast
@@ -68,7 +68,7 @@ COMMANDS = [
     (["winners", "--rule", "av", "--k", "2", "--profile", "{votes}"], BASE + ["rules"]),
     (["score", "--rule", "pav", "--committee", "a,b", "--profile", "{votes}"], BASE + ["rules"]),
     (["check-metric", "--metric", "jaccard", "--m", "3"], BASE + ["metrics"]),
-    (["taxonomy", "--metric", "jaccard", "--m", "3", "--k", "2"], BASE + ["metrics"]),
+    (["taxonomy", "--metric", "jaccard", "--m", "3", "--k", "2"], BASE + ["metrics", "rules"]),
     (["sample", *MP, "--n", "5", "--seed", "1"], BASE + ["noise"]),
     (["sample", *LEVEL, "--n", "5", "--seed", "1"], BASE + ["metrics", "noise"]),
     (["robust", "--rule", "av", "--metric", "jaccard", "--m", "3", "--k", "2"],
@@ -203,15 +203,28 @@ def test_every_error_class_is_raised():
     assert [node.name for node in classes if node.name not in bases | raised] == []
 
 
+def readme_example() -> str:
+    """The code block under the README's "Library example" heading."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    return readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs():
+    env = {**os.environ, "PYTHONPATH": str(Path(abcc.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", readme_example()], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_every_public_name_has_a_caller():
     # a name that `abcc` exports is read by a layer, by the README's library
     # example or by a paper check; one that only tests read is reference
     # code, and belongs in tests/reference.py
     package, root = Path(abcc.__file__).parent, Path(__file__).parents[1]
-    readme = (root / "README.md").read_text("utf-8").split("## Library example", 1)[1]
     sources = [
         *(path.read_text("utf-8") for path in package.glob("*.py") if path.name != "__init__.py"),
-        readme.split("```python\n", 1)[1].split("```", 1)[0],
+        readme_example(),
         (root / "tests" / "test_acceptance.py").read_text("utf-8"),
     ]
     read = {  # names and attributes read; a `def` or `class` line binds, it does not read
