@@ -95,7 +95,8 @@ class Runner:
             raise ProfileParseError(f"cannot read {path}: {exc.strerror}") from None
         return path
 
-    def write(self, name: str, *pieces: str) -> Path:
+    def write(self, name: str, pieces) -> Path:
+        """Write the strings of the iterable `pieces`, one by one, to `name`."""
         if not self.outputs:  # a manifest that cannot be appended fails before any result file
             self._put("manifest.jsonl", "a", ())
         path = self._put(name, "w", pieces)
@@ -115,7 +116,7 @@ class Runner:
         return path
 
     def write_json(self, name: str, doc, known=None) -> Path:
-        return self.write(name, *_json_pieces(doc, known), "\n")
+        return self.write(name, [*_json_pieces(doc, known), "\n"])
 
     def finish_manifest(self):
         """Append one manifest record of the inputs and outputs of the run."""
@@ -407,7 +408,7 @@ def cmd_robust(args, runner):
     runner.write_json(stem + ".json", doc, nested)
     if nested:
         (text,) = nested.values()
-        runner.write(stem + "_witness_model.json", text.replace("\n    ", "\n") + "\n")
+        runner.write(stem + "_witness_model.json", [text.replace("\n    ", "\n") + "\n"])
     print(json.dumps({"status": verdict.status}, sort_keys=True))
 
 
@@ -446,7 +447,7 @@ def cmd_hierarchy(args, runner):
     metric_list = [_builtin_metric(token, args.m) for token in args.metrics.split(",")]
     report = experiments.hierarchy_report(rule_list, metric_list)
     stem = f"hierarchy_m{args.m}k{args.k}"
-    runner.write(stem + ".csv", experiments.hierarchy_to_csv(report))
+    runner.write(stem + ".csv", [experiments.hierarchy_to_csv(report)])
     runner.write_json(stem + ".json", experiments.hierarchy_to_json(report))
     print(experiments.hierarchy_to_csv(report), end="")
 
@@ -454,8 +455,8 @@ def cmd_hierarchy(args, runner):
 def cmd_sample(args, runner):
     model = _sampling_model(args, args.n, runner)
     masks = noise.sample_vote_masks(model, args.n, np.random.default_rng(args.seed))
-    text = format_vote_masks(model.universe, masks)
-    path = runner.write(f"sample_n{args.n}_seed{args.seed}.txt", text)
+    pieces = format_vote_masks(model.universe, masks)  # written one block of votes at a time
+    path = runner.write(f"sample_n{args.n}_seed{args.seed}.txt", pieces)
     print(str(path))
 
 
@@ -473,7 +474,7 @@ def cmd_converge(args, runner):
     rule = _resolve_rule(args, args.m or model.m, model.ground.k, runner)
     curve = experiments.convergence_curve(rule, model, n_grid, args.trials, args.seed)
     stem = f"converge_{_slug(rule.name)}_seed{args.seed}"
-    runner.write(stem + ".csv", experiments.curve_to_csv(curve, runner.approx))
+    runner.write(stem + ".csv", [experiments.curve_to_csv(curve, runner.approx)])
     runner.write_json(stem + ".json", experiments.curve_to_json(curve, runner.approx))
     print(experiments.curve_to_csv(curve, runner.approx), end="")
 

@@ -42,8 +42,13 @@ MAX_PAIR_ROWS = 1 << 13
 # 128 MiB here, and a table metric's triangle check is cubic in 2^m.
 MAX_MATRIX_CELLS = 4**12
 # The limit of sampling, checked by check_draws: vote x alternative cells of
-# one draw. A product model draws one float per cell, 256 MiB at the cap.
+# one draw. A draw holds one block of DRAW_BLOCK_CELLS floats (512 KiB), 8
+# bytes per vote for the masks (m <= 62) and the profile text of one block:
+# `sample` at the cap peaks at 61 MiB for m = 16 (n = 2^21) and 101 MiB for
+# m = 4 (n = 2^23), where one float per cell of the whole draw took 596 and
+# 644 MiB.
 MAX_DRAW_CELLS = 1 << 25
+DRAW_BLOCK_CELLS = 1 << 16  # vote x alternative cells drawn or labelled at once
 
 # The names the CLI lists in its help and manifest, kept here so that
 # building the parser loads no layer; rules, metrics and noise re-export them.
@@ -485,13 +490,23 @@ def parse_profile(text: str) -> tuple[Universe, Profile]:
     return universe, Profile(tuple(vote for vote in parsed if vote is not None))
 
 
-def format_vote_masks(universe: Universe, masks) -> str:
-    """The profile text of `parse_profile` for votes given as masks, one
-    label string per distinct vote, read off its binary digits."""
-    names = universe.names
-    label = {
-        mask: ",".join([name for name, bit in zip(names, bin(mask)[:1:-1]) if bit == "1"])
-        for mask in set(masks)
-    }
-    lines = ["alternatives: " + ",".join(names), *map(label.__getitem__, masks)]
-    return "\n".join(lines) + "\n"
+def format_vote_masks(universe: Universe, masks):
+    """Yield the profile text of `parse_profile` for votes given as masks:
+    the header line, then the lines of one block of votes at a time. Each
+    distinct vote of a block is labelled once, read off its binary digits;
+    lines are kept for later blocks, up to DRAW_BLOCK_CELLS of them."""
+    names, m = universe.names, universe.m
+    yield "alternatives: " + ",".join(names) + "\n"
+    masks = np.asarray(masks, dtype=np.int64 if m < 64 else object)
+    lines = {}
+    step = max(1, DRAW_BLOCK_CELLS // max(m, 1))
+    for lo in range(0, len(masks), step):
+        distinct, inverse = np.unique(masks[lo : lo + step], return_inverse=True)
+        distinct = distinct.tolist()
+        if len(lines) > DRAW_BLOCK_CELLS:
+            lines.clear()
+        for mask in distinct:
+            if mask not in lines:
+                bits = bin(mask)[:1:-1]
+                lines[mask] = ",".join([n for n, bit in zip(names, bits) if bit == "1"]) + "\n"
+        yield "".join(np.array([lines[mask] for mask in distinct], dtype=object)[inverse].tolist())

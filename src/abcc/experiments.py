@@ -48,16 +48,20 @@ def accuracy_trial(
         raise PreconditionError("trials must be >= 1")
     model.check_rule(rule)
     masks = committee_masks(rule.m, rule.k)
-    gmask = model.ground.mask
+    ground = masks.index(model.ground.mask)
+    table = rules.integer_table(rule, n)[0]  # every trial scores n votes
     recovered = tied = 0
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
-        counts = Counter(noise.sample_vote_masks(model, n, rng))
-        winner_masks = rules.argmax_committees(rule, counts, masks)
-        if winner_masks == [gmask]:
-            recovered += 1
-        elif gmask in winner_masks:
-            tied += 1
+        votes, counts = np.unique(noise.sample_vote_masks(model, n, rng), return_counts=True)
+        tally = dict(zip(votes.tolist(), counts.tolist()))
+        totals = rules.committee_totals(table, rule.m, tally, masks)
+        best = totals == totals.max()
+        if best[ground]:
+            if best.sum() == 1:
+                recovered += 1
+            else:
+                tied += 1
     wrong = trials - recovered - tied
     return TrialRates(
         Fraction(recovered, trials), Fraction(tied, trials), Fraction(wrong, trials)

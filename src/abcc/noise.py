@@ -21,6 +21,7 @@ import numpy as np
 
 from . import metrics, rules
 from .core import (  # RNG_SCHEME is re-exported
+    DRAW_BLOCK_CELLS,
     RNG_SCHEME,
     AlternativeSet,
     Committee,
@@ -209,31 +210,42 @@ def expected_gaps(rule: rules.AbccRule, model: NoiseModel, umask: int, vmasks) -
 # ---------------------------------------------------------------------------
 # Sampling.
 
-def sample_vote_masks(model: NoiseModel, n: int, rng: np.random.Generator) -> list[int]:
-    """Draw n i.i.d. vote masks. Product models avoid the 2^m table."""
+def sample_vote_masks(model: NoiseModel, n: int, rng: np.random.Generator):
+    """Draw n i.i.d. vote masks, as an int64 array (a list of Python ints
+    past m = 62). Product models avoid the 2^m table. The uniforms are
+    drawn DRAW_BLOCK_CELLS vote x alternative cells at a time, and each
+    block is turned into masks before the next; a Generator's stream is
+    sequential, so the masks are those of one draw of all the uniforms."""
     if n < 0:
         raise PreconditionError("n must be non-negative")
-    if n == 0:
-        return []
+    m = model.m
     if model.kind == "product":
-        m, gmask = model.m, model.ground.mask
-        keep = float(model.p)
-        uniforms = rng.random((n, m))
-        thresholds = np.array(
-            [keep if gmask >> i & 1 else 1.0 - keep for i in range(m)]
-        )
-        weights = np.array([1 << i for i in range(m)], dtype=np.int64 if m <= 62 else object)
-        return ((uniforms < thresholds) @ weights).tolist()
-    levels, probs = model.level_form()
-    cumulative = np.cumsum(np.array([float(q) for q in probs])[np.asarray(levels.level_of)])
-    cumulative[-1] = 1.0  # guard against float round-off at the top
-    draws = rng.random(n)
-    return np.searchsorted(cumulative, draws, side="right").tolist()
+        keep, gmask = float(model.p), model.ground.mask
+        thresholds = np.array([keep if gmask >> i & 1 else 1.0 - keep for i in range(m)])
+        dtype = np.int64 if m <= 62 else object
+        weights = np.array([1 << i for i in range(m)], dtype=dtype)
+
+        def draw(votes):
+            return (rng.random((votes, m)) < thresholds) @ weights
+    else:
+        levels, probs = model.level_form()
+        cumulative = np.cumsum(np.array([float(q) for q in probs])[np.asarray(levels.level_of)])
+        cumulative[-1] = 1.0  # guard against float round-off at the top
+        dtype = np.int64
+
+        def draw(votes):
+            return np.searchsorted(cumulative, rng.random(votes), side="right")
+
+    masks = np.empty(n, dtype=dtype)
+    step = max(1, DRAW_BLOCK_CELLS // m)
+    for lo in range(0, n, step):
+        masks[lo : lo + step] = draw(min(step, n - lo))
+    return masks if dtype is np.int64 else masks.tolist()
 
 
 def sample_profile(model: NoiseModel, n: int, seed) -> Profile:
     """n i.i.d. votes from the model; deterministic for a given seed."""
-    masks = sample_vote_masks(model, n, np.random.default_rng(seed))
+    masks = np.asarray(sample_vote_masks(model, n, np.random.default_rng(seed))).tolist()
     sets = {mask: AlternativeSet(mask, model.m) for mask in set(masks)}
     return Profile(tuple(map(sets.__getitem__, masks)))
 

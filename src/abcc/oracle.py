@@ -389,9 +389,14 @@ def sample_size_bound(rule: rules.AbccRule, model: noise.NoiseModel, eps) -> Sam
     n = ceil((b' - a')^2 / (2 mu_min^2) * ln(2 m^k / eps)), where [a', b']
     bounds the per-vote score difference f(x1, y) - f(x2, y) over same-y
     feasible pairs and mu_min is the smallest expected gap over rivals.
+    eps is taken exactly (a float as its binary value), and the ceiling
+    is decided between rational bounds on the logarithm.
     """
-    eps = float(eps)
-    if not 0 < eps < 1:
+    try:
+        exact_eps = Fraction(eps)
+    except (TypeError, ValueError, OverflowError):
+        raise PreconditionError(f"eps must be a rational in (0, 1), got {eps!r}") from None
+    if not 0 < exact_eps < 1:
         raise PreconditionError(f"eps must be in (0, 1), got {eps}")
     if rule.m <= rule.k:
         raise PreconditionError("need m > k so a rival committee exists")
@@ -405,8 +410,35 @@ def sample_size_bound(rule: rules.AbccRule, model: noise.NoiseModel, eps) -> Sam
     b_prime = max(max(vals) - min(vals) for vals in by_y.values())
     a_prime = -b_prime
     coefficient = (b_prime - a_prime) ** 2 / (2 * mu_min**2)
-    n = math.ceil(float(coefficient) * math.log(2 * rule.m**rule.k / eps))
-    return SampleSizeBound(n, mu_min, a_prime, b_prime, worst_rival)
+    x = 2 * rule.m**rule.k / exact_eps
+    terms = 8
+    while True:  # ln x is irrational, so tight enough bounds share one ceiling
+        n, upper = (math.ceil(coefficient * bound) for bound in _ln_bounds(x, terms))
+        if n == upper:
+            return SampleSizeBound(n, mu_min, a_prime, b_prime, worst_rival)
+        terms *= 2
+
+
+def _ln_bounds(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo < ln x < hi for a rational x > 1.
+
+    x = 2^j r with 1 <= r < 2, so ln x = j ln 2 + ln r, and ln y = 2 atanh z
+    for z = (y - 1)/(y + 1) in [0, 1/3]: the series sum z^(2i+1)/(2i+1)
+    to `terms` terms, whose tail is at most z^(2N+1)/((2N+1)(1 - z^2)).
+    """
+    j = x.numerator.bit_length() - x.denominator.bit_length()
+    if x < 2**j:
+        j -= 1
+    lo = hi = Fraction(0)
+    for y, times in ((Fraction(2), j), (x / 2**j, 1)):
+        z = (y - 1) / (y + 1)
+        power, head = z, Fraction(0)
+        for i in range(terms):
+            head += power / (2 * i + 1)
+            power *= z * z
+        lo += 2 * times * head
+        hi += 2 * times * (head + power / ((2 * terms + 1) * (1 - z * z)))
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ functions of the signature (|X∖Y|, |Y∖X|, |X∩Y|). The profile text
 format is parsed and written one line per vote, and a profile is scored
 one vote at a time. Expected gaps weigh each vote by the model's per-vote
 probability table, read one vote at a time off the product model's closed
-form or the level model's level probabilities, and the product model's most likely committees sum
+form or the level model's level probabilities; votes are sampled from one
+draw of all their uniforms, and the Hoeffding sample size is a 60-digit
+decimal logarithm. The product model's most likely committees sum
 |C △ S| one committee at a time, and the MLE check decides one profile
 per call. Result files are written by the standard library's JSON
 encoder. `nontrivial_sweep` keeps the integer kernel: it compares every
@@ -23,7 +25,9 @@ committee pair on all 2^m votes, the sweep that the overlap classes of
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -249,6 +253,32 @@ def prob_table(model):
     """Exact probabilities indexed by vote mask, for m <= MAX_M."""
     check_sets(model.m)
     return [probability(model, mask) for mask in range(1 << model.m)]
+
+
+def sample_vote_masks(model, n, rng):
+    """n vote masks from one draw of all their uniforms: the product
+    model's (n x m) uniforms against its keep thresholds, weighed by the
+    bit values 2^i, or the level model's n uniforms placed on the
+    cumulative probabilities of the 2^m sets."""
+    m = model.m
+    if model.kind == "product":
+        keep = float(model.p)
+        gmask = model.ground.mask
+        thresholds = np.array([keep if gmask >> i & 1 else 1.0 - keep for i in range(m)])
+        weights = np.array([1 << i for i in range(m)], dtype=np.int64 if m <= 62 else object)
+        return ((rng.random((n, m)) < thresholds) @ weights).tolist()
+    cumulative = np.cumsum([float(probability(model, mask)) for mask in range(1 << m)])
+    cumulative[-1] = 1.0
+    return np.searchsorted(cumulative, rng.random(n), side="right").tolist()
+
+
+def hoeffding_n(coefficient, m, k, eps):
+    """ceil(coefficient * ln(2 m^k / eps)) in 60-digit decimal arithmetic."""
+    x = 2 * m**k / Fraction(eps)
+    with localcontext(prec=60):
+        value = Decimal(coefficient.numerator) / coefficient.denominator
+        value *= (Decimal(x.numerator) / x.denominator).ln()
+        return math.ceil(value)
 
 
 def weighted_gap(rule, table, umask, vmask):

@@ -481,7 +481,7 @@ class TestSamplingCommands:
                 )
                 assert code == 0, err
                 profile = sample_profile(model, n, 5)
-                text = format_vote_masks(universe, [vote.mask for vote in profile])
+                text = "".join(format_vote_masks(universe, [vote.mask for vote in profile]))
                 assert text == reference.format_profile(universe, profile)
                 assert Path(out.strip()).read_bytes() == text.encode()
 

@@ -2,10 +2,13 @@ import copy
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+from abcc import core
 from abcc.core import (
     AlternativeSet,
     Committee,
@@ -333,10 +336,24 @@ class TestProfileFormat:
         profile = Profile(
             (u3.set_of(["a", "b"]), u3.set_of([]), u3.set_of(["c"]))
         )
-        text = format_vote_masks(u3, [vote.mask for vote in profile])
+        text = "".join(format_vote_masks(u3, [vote.mask for vote in profile]))
         universe2, profile2 = parse_profile(text)
         assert universe2 == u3
         assert profile2 == profile
+
+    @pytest.mark.parametrize("m", [1, 8, 9, 16, 17, 40, 70])
+    def test_blocked_text_equals_one_label_per_vote(self, m, monkeypatch):
+        # blocks of 7 votes, and a line cache that is emptied past 7m lines
+        monkeypatch.setattr(core, "DRAW_BLOCK_CELLS", 7 * m)
+        universe, rng = default_universe(m), np.random.default_rng(m)
+        for n in (0, 1, 7, 8, 300):
+            masks = [int.from_bytes(rng.bytes(9)) % (1 << m) if i % 5 else 0 for i in range(n)]
+            text = reference.format_profile(
+                universe, Profile(tuple(AlternativeSet(mask, m) for mask in masks))
+            )
+            assert "".join(format_vote_masks(universe, masks)) == text
+            if m <= 62:
+                assert "".join(format_vote_masks(universe, np.array(masks, dtype=np.int64))) == text
 
     def test_comments_and_blank_votes(self):
         text = "# header comment\nalternatives: a,b,c\na, b\n\n# mid comment\nc\n"

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import sqrt
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from abcc import noise
 from abcc.core import AlternativeSet, Committee, default_universe
 from abcc.errors import (
     DomainMismatchError,
@@ -187,6 +189,50 @@ class TestSampling:
         model = make_mp(Fraction(2, 3), u4, committee_of(u4, ["a", "c"]))
         assert sample_profile(model, 50, seed=11) == sample_profile(model, 50, seed=11)
         assert sample_profile(model, 50, seed=11) != sample_profile(model, 50, seed=12)
+
+    @pytest.mark.parametrize("cells", ["7", "7m"])
+    @pytest.mark.parametrize(
+        "kind, m",
+        [("product", m) for m in (1, 8, 9, 16, 62)] + [("level", m) for m in (1, 8, 9, 16)],
+    )
+    def test_blocked_draw_equals_one_draw(self, kind, m, cells, monkeypatch):
+        # blocks of 7 cells (one vote each from m = 8 on) or of 7 votes
+        cells = 7 if cells == "7" else 7 * m
+        monkeypatch.setattr(noise, "DRAW_BLOCK_CELLS", cells)
+        block = max(1, cells // m)
+        k = min(m, 3)
+        ground = Committee(AlternativeSet((1 << k) - 1, m), k)
+        model = (
+            make_mp(Fraction(2, 3), default_universe(m), ground)
+            if kind == "product"
+            else staggered_level_model(make_metric("jaccard", m), ground)
+        )
+        for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+            masks = sample_vote_masks(model, n, np.random.default_rng(n))
+            assert masks.dtype == np.int64
+            assert masks.tolist() == reference.sample_vote_masks(model, n, np.random.default_rng(n))
+
+    @pytest.mark.parametrize("m", [4, 70])
+    def test_sampled_votes_hold_python_ints(self, m):
+        ground = Committee(AlternativeSet(0b11, m), 2)
+        models = [make_mp(Fraction(3, 4), default_universe(m), ground)]
+        if m <= 16:
+            models.append(staggered_level_model(make_metric("jaccard", m), ground))
+        for model in models:
+            assert all(type(vote.mask) is int for vote in sample_profile(model, 300, seed=9))
+
+    def test_draw_memory_is_one_block_and_the_masks(self):
+        # 2^18 votes at m = 16: the masks take 2 MiB, while all the uniforms
+        # of the draw at once would take 32 MiB
+        ground = Committee(AlternativeSet(0b111, 16), 3)
+        model = make_mp(Fraction(3, 4), default_universe(16), ground)
+        tracemalloc.start()
+        try:
+            sample_vote_masks(model, 1 << 18, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 << 20
 
     def test_product_frequency_of_ground_votes(self):
         # exact-ground frequency should sit within 3 standard errors of (3/4)^6

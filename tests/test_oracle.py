@@ -1,3 +1,4 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from abcc.oracle import (
     NOT_ACCURATE,
     NOT_ROBUST,
     ROBUST,
+    _ln_bounds,
     accuracy_classify,
     expected_gap,
     gap_analysis,
@@ -391,6 +393,44 @@ class TestSampleSizeBound:
         bound = sample_size_bound(av, model, 0.05)
         assert bound.mu_min == Fraction(1, 2)
         assert bound.n == 207
+
+    def test_exact_n_against_a_decimal_logarithm(self):
+        checked = 0
+        for m, k in ((4, 2), (5, 2), (6, 3), (7, 1)):
+            rules = [make_rule(kind, m, k) for kind in ("av", "pav", "sav", "cc")]
+            for rule in [*rules, make_rule("p_geometric", m, k, p=Fraction(1, 2))]:
+                ground = Committee(AlternativeSet((1 << k) - 1, m), k)
+                for p in (Fraction(3, 4), Fraction(2, 3), Fraction(9, 10)):
+                    model = make_mp(p, default_universe(m), ground)
+                    for eps in (0.05, Fraction(1, 3), Fraction(1, 100), 0.9):
+                        try:
+                            bound = sample_size_bound(rule, model, eps)
+                        except NotAccurateError:
+                            continue
+                        coefficient = (bound.b_prime - bound.a_prime) ** 2 / (2 * bound.mu_min**2)
+                        assert bound.n == reference.hoeffding_n(coefficient, m, k, eps)
+                        checked += 1
+        assert checked >= 100
+
+    def test_logarithm_bounds(self):
+        def decimal(value):
+            return Decimal(value.numerator) / value.denominator
+
+        cases = (Fraction(3, 2), Fraction(2), Fraction(2 * 40**3) / Fraction(0.05), Fraction(10**30 + 1, 7))
+        for x in cases:
+            widths = []
+            for terms in (1, 4, 32):
+                lo, hi = _ln_bounds(x, terms)
+                with localcontext(prec=60):
+                    assert decimal(lo) < decimal(x).ln() < decimal(hi)
+                widths.append(hi - lo)
+            assert widths == sorted(widths, reverse=True) and widths[-1] < Fraction(1, 10**25)
+
+    @pytest.mark.parametrize("eps", [0, 1, Fraction(3, 2), -0.5, float("nan"), "x"])
+    def test_rejects_eps_outside_the_open_unit_interval(self, eps, u4):
+        model = make_mp(Fraction(3, 4), u4, committee_of(u4, ["a", "b"]))
+        with pytest.raises(PreconditionError, match="eps must be"):
+            sample_size_bound(make_rule("av", 4, 2), model, eps)
 
     def test_rejects_a_universe_without_rivals(self):
         # at m = k the only committee is the ground: there is no worst rival

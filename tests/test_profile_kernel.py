@@ -104,7 +104,7 @@ class TestAgainstReference:
         assert got == parsed_or_error(reference.parse_profile, text)
         if isinstance(got[1], Profile):
             universe, profile = got
-            text = format_vote_masks(universe, [vote.mask for vote in profile])
+            text = "".join(format_vote_masks(universe, [vote.mask for vote in profile]))
             assert text == reference.format_profile(universe, profile)
 
     @settings(max_examples=150, deadline=None)
