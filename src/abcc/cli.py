@@ -352,11 +352,12 @@ def cmd_check_metric(args, runner):
     metric = _resolve_metric_or_report(args, runner, universe)
     check = metrics.check_metric_axioms(metric)
     doc = {"is_metric": check.ok, "metric": metric.name, "m": metric.m}
-    if not check.ok:
-        doc["axiom"] = check.axiom
-        doc["witness"] = [list(s.labels(universe)) for s in check.witness]
+    if not check:
+        axiom, sets = check.witness
+        doc["axiom"] = axiom
+        doc["witness"] = [list(s.labels(universe)) for s in sets]
         print(json.dumps(doc, sort_keys=True))
-        raise MetricAxiomError(f"{metric.name} violates the {check.axiom} axiom")
+        raise MetricAxiomError(f"{metric.name} violates the {axiom} axiom")
     print(json.dumps(doc, sort_keys=True))
 
 

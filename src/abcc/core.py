@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -241,6 +242,17 @@ class Profile(Frozen):
 
     def __len__(self) -> int:
         return len(self.votes)
+
+
+class Check(NamedTuple):
+    """A yes/no answer and, when it is no, the witness that refutes it;
+    falsy when the check fails."""
+
+    ok: bool
+    witness: tuple | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 def check_k(m: int, k: int) -> None:

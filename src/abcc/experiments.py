@@ -220,14 +220,14 @@ def hierarchy_report(
         for rule in rule_list
         for metric in metric_list
     }
-    predicates = {}
-    for rule in rule_list:
-        jump = rules.has_top_jump(rule)
-        predicates[rule.name] = {
-            "is_nontrivial": bool(rules.is_nontrivial(rule)),
-            "has_top_jump": bool(jump),
-            "top_jump_vacuous": jump.vacuous,
+    predicates = {
+        rule.name: {
+            "is_nontrivial": rules.is_nontrivial(rule).ok,
+            "has_top_jump": rules.has_top_jump(rule),
+            "top_jump_vacuous": m == k,  # the (k-1, k) cell is infeasible
         }
+        for rule in rule_list
+    }
     return HierarchyReport(
         m,
         k,

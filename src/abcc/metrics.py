@@ -19,6 +19,7 @@ from . import rules
 from .core import (  # METRIC_KINDS is re-exported
     METRIC_KINDS,
     AlternativeSet,
+    Check,
     Committee,
     Frozen,
     Universe,
@@ -113,8 +114,8 @@ class DistanceMetric:
         return self._signature_grid() if self._table is None else self._table_matrix()
 
     @functools.cached_property
-    def _axioms(self) -> AxiomCheck:
-        """The AxiomCheck, made by the first check_metric_axioms()."""
+    def _axioms(self) -> Check:
+        """The axiom Check, made by the first check_metric_axioms()."""
         return _axiom_check(self)
 
     def _signature_grid(self) -> tuple[np.ndarray, int]:
@@ -168,10 +169,9 @@ def make_metric(kind: str, m: int, *, table=None, default=None, name=None) -> Di
             name or "custom", m, table=_normalize_table(m, table, default), default=default
         )
         check = check_metric_axioms(metric)
-        if not check.ok:
-            raise MetricAxiomError(
-                f"table violates the {check.axiom} axiom", witness=check.witness
-            )
+        if not check:
+            axiom, sets = check.witness
+            raise MetricAxiomError(f"table violates the {axiom} axiom", witness=sets)
         return metric
     raise ValueError(f"unknown metric kind {kind!r}")
 
@@ -203,16 +203,7 @@ def _normalize_table(m, table, default=None) -> dict[tuple[int, int], Fraction]:
     return clean
 
 
-class AxiomCheck(NamedTuple):
-    ok: bool
-    axiom: str | None = None
-    witness: tuple[AlternativeSet, ...] | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_metric_axioms(metric: DistanceMetric) -> AxiomCheck:
+def check_metric_axioms(metric: DistanceMetric) -> Check:
     """Verify identity, positivity, symmetry, and the triangle inequality.
 
     A signature metric is decided on its signature grid and on the sizes of
@@ -220,17 +211,18 @@ def check_metric_axioms(metric: DistanceMetric) -> AxiomCheck:
     distance row, at m <= MAX_M. A table metric, or a signature metric that
     grid check refutes, is scanned over all pairs and triples of the 2^m
     subsets, on the distance matrix scaled to exact integers, within
-    MAX_MATRIX_CELLS. The witness is the first violation in (i, j) order
-    (diagonal first), then in (pivot j, i, k) order for the triangle
-    inequality. The check is made once per metric.
+    MAX_MATRIX_CELLS. The witness is (axiom, sets): the violated axiom's
+    name and the first violation in (i, j) order (diagonal first), then in
+    (pivot j, i, k) order for the triangle inequality. The check is made
+    once per metric.
     """
     return metric._axioms
 
 
-def _axiom_check(metric: DistanceMetric) -> AxiomCheck:
+def _axiom_check(metric: DistanceMetric) -> Check:
     m = metric.m
     if metric._signature is not None and _signature_axioms_hold(metric):
-        return AxiomCheck(True)
+        return Check(True)
     check_matrix(m)
     n = 1 << m
     D = metric.rows(range(n), terms=2)[0]
@@ -244,13 +236,13 @@ def _axiom_check(metric: DistanceMetric) -> AxiomCheck:
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), n)
         axiom = "identity" if i == j else "symmetry" if asymmetric[i, j] else "positivity"
-        return AxiomCheck(False, axiom, sets(i, j))
+        return Check(False, (axiom, sets(i, j)))
     for j in range(n):
         shortcut = D[:, j, None] + D[None, j, :] < D
         if shortcut.any():
             i, k = np.argwhere(shortcut)[0]
-            return AxiomCheck(False, "triangle", sets(i, j, k))
-    return AxiomCheck(True)
+            return Check(False, ("triangle", sets(i, j, k)))
+    return Check(True)
 
 
 def _signature_axioms_hold(metric: DistanceMetric) -> bool:
@@ -372,14 +364,6 @@ def _signature_levels(metric: DistanceMetric, ground: Committee) -> tuple:
     return tuple(values), tuple(sizes), cells
 
 
-class MetricPropertyCheck(NamedTuple):
-    ok: bool
-    witness: tuple | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
 def deciding_committees(metric: DistanceMetric, k: int) -> tuple[list[int], list[int]]:
     """(grounds, committees): ascending k-committee masks whose pairs decide
     a property of all (ground, committee) pairs and hold its first failing
@@ -399,7 +383,7 @@ def deciding_committees(metric: DistanceMetric, k: int) -> tuple[list[int], list
     return masks[:1], masks
 
 
-def is_majority_concentric(metric: DistanceMetric, k: int) -> MetricPropertyCheck:
+def is_majority_concentric(metric: DistanceMetric, k: int) -> Check:
     """Check the ball-count dominance property for every ground committee.
 
     For each k-committee U, member a, outsider b, and radius index t, the
@@ -427,11 +411,11 @@ def is_majority_concentric(metric: DistanceMetric, k: int) -> MetricPropertyChec
         negative = (np.cumsum(rows, axis=1) < 0).T
         if negative.any():
             t, i = np.argwhere(negative)[0]
-            return MetricPropertyCheck(False, (ground, *pairs[i], int(t)))
-    return MetricPropertyCheck(True)
+            return Check(False, (ground, *pairs[i], int(t)))
+    return Check(True)
 
 
-def _overlap_triples(metric: DistanceMetric, k: int, strict: bool) -> MetricPropertyCheck:
+def _overlap_triples(metric: DistanceMetric, k: int, strict: bool) -> Check:
     m = metric.m
     check_sets(m)
     grounds, masks = deciding_committees(metric, k)
@@ -448,11 +432,11 @@ def _overlap_triples(metric: DistanceMetric, k: int, strict: bool) -> MetricProp
                 Committee(AlternativeSet(masks[v], m), k),
                 AlternativeSet(s, m),
             )
-            return MetricPropertyCheck(False, witness)
-    return MetricPropertyCheck(True)
+            return Check(False, witness)
+    return Check(True)
 
 
-def is_natural(metric: DistanceMetric, k: int) -> MetricPropertyCheck:
+def is_natural(metric: DistanceMetric, k: int) -> Check:
     """Larger overlap never increases distance: |U∩S| > |V∩S| ⇒ d(U,S) ≤ d(V,S).
 
     Witness on failure: the first (U, V, S) in mask order. A signature
@@ -461,14 +445,14 @@ def is_natural(metric: DistanceMetric, k: int) -> MetricPropertyCheck:
     return _overlap_triples(metric, k, strict=False)
 
 
-def is_similarity(metric: DistanceMetric, k: int) -> MetricPropertyCheck:
+def is_similarity(metric: DistanceMetric, k: int) -> Check:
     """Larger overlap strictly decreases distance: |U∩S| > |V∩S| ⇒ d(U,S) < d(V,S).
 
     Witness and signature shortcut as in `is_natural`."""
     return _overlap_triples(metric, k, strict=True)
 
 
-def is_alternative_independent(metric: DistanceMetric) -> MetricPropertyCheck:
+def is_alternative_independent(metric: DistanceMetric) -> Check:
     """Whether distance depends only on (|X\\Y|, |Y\\X|, |X|, |Y|).
 
     Witness on failure: two ordered pairs with equal signature but
@@ -477,7 +461,7 @@ def is_alternative_independent(metric: DistanceMetric) -> MetricPropertyCheck:
     """
     m = metric.m
     if metric._signature is not None:
-        return MetricPropertyCheck(True)
+        return Check(True)
     check_matrix(m)
     n = 1 << m
     dist = metric.rows(range(n))[0]
@@ -491,8 +475,8 @@ def is_alternative_independent(metric: DistanceMetric) -> MetricPropertyCheck:
         later = int(np.argmax(differs))
         pairs = (int(seen[later]), later)
         witness = tuple((AlternativeSet(f // n, m), AlternativeSet(f % n, m)) for f in pairs)
-        return MetricPropertyCheck(False, witness)
-    return MetricPropertyCheck(True)
+        return Check(False, witness)
+    return Check(True)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +579,7 @@ def taxonomy_report(metric: DistanceMetric, k: int) -> TaxonomyReport:
     run on, and fails with the axiom witness, (axiom, sets).
     """
     axioms = check_metric_axioms(metric)
-    checks = {"is_metric": MetricPropertyCheck(axioms.ok, (axioms.axiom, axioms.witness))}
+    checks = {"is_metric": check_metric_axioms(metric)}
     try:
         checks["is_majority_concentric"] = is_majority_concentric(metric, k)
     except MetricAxiomError:  # only a non-metric has no level structure

@@ -24,6 +24,7 @@ from .core import (  # RNG_SCHEME is re-exported
     DRAW_BLOCK_CELLS,
     RNG_SCHEME,
     AlternativeSet,
+    Check,
     Committee,
     Frozen,
     Profile,
@@ -171,14 +172,13 @@ def staggered_level_model(
     )
 
 
-def audit_d_monotonic(
-    model: NoiseModel, metric: metrics.DistanceMetric | None = None
-) -> tuple[bool, tuple | None]:
+def audit_d_monotonic(model: NoiseModel, metric: metrics.DistanceMetric | None = None) -> Check:
     """Pairwise audit of the strict-iff condition.
 
     Checks Pr[S1|U] > Pr[S2|U] exactly when d(U, S1) < d(U, S2) over all
     ordered pairs of subsets. By default d is the model's own metric, and
-    a product model's is the symmetric-difference metric.
+    a product model's is the symmetric-difference metric. The witness is
+    the first pair of sets, in distance order, that breaks it.
     """
     levels, level_probs = model.level_form()
     level_of = np.asarray(levels.level_of)
@@ -193,8 +193,8 @@ def audit_d_monotonic(
     bad = np.where(dist[:-1] == dist[1:], probs[:-1] != probs[1:], probs[:-1] <= probs[1:])
     if bad.any():
         i = int(np.argmax(bad))
-        return False, tuple(AlternativeSet(int(s), model.m) for s in order[i : i + 2])
-    return True, None
+        return Check(False, tuple(AlternativeSet(int(s), model.m) for s in order[i : i + 2]))
+    return Check(True)
 
 
 def expected_gaps(rule: rules.AbccRule, model: NoiseModel, umask: int, vmasks) -> list[Fraction]:

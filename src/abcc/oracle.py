@@ -87,20 +87,18 @@ def accuracy_classify(rule: rules.AbccRule, model: noise.NoiseModel) -> Accuracy
     rows = zip(rivals, noise.expected_gaps(rule, model, ground.mask, rivals))
     gaps = {Committee(AlternativeSet(cmask, rule.m), rule.k): gap for cmask, gap in rows}
     # the zero gaps vote by vote on the support. On a grid, the rivals of an
-    # overlap class move together: iff one of its vote cells with a non-zero
-    # gap lies on a level of non-zero probability. Otherwise one sweep scores
-    # the ground and every zero-gap rival on each support vote.
+    # overlap class move together: iff the class is among the rule's
+    # `moving_classes` on the cells of a level of non-zero probability.
+    # Otherwise one sweep scores the ground and every zero-gap rival on each
+    # support vote.
     zero = [rival.mask for rival, gap in gaps.items() if not gap]
     moving = set()
     if zero:
         levels, probs = model.level_form()
         if levels.cells is not None:
-            f = rules.integer_table(rule, 1)[0].tolist()
-            moves = functools.cache(lambda j: any(
-                gap and probs[levels.cells[x][y]]
-                for x, y, _, gap in rules.overlap_cells(f, rule.m, rule.k, j)
-            ))
-            moving = {vmask for vmask in zero if moves((ground.mask & vmask).bit_count())}
+            on = [[probs[t] != 0 for t in row] for row in levels.cells]
+            classes = rules.moving_classes(rule, on)
+            moving = {vmask for vmask in zero if (ground.mask & vmask).bit_count() in classes}
         else:
             table, _ = rules.integer_table(rule, 1)
             on_support = np.array([q != 0 for q in probs])[np.asarray(levels.level_of)]
@@ -358,9 +356,8 @@ def robustness_verdict(rule: rules.AbccRule, metric: metrics.DistanceMetric) -> 
         # whether the per-vote gap variable itself vanishes everywhere
         # (permanent tie) or only its level aggregates cancel: a property
         # of the rule on the pair's overlap class, whatever the metric
-        f = rules.integer_table(rule, 1)[0].tolist()
-        cells = rules.overlap_cells(f, m, k, (ground.mask & rival.mask).bit_count())
-        identically_zero = not any(gap for *_, gap in cells)
+        j = (ground.mask & rival.mask).bit_count()
+        identically_zero = j not in rules.moving_classes(rule)
         # strict decrease with zero mass on the farthest level: the gap of a
         # fully-cancelling pair is exactly zero under this model
         model = noise.staggered_level_model(metric, ground, zero_tail=True)

@@ -19,6 +19,7 @@ import numpy as np
 from .core import (  # RULE_KINDS is re-exported
     RULE_KINDS,
     AlternativeSet,
+    Check,
     Committee,
     Profile,
     binomial_row,
@@ -50,22 +51,6 @@ class AbccRule(NamedTuple):
 class ScoreBreakdown(NamedTuple):
     committee: Committee
     total: Fraction
-
-
-class NontrivialityResult(NamedTuple):
-    value: bool
-    witness: tuple[Committee, Committee] | None
-
-    def __bool__(self) -> bool:
-        return self.value
-
-
-class TopJumpResult(NamedTuple):
-    value: bool
-    vacuous: bool  # True when m = k and the (k-1, k) pair is infeasible
-
-    def __bool__(self) -> bool:
-        return self.value
 
 
 def _validate_table(m, k, table) -> dict[tuple[int, int], Fraction]:
@@ -306,7 +291,7 @@ def winners(rule: AbccRule, profile: Profile) -> list[Committee]:
 # with it, so the votes of a pair fall into cells by their counts (a, b, c, d)
 # in U ∩ V, U ∖ V, V ∖ U and the r = m - 2k + j other alternatives.
 
-def overlap_cells(f, m: int, k: int, j: int):
+def _overlap_cells(f, m: int, k: int, j: int):
     """Yield (x, y, w, gap) per vote cell of a pair in class j: a vote S of the
     cell has x = |S ∩ U| and y = |S ∖ U|, w > 0 votes fall in it, and each
     scores U above V by gap = f[x][x + y] - f[xv][x + y], xv = |S ∩ V|, on the
@@ -320,16 +305,16 @@ def overlap_cells(f, m: int, k: int, j: int):
                 if b == c:
                     continue
                 w = comb(j, a) * comb(k - j, b) * comb(k - j, c)
-                for d, wd in enumerate(rest):
-                    s = a + b + c + d
-                    yield a + b, c + d, w * wd, f[a + b][s] - f[a + c][s]
+                x, fu, fv = a + b, f[a + b], f[a + c]
+                for s, wd in enumerate(rest, a + b + c):  # s = a + b + c + d
+                    yield x, s - x, w * wd, fu[s] - fv[s]
 
 
 def level_gap_rows(rule: AbccRule, levels, umask: int, vmasks) -> tuple[np.ndarray, int]:
     """G[i, t] = scale * sum of f(U, S) - f(V_i, S) over the votes S at level t
     of `levels`, the `metrics.LevelStructure` of the ground U. On the (x, y)
     grid of a signature metric or product model, each rival takes the row of
-    its overlap class j = |U ∩ V|, summed over the class's `overlap_cells` in
+    its overlap class j = |U ∩ V|, summed over the class's `_overlap_cells` in
     Python integers; a set-indexed structure runs `gap_rows` over its levels."""
     if levels.cells is None:
         return gap_rows(rule, umask, vmasks, levels.level_of)
@@ -339,41 +324,52 @@ def level_gap_rows(rule: AbccRule, levels, umask: int, vmasks) -> tuple[np.ndarr
     rows = {}
     for j in set(overlaps):
         row = rows[j] = [0] * len(levels.values)
-        for x, y, w, gap in overlap_cells(f, rule.m, rule.k, j):
+        for x, y, w, gap in _overlap_cells(f, rule.m, rule.k, j):
             row[levels.cells[x][y]] += w * gap
     shape = len(vmasks), len(levels.values)
     return np.array([rows[j] for j in overlaps], dtype=object).reshape(shape), scale
 
 
-def is_nontrivial(rule: AbccRule) -> NontrivialityResult:
+def moving_classes(rule: AbccRule, on=None) -> set[int]:
+    """The overlaps j whose pairs have a vote that scores U and V apart, in a
+    cell (x, y) where `on[x][y]` holds (every cell without `on`).
+
+    Swapping U ∖ V with V ∖ U maps the votes of a class onto themselves and
+    negates every gap, so a class has a vote scoring U above V iff it has
+    one with a non-zero gap. That search stops sooner: the walk starts on
+    cells with |S ∩ U| < |S ∩ V|, where a rule non-decreasing in x has no
+    positive gap."""
+    m, k = rule.m, rule.k
+    f = integer_table(rule, 1)[0].tolist()
+    return {
+        j for j in overlap_classes(m, k)
+        if any(gap and (on is None or on[x][y]) for x, y, _, gap in _overlap_cells(f, m, k, j))
+    }
+
+
+def is_nontrivial(rule: AbccRule) -> Check:
     """Whether every ordered committee pair (U, V) has a separating vote.
 
     True iff for every pair of distinct k-committees there exists a vote S
     with sc(U, S) > sc(V, S). The pairs of an overlap class stand or fall
-    together: a class is separated iff one of its vote cells scores U above
-    V. On failure the first violating pair in ascending (U, V) mask order is
-    returned: the first committee, and the smallest rival of the largest
-    failing overlap.
+    together, as `moving_classes` decides them. On failure the witness is
+    the first violating pair in ascending (U, V) mask order: the first
+    committee, and the smallest rival of the largest failing overlap.
     """
     m, k = rule.m, rule.k
     check_classes(m, k)
-    f = integer_table(rule, 1)[0].tolist()
-    failing = [
-        j for j in overlap_classes(m, k)
-        if not any(gap > 0 for *_, gap in overlap_cells(f, m, k, j))
-    ]
+    failing = set(overlap_classes(m, k)) - moving_classes(rule)
     if not failing:
-        return NontrivialityResult(True, None)
+        return Check(True)
     masks = (1 << k) - 1, first_rival(k, max(failing))
-    return NontrivialityResult(False, tuple(Committee(AlternativeSet(c, m), k) for c in masks))
+    return Check(False, tuple(Committee(AlternativeSet(c, m), k) for c in masks))
 
 
-def has_top_jump(rule: AbccRule) -> TopJumpResult:
-    """Whether f(k, k) > f(k-1, k); vacuously true when m = k."""
+def has_top_jump(rule: AbccRule) -> bool:
+    """Whether f(k, k) > f(k-1, k); vacuously true when m = k, where the
+    (k-1, k) pair is infeasible."""
     k = rule.k
-    if (k - 1, k) not in rule.table:
-        return TopJumpResult(True, True)
-    return TopJumpResult(rule.table[(k, k)] > rule.table[(k - 1, k)], False)
+    return (k - 1, k) not in rule.table or rule.table[(k, k)] > rule.table[(k - 1, k)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,12 @@ m = 3, and for random counting rules, some of them decreasing in x. The
 nontriviality check, which runs on the same classes, is checked against
 the sweep over all pairs and votes in reference.py, and so is the degenerate
 witness's "identically zero" flag, which both verdict forms read off the
-class cells. At m = 40 no sweep exists: there the witness is checked against
-the level sizes and an expected gap summed over the vote cells with the
-metric's own distances.
+class cells. Both read `rules.moving_classes`, which looks for a non-zero
+gap where nontriviality asks for a positive one: the swap of U ∖ V with
+V ∖ U negates every gap of a class, so the two agree, and this is checked
+class by class against one pair's 2^m votes. At m = 40 no sweep exists:
+there the witness is checked against the level sizes and an expected gap
+summed over the vote cells with the metric's own distances.
 
 The expected gaps of a signature or product model, and `gap_analysis`, run
 on the same class rows (`rules.level_gap_rows`): they must equal those of
@@ -41,6 +44,7 @@ from abcc.core import (
     default_universe,
     feasible_pairs,
     first_rival,
+    overlap_classes,
 )
 from abcc.metrics import (
     level_structure,
@@ -61,8 +65,8 @@ from abcc.oracle import (
     sample_size_bound,
     verdict_to_json,
 )
-from abcc.rules import AbccRule, is_nontrivial, make_rule
-from conftest import random_strict_model, table_form
+from abcc.rules import AbccRule, is_nontrivial, make_rule, moving_classes
+from conftest import random_rule, random_strict_model, table_form
 
 BUILTIN_METRICS = ["set_difference", "jaccard", "zelinka", "bunke_shearer", "trivial"]
 SIZES = [(m, k) for m in range(1, 9) for k in range(1, m + 1)]
@@ -110,7 +114,7 @@ def assert_same_verdict(rule, metric):
 def assert_nontrivial_matches(rule):
     result = is_nontrivial(rule)
     pair = None if result.witness is None else tuple(c.mask for c in result.witness)
-    assert (result.value, pair) == reference.nontrivial_sweep(rule)
+    assert (result.ok, pair) == reference.nontrivial_sweep(rule)
 
 
 @pytest.mark.parametrize("m,k", SIZES)
@@ -237,6 +241,37 @@ def test_nontriviality_witness_is_the_first_failing_pair():
     first = Committee(AlternativeSet(0b1111, m), k)
     assert not result and result.witness == (first, Committee(AlternativeSet(0b10111, m), k))
     assert_nontrivial_matches(rule)
+
+
+def assert_moving_classes_match(rule, rng):
+    """For every class j, against the 2^m votes of one of its pairs: some
+    vote scores U above V iff some vote scores them apart (the U∖V, V∖U swap
+    negates every gap) iff j is a moving class; and the same on a random
+    set of (|S ∩ U|, |S ∖ U|) cells."""
+    m, k = rule.m, rule.k
+    on = rng.integers(0, 2, size=(k + 1, m - k + 1)).astype(bool).tolist()
+    moving, moving_on = moving_classes(rule), moving_classes(rule, on)
+    umask = (1 << k) - 1
+    cells = [on[(s & umask).bit_count()][(s & ~umask).bit_count()] for s in range(1 << m)]
+    for j in overlap_classes(m, k):
+        gaps = reference.vote_gaps(rule, umask, first_rival(k, j))
+        assert any(gap > 0 for gap in gaps) == any(gaps) == (j in moving)
+        assert any(gap and cell for gap, cell in zip(gaps, cells)) == (j in moving_on)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
+       st.integers(0, 2**32 - 1))
+def test_swap_lemma_on_random_rules(mk, seed):
+    rng = np.random.default_rng(seed)
+    assert_moving_classes_match(random_rule(*mk, rng), rng)
+
+
+@pytest.mark.parametrize("m,k", SIZES)
+def test_swap_lemma_on_the_catalog(m, k):
+    rng = np.random.default_rng([29, m, k])
+    for rule in catalog(m, k):
+        assert_moving_classes_match(rule, rng)
 
 
 @pytest.mark.parametrize("m", range(1, 8))

@@ -90,7 +90,7 @@ def assert_winners_match(rule, profile):
 def assert_nontrivial_matches(rule):
     result = is_nontrivial(rule)
     value, pair = reference.is_nontrivial(rule)
-    assert result.value == value
+    assert result.ok == value
     assert (None if result.witness is None else tuple(c.mask for c in result.witness)) == pair
 
 

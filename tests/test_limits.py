@@ -264,7 +264,7 @@ def test_signature_levels_and_verdicts_are_not_capped_by_m():
     levels = level_structure(jaccard(m), ground)
     assert sum(levels.sizes) == 1 << m and len(levels.cells) == 4
     assert robustness_verdict(make_rule("pav", m, 3), jaccard(m)).status == "robust"
-    assert is_nontrivial(make_rule("cc", m, 3)).value
+    assert is_nontrivial(make_rule("cc", m, 3)).ok
     assert is_majority_concentric(jaccard(m), 3)
     model = staggered_level_model(jaccard(m), ground)
     assert sum(q * size for q, size in zip(model.level_probs, levels.sizes)) == 1

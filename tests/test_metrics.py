@@ -79,8 +79,8 @@ class TestAxioms:
         table = {(a, b): Fraction(1) for a in range(8) for b in range(a + 1, 8)}
         table[(1, 2)] = Fraction(0)
         check = check_metric_axioms(DistanceMetric("bad", 3, table=table))
-        assert not check.ok and check.axiom == "positivity"
-        assert {s.mask for s in check.witness} == {1, 2}
+        assert not check.ok and check.witness[0] == "positivity"
+        assert {s.mask for s in check.witness[1]} == {1, 2}
 
     def test_triangle_violation_with_witness(self):
         from abcc.metrics import DistanceMetric
@@ -88,8 +88,8 @@ class TestAxioms:
         table = {(a, b): Fraction(1) for a in range(8) for b in range(a + 1, 8)}
         table[(1, 2)] = Fraction(10)
         check = check_metric_axioms(DistanceMetric("bad", 3, table=table))
-        assert not check.ok and check.axiom == "triangle"
-        i, j, k = (s.mask for s in check.witness)
+        assert not check.ok and check.witness[0] == "triangle"
+        i, j, k = (s.mask for s in check.witness[1])
         metric = DistanceMetric("bad", 3, table=table)
         assert metric.d(i, k) > metric.d(i, j) + metric.d(j, k)
 

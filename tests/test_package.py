@@ -1,5 +1,5 @@
-"""The package surface: public names, lazy layers, the CLI help text and
-which module knows a metric's form.
+"""The package surface: public names, lazy layers, the CLI help text,
+which module knows a metric's form and which walks an overlap class's cells.
 
 `import abcc` runs only `core` and `errors`; the other layers are lazy
 modules whose bodies run on first attribute access. These tests pin which
@@ -246,5 +246,19 @@ def test_only_metrics_reads_a_metrics_private_state():
         if path.name != "metrics.py"
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if private.search(line)
+    ]
+    assert readers == []
+
+
+def test_only_rules_walks_the_cells_of_an_overlap_class():
+    # whether a class has a vote that scores U and V apart is asked of
+    # `rules.moving_classes`, never answered by a walk of its own
+    walk = re.compile(r"\b_?overlap_cells\b")
+    readers = [
+        f"{path.name}:{number}"
+        for path in sorted(Path(abcc.__file__).parent.glob("*.py"))
+        if path.name != "rules.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if walk.search(line)
     ]
     assert readers == []

