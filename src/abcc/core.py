@@ -366,13 +366,18 @@ def scaled_integers(values, terms: int = 1) -> tuple[np.ndarray, int]:
     (nested) list `values`. A is int64 when max|A| * terms < 2^62, so that
     any sum of `terms` entries, and the difference of two such sums, stays
     exact; otherwise A holds Python ints (dtype object) and the same numpy
-    code runs in arbitrary precision.
+    code runs in arbitrary precision. The lcm and the products are taken
+    once per distinct value object and gathered into place, so a table that
+    shares its value objects pays per value, not per entry.
     """
     grid = np.asarray(values, dtype=object)
     flat = grid.ravel().tolist()
-    scale = lcm(*(v.denominator for v in flat))
-    ints = np.array([v.numerator * (scale // v.denominator) for v in flat], dtype=object)
-    return int64_if_fits(ints.reshape(grid.shape), terms), scale
+    distinct = {id(v): v for v in flat}  # one entry per value object
+    scale = lcm(*(v.denominator for v in distinct.values()))
+    ints = [v.numerator * (scale // v.denominator) for v in distinct.values()]
+    index = dict(zip(distinct, range(len(distinct))))
+    codes = np.fromiter(map(index.__getitem__, map(id, flat)), np.intp, len(flat))
+    return int64_if_fits(np.array(ints, dtype=object), terms)[codes].reshape(grid.shape), scale
 
 
 def int64_if_fits(ints: np.ndarray, terms: int = 1) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
 from math import comb
 from typing import NamedTuple
 
@@ -120,16 +120,17 @@ class DistanceMetric:
 
     def _signature_grid(self) -> tuple[np.ndarray, int]:
         # cells with a + b + c > m are the signature of no pair of sets; 0
-        # keeps them out of the scale
-        cells = product(range(self.m + 1), repeat=3)
+        # keeps them out of the scale, and one shared 0 is scaled once
+        cells, zero = product(range(self.m + 1), repeat=3), Fraction(0)
         return scaled_integers(
-            [self._signature(*abc) if sum(abc) <= self.m else Fraction(0) for abc in cells]
+            [self._signature(*abc) if sum(abc) <= self.m else zero for abc in cells]
         )
 
     def _table_matrix(self) -> tuple[np.ndarray, int]:
         # the default (0 without one) shares the entries' scale
         n = 1 << self.m
-        xs, ys = np.array(list(self._table), dtype=np.int64).reshape(-1, 2).T
+        pairs = np.fromiter(chain.from_iterable(self._table), np.int64, 2 * len(self._table))
+        xs, ys = pairs.reshape(-1, 2).T
         values, scale = scaled_integers([*self._table.values(), self._default or 0])
         matrix = np.full((n, n), values[-1], dtype=values.dtype)
         np.fill_diagonal(matrix, 0)
@@ -252,7 +253,7 @@ def _signature_axioms_hold(metric: DistanceMetric) -> bool:
     g(b, a, c), and g > 0 when a + b > 0, on the cells with a + b + c <= m.
     Triangle: the sizes of the 7 Venn regions of (X, Y, Z), summing to at
     most m, fix the signatures of (X, Y), (Y, Z) and (X, Z); all C(m+7, 7)
-    such size vectors come from one stars-and-bars enumeration.
+    such size vectors are the rows of `_compositions(m, 7)`.
     """
     m = metric.m
     check_sets(m)  # C(m+7, 7) vectors: 245,157 at m = 16
@@ -261,12 +262,31 @@ def _signature_axioms_hold(metric: DistanceMetric) -> bool:
     bad = (grid != grid.transpose(1, 0, 2)) | ((grid <= 0) & (a + b > 0))
     if (grid[0, 0] != 0).any() or (bad & (a + b + c <= m)).any():
         return False
-    bars = np.array(list(combinations(range(m + 7), 7)))
-    x, y, z, xy, xz, yz, xyz = (np.diff(bars, axis=1, prepend=-1) - 1).T
+    x, y, z, xy, xz, yz, xyz = _compositions(m, 7)
     d_xy = grid[x + xz, y + yz, xy + xyz]
     d_yz = grid[y + xy, z + xz, yz + xyz]
     d_xz = grid[x + xy, z + yz, xz + xyz]
     return bool((d_xz <= d_xy + d_yz).all())
+
+
+def _compositions(m: int, parts: int) -> list[np.ndarray]:
+    """Every vector of `parts` naturals summing to at most m, C(m + parts,
+    parts) of them, as one column per part.
+
+    Each pass repeats every partial vector once per value its next part can
+    take (0 up to the room left under m), so no vector is a Python object.
+    The columns take the smallest unsigned dtype that holds m, which also
+    holds any sum of parts.
+    """
+    small = np.min_scalar_type(m)
+    cols, total = [np.arange(m + 1, dtype=small)], np.arange(m + 1)
+    for _ in range(parts - 1):
+        room = m - total + 1
+        idx = np.repeat(np.arange(len(total)), room)
+        nxt = np.arange(len(idx)) - np.repeat(np.cumsum(room) - room, room)
+        cols = [c[idx] for c in cols] + [nxt.astype(small)]
+        total = total[idx] + nxt
+    return cols
 
 
 class LevelStructure(Frozen):

@@ -19,7 +19,9 @@ decimal logarithm. The product model's most likely committees sum
 per call. Result files are written by the standard library's JSON
 encoder. `nontrivial_sweep` keeps the integer kernel: it compares every
 committee pair on all 2^m votes, the sweep that the overlap classes of
-`rules.is_nontrivial` replaced.
+`rules.is_nontrivial` replaced. The Venn-region size vectors of three sets
+come one tuple per stars-and-bars choice, and rationals are scaled to
+integers one entry at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from abcc.core import (
     Universe,
     check_sets,
     committee_masks,
+    int64_if_fits,
     scaled_integers,
 )
 from abcc.errors import ProfileParseError
@@ -346,6 +350,26 @@ def nontrivial_sweep(rule):
         return True, None
     u, v = np.argwhere(~separated)[0]
     return False, (masks[u], masks[v])
+
+
+def venn_vectors(m):
+    """The sizes (x, y, z, xy, xz, yz, xyz) of the 7 Venn regions of three
+    sets among m alternatives, all C(m+7, 7) of them: 7 bars among m + 7
+    places, each size the gap before a bar."""
+    return [
+        tuple(b - a - 1 for a, b in zip((-1, *bars), bars))
+        for bars in combinations(range(m + 7), 7)
+    ]
+
+
+def scaled_per_entry(values, terms=1):
+    """(A, scale) of `core.scaled_integers`, with the lcm and the product
+    taken once per entry."""
+    grid = np.asarray(values, dtype=object)
+    flat = grid.ravel().tolist()
+    scale = math.lcm(*(v.denominator for v in flat))
+    ints = np.array([v.numerator * (scale // v.denominator) for v in flat], dtype=object)
+    return int64_if_fits(ints.reshape(grid.shape), terms), scale
 
 
 def metric_axioms(metric):

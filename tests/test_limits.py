@@ -293,6 +293,18 @@ def test_random_signature_metric_over_the_matrix_cap():
     assert check_metric_axioms(metric) and is_alternative_independent(metric)
 
 
+def test_signature_axioms_at_the_set_cap_stay_small():
+    # the C(23, 7) = 245,157 Venn-region vectors were Python tuples first:
+    # a 45 MiB peak; as byte columns the check peaks under 10 MiB
+    tracemalloc.start()
+    try:
+        assert check_metric_axioms(jaccard(MAX_M))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 def test_signature_grid_over_the_class_cap_is_refused_at_once(tmp_path):
     # the (k+1) x (m-k+1) grid and its binomial row took 1.3 s and 204 MiB at m = 30,000
     m = 30_000

@@ -6,7 +6,8 @@ metrics up to m = 6 (rows also at m = 18), on every random-metric family,
 on raw tables and asymmetric matrices that break each axiom, and on
 distances whose scaled integers do not fit in int64. The axioms of
 signature metrics, decided on Venn-region counts, are checked against the
-matrix scan up to m = 8 and on signature forms that break each axiom. Their
+matrix scan up to m = 8 and on signature forms that break each axiom, and
+the Venn-region vectors against their stars-and-bars enumeration. Their
 majority-concentric, natural and similarity checks, decided on the first
 committee and one rival per overlap class, are checked against the
 reference's sweep over every ground on signature forms that fail them."""
@@ -14,9 +15,12 @@ reference's sweep over every ground on signature forms that fail them."""
 import itertools
 import time
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from abcc.core import (
@@ -31,6 +35,7 @@ from abcc.core import (
 from abcc.errors import CapExceededError, InvalidCommitteeSizeError, MetricAxiomError
 from abcc.metrics import (
     DistanceMetric,
+    _compositions,
     check_metric_axioms,
     is_alternative_independent,
     is_majority_concentric,
@@ -184,6 +189,37 @@ def test_scaled_integers_guard():
     assert scaled_integers(values, terms=3)[0].dtype == object
     nested, _ = scaled_integers([[Fraction(1, 2), Fraction(1)], [Fraction(0), Fraction(3)]])
     assert nested.shape == (2, 2) and nested.tolist() == [[1, 2], [0, 6]]
+
+
+# rationals on both sides of the 2^62 guard, and plain ints
+RATIONALS = st.one_of(
+    st.fractions(max_denominator=1 << 12),
+    st.integers(-(1 << 70), 1 << 70),
+    st.sampled_from([1 << 61, -(1 << 61), (1 << 62) - 1]),  # in int64 for some terms only
+    st.builds(Fraction, st.integers(-(1 << 70), 1 << 70), st.integers(1, 1 << 70)),
+)
+
+
+@given(
+    pool=st.lists(RATIONALS, min_size=1, max_size=5),
+    picks=st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=24),
+    rows=st.integers(1, 4),
+    terms=st.integers(1, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_scaled_integers_match_the_per_entry_formula(pool, picks, rows, terms):
+    # an entry is a pool value's own object, or (`fresh`) an equal Fraction
+    # that is a distinct object; rows > 1 nests the entries row by row
+    entries = [
+        Fraction(v) if fresh and isinstance(v, Fraction) else v
+        for v, fresh in ((pool[i % len(pool)], fresh) for i, fresh in picks)
+    ]
+    cols = len(entries) // rows
+    values = entries if rows == 1 else [entries[r * cols : (r + 1) * cols] for r in range(rows)]
+    ints, scale = scaled_integers(values, terms)
+    expected, expected_scale = reference.scaled_per_entry(values, terms)
+    assert scale == expected_scale and ints.dtype == expected.dtype
+    assert ints.shape == expected.shape and ints.tolist() == expected.tolist()
 
 
 def test_popcount_counts_are_wide():
@@ -343,7 +379,15 @@ def assert_signature_axioms_match(metric, monkeypatch, expected_axiom):
         assert reference.alternative_independent(metric) is None
 
 
-@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("m", range(11))
+def test_venn_vectors_are_the_stars_and_bars_vectors(m):
+    rows = list(map(tuple, np.column_stack(_compositions(m, 7)).tolist()))
+    assert len(rows) == len(set(rows)) == comb(m + 7, 7)
+    assert all(sum(row) <= m for row in rows)
+    assert set(rows) == set(reference.venn_vectors(m))
+
+
+@pytest.mark.parametrize("m", range(0, 9))
 def test_signature_axioms_of_builtins(m, monkeypatch):
     kinds = BUILTIN_METRICS + (["example2"] if m == 3 else [])
     for kind in kinds:
