@@ -39,7 +39,6 @@ from .core import (
     frac_str,
     parse_frac,
     parse_profile,
-    read_text,
 )
 from .errors import (
     AbccError,
@@ -70,7 +69,11 @@ def _slug(name: str) -> str:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 class Runner:
@@ -309,7 +312,12 @@ def _sampling_model(args, votes: int, runner: Runner):
 
 
 def _load_profile(args, runner: Runner):
-    return parse_profile(read_text(runner.track_input(args.profile)))
+    path = runner.track_input(args.profile)
+    try:
+        with open(path, encoding="utf-8", newline="") as stream:  # parsed one block at a time
+            return parse_profile(stream)
+    except UnicodeDecodeError as exc:  # its position counts from the block, so it is left out
+        raise ProfileParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def _labels(committee, universe):

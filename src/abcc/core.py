@@ -9,11 +9,12 @@ these masks; labels exist for I/O only.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import operator
 import string
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, starmap
 from math import comb, lcm
 from pathlib import Path
 from typing import NamedTuple
@@ -45,11 +46,11 @@ MAX_MATRIX_CELLS = 4**12
 # The limit of sampling, checked by check_draws: vote x alternative cells of
 # one draw. A draw holds one block of DRAW_BLOCK_CELLS floats (512 KiB), 8
 # bytes per vote for the masks (m <= 62) and the profile text of one block:
-# `sample` at the cap peaks at 61 MiB for m = 16 (n = 2^21) and 101 MiB for
+# `sample` at the cap peaks at 53 MiB for m = 16 (n = 2^21) and 100 MiB for
 # m = 4 (n = 2^23), where one float per cell of the whole draw took 596 and
 # 644 MiB.
 MAX_DRAW_CELLS = 1 << 25
-DRAW_BLOCK_CELLS = 1 << 16  # vote x alternative cells drawn or labelled at once
+DRAW_BLOCK_CELLS = 1 << 16  # cells drawn or labelled, or profile characters read, at once
 
 # The names the CLI lists in its help and manifest, kept here so that
 # building the parser loads no layer; rules, metrics and noise re-export them.
@@ -136,6 +137,12 @@ class Universe(Frozen):
             raise ValueError("alternative labels must be strings")
         if len(set(names)) != len(names):
             raise ValueError("alternative labels must be pairwise distinct")
+        for name in names:  # each label must read back as itself from the profile text
+            if [name] != name.splitlines() or name != name.strip() or "," in name or name[0] == "#":
+                raise ValueError(
+                    f"alternative label {name!r} cannot be written to a profile: labels must be "
+                    "non-empty, without ',', line breaks or outer whitespace, and not start with '#'"
+                )
         _set(self, "names", names)
 
     @property
@@ -370,14 +377,17 @@ def scaled_integers(values, terms: int = 1) -> tuple[np.ndarray, int]:
     once per distinct value object and gathered into place, so a table that
     shares its value objects pays per value, not per entry.
     """
-    grid = np.asarray(values, dtype=object)
-    flat = grid.ravel().tolist()
+    flat = list(values)
+    shape = (len(flat),)
+    if flat and isinstance(flat[0], (list, tuple, np.ndarray)):  # a grid, not a row
+        grid = np.asarray(values, dtype=object)
+        shape, flat = grid.shape, grid.ravel().tolist()
     distinct = {id(v): v for v in flat}  # one entry per value object
     scale = lcm(*(v.denominator for v in distinct.values()))
     ints = [v.numerator * (scale // v.denominator) for v in distinct.values()]
     index = dict(zip(distinct, range(len(distinct))))
     codes = np.fromiter(map(index.__getitem__, map(id, flat)), np.intp, len(flat))
-    return int64_if_fits(np.array(ints, dtype=object), terms)[codes].reshape(grid.shape), scale
+    return int64_if_fits(np.array(ints, dtype=object), terms)[codes].reshape(shape), scale
 
 
 def int64_if_fits(ints: np.ndarray, terms: int = 1) -> np.ndarray:
@@ -435,18 +445,12 @@ def popcount(words) -> np.ndarray:
 # Input files: text that is not UTF-8, or JSON that does not parse, is a
 # ProfileParseError (exit 2) like any other malformed input.
 
-def read_text(path) -> str:
-    """The UTF-8 text of a file."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProfileParseError(f"{path} is not UTF-8 text: {exc}") from None
-
-
 def read_json(path, what: str):
     """The JSON document in a UTF-8 file; `what` names the file in errors."""
     try:
-        return json.loads(read_text(path))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ProfileParseError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ProfileParseError(f"bad JSON in {what} file: {exc}") from None
 
@@ -460,25 +464,43 @@ def read_json(path, what: str):
 #   <blank line>        (an empty vote)
 #   c
 
-def parse_profile(text: str) -> tuple[Universe, Profile]:
-    """Parse the one-vote-per-line profile format.
+def _line_blocks(stream):
+    """Yield (lines before the block, its stripped lines) for a text stream,
+    one block of whole lines at a time: DRAW_BLOCK_CELLS characters and the
+    rest of the line they end in, split as `str.splitlines` splits the whole
+    text. The stream is one opened with newline="" or the default, so that a
+    line it reads never ends between a carriage return and its line feed."""
+    done = 0
+    while block := stream.read(DRAW_BLOCK_CELLS):
+        lines = list(map(str.strip, (block + stream.readline()).splitlines()))
+        yield done, lines
+        done += len(lines)
+        del lines  # before the next block is split: one block is held at a time
+
+
+def parse_profile(text) -> tuple[Universe, Profile]:
+    """Parse the one-vote-per-line profile format from a str or a text stream.
 
     The first non-comment line must declare the universe
     ("alternatives: a,b,c"); every following line is a vote, a blank
     line being the empty vote. Lines starting with '#' are ignored.
-    Each distinct line is parsed once, and its repeats share that vote.
+    The text is read one block of lines at a time, and only its distinct
+    lines and the vote tuple are kept: each distinct line is parsed once,
+    and its repeats share that vote.
 
     Raises
     ------
     ProfileParseError
         With the 1-based number of the first offending line.
     """
-    lines = list(map(str.strip, text.splitlines()))
-    for start, line in enumerate(lines, start=1):
-        if line and not line.startswith("#"):
+    blocks = _line_blocks(io.StringIO(text, newline="") if isinstance(text, str) else text)
+    for done, lines in blocks:
+        head = next((i for i, line in enumerate(lines) if line and not line.startswith("#")), None)
+        if head is not None:
             break
     else:
         raise ProfileParseError("missing 'alternatives:' header")
+    line, start = lines[head], done + head + 1
     if not line.startswith("alternatives:"):
         raise ProfileParseError("expected header 'alternatives: ...' before any votes", line=start)
     names = [t for t in (t.strip() for t in line[len("alternatives:"):].split(",")) if t]
@@ -488,42 +510,67 @@ def parse_profile(text: str) -> tuple[Universe, Profile]:
         universe = Universe(tuple(names))
     except ValueError as exc:
         raise ProfileParseError(str(exc), line=start) from None
-    body = lines[start:]
     index = {name: i for i, name in enumerate(names)}
-    # Distinct lines in order of first occurrence, so the first one that
-    # fails is the first bad line of the file; comments map to None.
-    votes = {}
-    for line in dict.fromkeys(body):
-        if line.startswith("#"):
-            votes[line] = None
-            continue
-        tokens = [t.strip() for t in line.split(",")] if line else []
-        bad = next((t for t in tokens if t not in index), None)
-        if bad is not None:
-            message = f"unknown alternative {bad!r}" if bad else "empty label in vote"
-            raise ProfileParseError(message, line=start + body.index(line) + 1)
-        votes[line] = AlternativeSet(sum({1 << index[t] for t in tokens}), universe.m)
-    parsed = map(votes.__getitem__, body)
-    return universe, Profile(tuple(vote for vote in parsed if vote is not None))
+    votes = {}  # distinct vote line -> its vote
+
+    def block_votes(done, lines):
+        # distinct lines in order of first occurrence, so the first one that
+        # fails is the first bad line of the file; comments have no vote
+        comments = False
+        for line in dict.fromkeys(lines):
+            if line.startswith("#"):
+                comments = True
+            elif line not in votes:
+                tokens = [t.strip() for t in line.split(",")] if line else []
+                bad = next((t for t in tokens if t not in index), None)
+                if bad is not None:
+                    message = f"unknown alternative {bad!r}" if bad else "empty label in vote"
+                    raise ProfileParseError(message, line=done + lines.index(line) + 1)
+                votes[line] = AlternativeSet(sum({1 << index[t] for t in tokens}), universe.m)
+        parsed = map(votes.get, lines)
+        return [vote for vote in parsed if vote is not None] if comments else parsed
+
+    body = chain([(start, lines[head + 1 :])], blocks)
+    del lines  # the header's block, held no longer than any other
+    return universe, Profile(tuple(chain.from_iterable(starmap(block_votes, body))))
+
+
+def _label_fragments(names) -> list[np.ndarray]:
+    """Per byte of a mask, the "label," text of each of its values, as an
+    object array: each bit doubles the table by appending its label."""
+    tables = []
+    for lo in range(0, max(len(names), 1), 8):
+        table = [""]
+        for name in names[lo : lo + 8]:
+            table += [text + name + "," for text in table]
+        tables.append(np.array(table, dtype=object))
+    return tables
+
+
+def _vote_lines(masks: np.ndarray, fragments) -> np.ndarray:
+    """The profile line of each mask, as an object array: the fragments of
+    its bytes joined, the trailing comma cut."""
+    text = fragments[0][(masks & 255).astype(np.intp)]
+    for byte, table in enumerate(fragments[1:], start=1):
+        text = text + table[(masks >> 8 * byte & 255).astype(np.intp)]
+    return np.array([line[:-1] + "\n" for line in text.tolist()], dtype=object)
 
 
 def format_vote_masks(universe: Universe, masks):
     """Yield the profile text of `parse_profile` for votes given as masks:
-    the header line, then the lines of one block of votes at a time. Each
-    distinct vote of a block is labelled once, read off its binary digits;
-    lines are kept for later blocks, up to DRAW_BLOCK_CELLS of them."""
+    the header line, then the lines of one block of votes at a time. When
+    the 2^m lines take at most DRAW_BLOCK_CELLS cells, each is labelled once
+    and every block is gathered from that table; otherwise each block labels
+    its distinct votes. Lines are built from per-byte label fragments."""
     names, m = universe.names, universe.m
     yield "alternatives: " + ",".join(names) + "\n"
     masks = np.asarray(masks, dtype=np.int64 if m < 64 else object)
-    lines = {}
+    fragments = _label_fragments(names)
+    table = _vote_lines(np.arange(1 << m), fragments) if m << m <= DRAW_BLOCK_CELLS else None
     step = max(1, DRAW_BLOCK_CELLS // max(m, 1))
     for lo in range(0, len(masks), step):
-        distinct, inverse = np.unique(masks[lo : lo + step], return_inverse=True)
-        distinct = distinct.tolist()
-        if len(lines) > DRAW_BLOCK_CELLS:
-            lines.clear()
-        for mask in distinct:
-            if mask not in lines:
-                bits = bin(mask)[:1:-1]
-                lines[mask] = ",".join([n for n, bit in zip(names, bits) if bit == "1"]) + "\n"
-        yield "".join(np.array([lines[mask] for mask in distinct], dtype=object)[inverse].tolist())
+        lines, block = table, masks[lo : lo + step]
+        if table is None:
+            distinct, block = np.unique(block, return_inverse=True)
+            lines = _vote_lines(distinct, fragments)
+        yield "".join(lines[block].tolist())

@@ -141,7 +141,7 @@ def mle_committees(profile: Profile, p, m: int, k: int) -> MleResult:
     """
     _check_mle_p(p)
     av = rules.make_rule("av", m, k)
-    counts = Counter(rules._vote_masks(av, profile))
+    counts = rules._vote_counts(av, profile)
     masks = committee_masks(m, k)
     distance = distance_totals(masks, m, counts)
     nearest = [masks[i] for i in np.flatnonzero(distance == distance.min())]

@@ -167,20 +167,21 @@ def vote_score(rule: AbccRule, committee: Committee, vote: AlternativeSet) -> Fr
     return rule.table[(x, vote.size)]
 
 
-def _vote_masks(rule: AbccRule, profile: Profile) -> list[int]:
-    """The profile's vote masks; all votes of a Profile share one universe."""
+def _vote_counts(rule: AbccRule, profile: Profile) -> Counter:
+    """The profile's {vote mask: count} tally, counted without a list of its
+    votes; all votes of a Profile share one universe."""
     if profile.votes:
         _check_vote(rule, profile.votes[0])
-    return [vote.mask for vote in profile]
+    return Counter(vote.mask for vote in profile.votes)
 
 
 def profile_score(rule: AbccRule, committee: Committee, profile: Profile) -> ScoreBreakdown:
     """Total exact score of a committee over a profile: one integer product
     over the distinct votes and their multiplicities."""
     _check_committee(rule, committee)
-    masks = _vote_masks(rule, profile)
-    table, scale = integer_table(rule, len(masks))
-    total = committee_totals(table, rule.m, Counter(masks), [committee.mask])[0]
+    counts = _vote_counts(rule, profile)
+    table, scale = integer_table(rule, len(profile))
+    total = committee_totals(table, rule.m, counts, [committee.mask])[0]
     return ScoreBreakdown(committee, Fraction(int(total), scale))
 
 
@@ -280,7 +281,7 @@ def winners(rule: AbccRule, profile: Profile) -> list[Committee]:
     Returns the full argmax set in ascending bitmask order; an empty
     profile makes every committee tie at zero.
     """
-    counts = Counter(_vote_masks(rule, profile))
+    counts = _vote_counts(rule, profile)
     best = argmax_committees(rule, counts, committee_masks(rule.m, rule.k))
     return [Committee(AlternativeSet(mask, rule.m), rule.k) for mask in best]
 

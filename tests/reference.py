@@ -9,19 +9,21 @@ the first violation in the order its loops visit them. Distances come
 one Fraction per cell from metric.d, and the builtin metrics are also
 given here in their mask form, the form they had before they became
 functions of the signature (|X∖Y|, |Y∖X|, |X∩Y|). The profile text
-format is parsed and written one line per vote, and a profile is scored
-one vote at a time. Expected gaps weigh each vote by the model's per-vote
-probability table, read one vote at a time off the product model's closed
-form or the level model's level probabilities; votes are sampled from one
-draw of all their uniforms, and the Hoeffding sample size is a 60-digit
-decimal logarithm. The product model's most likely committees sum
-|C △ S| one committee at a time, and the MLE check decides one profile
-per call. Result files are written by the standard library's JSON
-encoder. `nontrivial_sweep` keeps the integer kernel: it compares every
-committee pair on all 2^m votes, the sweep that the overlap classes of
-`rules.is_nontrivial` replaced. The Venn-region size vectors of three sets
-come one tuple per stars-and-bars choice, and rationals are scaled to
-integers one entry at a time.
+format is parsed from the whole text and written one line per vote, and
+the blocked writer of masks keeps its earlier form, a sort per block
+and bit-by-bit labels; a profile is scored one vote at a time. Expected
+gaps weigh each vote by the model's per-vote probability table, read one
+vote at a time off the product model's closed form or the level model's
+level probabilities; votes are sampled from one draw of all their
+uniforms, and the Hoeffding sample size is a 60-digit decimal logarithm.
+The product model's most likely committees sum |C △ S| one committee at
+a time, and the MLE check decides one profile per call. Result files are
+written by the standard library's JSON encoder. `nontrivial_sweep` keeps
+the integer kernel: it compares every committee pair on all 2^m votes,
+the sweep that the overlap classes of `rules.is_nontrivial` replaced.
+The Venn-region size vectors of three sets come one tuple per
+stars-and-bars choice, and rationals are scaled to integers one entry at
+a time.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from abcc.core import (
+    DRAW_BLOCK_CELLS,
     AlternativeSet,
     Profile,
     Universe,
@@ -191,6 +194,28 @@ def format_profile(universe, profile):
     for vote in profile:
         lines.append(",".join(vote.labels(universe)))
     return "\n".join(lines) + "\n"
+
+
+def format_vote_masks(universe, masks):
+    """The text of `core.format_vote_masks`, written as it was before its
+    line table: each block of votes is sorted by `np.unique`, and each of
+    its distinct votes is labelled once, read off its binary digits; lines
+    are kept for later blocks, up to DRAW_BLOCK_CELLS of them."""
+    names, m = universe.names, universe.m
+    yield "alternatives: " + ",".join(names) + "\n"
+    masks = np.asarray(masks, dtype=np.int64 if m < 64 else object)
+    lines = {}
+    step = max(1, DRAW_BLOCK_CELLS // max(m, 1))
+    for lo in range(0, len(masks), step):
+        distinct, inverse = np.unique(masks[lo : lo + step], return_inverse=True)
+        distinct = distinct.tolist()
+        if len(lines) > DRAW_BLOCK_CELLS:
+            lines.clear()
+        for mask in distinct:
+            if mask not in lines:
+                bits = bin(mask)[:1:-1]
+                lines[mask] = ",".join([n for n, bit in zip(names, bits) if bit == "1"]) + "\n"
+        yield "".join(np.array([lines[mask] for mask in distinct], dtype=object)[inverse].tolist())
 
 
 def winner_masks(rule, masks, counts):

@@ -202,6 +202,11 @@ class TestSets:
                 build()
             assert type(caught.value) is error and str(caught.value) == message
         assert Universe(()).m == 0 and len(Profile(())) == 0
+        # a label must read back as itself from the profile text
+        for label in ["", " a", "a\t", "a,b", "#a", "a\nb", "a\rb", "a\x85b", "a\u2028b", "a\x1cb"]:
+            with pytest.raises(ValueError, match="cannot be written to a profile"):
+                Universe(("b", label))
+        assert Universe(("x y", "é", "a#", "a:b")).m == 4
 
 
 class TestLayerValues:
@@ -343,7 +348,7 @@ class TestProfileFormat:
 
     @pytest.mark.parametrize("m", [1, 8, 9, 16, 17, 40, 70])
     def test_blocked_text_equals_one_label_per_vote(self, m, monkeypatch):
-        # blocks of 7 votes, and a line cache that is emptied past 7m lines
+        # blocks of 7 votes, each labelling its distinct votes (m > 2)
         monkeypatch.setattr(core, "DRAW_BLOCK_CELLS", 7 * m)
         universe, rng = default_universe(m), np.random.default_rng(m)
         for n in (0, 1, 7, 8, 300):

@@ -7,6 +7,7 @@ bad rationals, non-positive defaults and negative or huge universe sizes.
 Each file goes through `abcc.cli.main` (`robust --rule-file`,
 `check-metric --metric-file`, `sample --model-file`), which must end with
 a documented exit code, no traceback and, on failure, one short error line.
+Labels that the profile text cannot carry are refused in every file.
 """
 
 import copy
@@ -15,6 +16,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -110,3 +112,27 @@ def test_cli_fuzz_input_files(case):
     else:
         assert err.startswith("error: ") and err.count("\n") == 1, (doc, err)
         assert len(err.encode()) < 4096
+
+
+# its sample read back as five alternatives, and `winners --rule av --k 1`
+# on it printed [["x"], ["y"]]
+BAD_LABELS_MODEL = {
+    "type": "mp", "p": "3/4", "alternatives": ["x,y", "z", "  w", "#v"], "ground": ["x,y"],
+}
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("model.json", json.dumps(BAD_LABELS_MODEL),
+     ["sample", "--n", "5", "--seed", "1", "--model-file"]),
+    # "#a,b" and "#a" were read as comments, and the answer was [["c"]]
+    ("votes.txt", "alternatives: #a,b,c\n#a,b\nc\n#a\n",
+     ["winners", "--rule", "av", "--k", "1", "--profile"]),
+])
+def test_labels_the_profile_text_cannot_carry(name, text, argv, tmp_path):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli([*argv, str(path), "--out", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cannot be written to a profile" in err
+    assert not list(tmp_path.glob("sample_*"))

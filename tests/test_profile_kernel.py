@@ -1,15 +1,20 @@
 """The profile paths that handle each distinct vote once, against the
 one-line-at-a-time oracles in reference.py: parsing, formatting, scoring
 and winners on generated profile texts full of repeated, reordered,
-blank, commented and malformed lines; and the CLI's `score` and
-`winners` on malformed profile files, which must end with a documented
-exit code and no traceback."""
+blank, commented and malformed lines; parsing in blocks of every size,
+from a str and from a file, over every line boundary of `str.splitlines`;
+the writer's line table against bit-by-bit labels; the traced memory of a
+long profile read and written; and the CLI's `score` and `winners` on
+malformed profile files, which must end with a documented exit code and
+no traceback."""
 
 import string
 import tempfile
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from abcc import core
 from abcc.core import (
     AlternativeSet,
     Committee,
@@ -158,6 +164,98 @@ class TestAgainstReference:
         masks = sample_vote_masks(model, 500, np.random.default_rng(7))
         assert profile == Profile(tuple(AlternativeSet(mask, 6) for mask in masks))
         assert len({id(vote) for vote in profile}) == len(set(masks))
+
+
+# ---------------------------------------------------------------------------
+# Profile text read in blocks of lines, and written from a line table.
+
+# every line boundary of str.splitlines that the tests draw, and a space
+BOUNDARIES = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", " "]
+ATOMS = ["a", "b", "c", ",", ", ", "#", "z", "\t", *BOUNDARIES]
+
+
+@st.composite
+def separated_texts(draw):
+    """Profile text whose lines, boundaries included, come from a small
+    pool: votes, comments, blank, whitespace-only and malformed lines, with
+    any boundary inside a line and between lines."""
+    line = st.lists(st.sampled_from(ATOMS), max_size=6).map("".join)
+    pool = draw(st.lists(line, min_size=1, max_size=5))
+    header = st.sampled_from(["alternatives: a,b,c", "alternatives:a, b", "alternatives: a\x85b"])
+    header = draw(header)
+    lines = [*draw(st.lists(st.sampled_from(["", "# lead", " "]), max_size=2)), header]
+    lines += draw(st.lists(st.sampled_from(pool), max_size=30))
+    ends = draw(st.lists(st.sampled_from(BOUNDARIES), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[: len(text) - draw(st.integers(0, 2))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(separated_texts(), st.integers(1, 64))
+@example("alternatives: a\r\na\r\n\r\nz\r\n", 2)  # a read that ends between \r and \n
+@example("# x\n\n" * 20 + "alternatives: a\nb\n", 1)  # the header in a later block
+def test_blocked_parse_matches_whole_text_parse(text, block):
+    expected = parsed_or_error(reference.parse_profile, text)
+    with mock.patch.object(core, "DRAW_BLOCK_CELLS", block), tempfile.TemporaryDirectory() as tmp:
+        assert parsed_or_error(parse_profile, text) == expected
+        path = Path(tmp) / "votes.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8", newline="") as stream:
+            assert parsed_or_error(parse_profile, stream) == expected
+
+
+@pytest.mark.parametrize("m", [1, 4, 8, 9, 12, 13, 16, 17, 62, 63, 64, 70])
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_writer_matches_bit_by_bit_labels(m, small_blocks, monkeypatch):
+    # the line table serves m <= 12 at the default block, m = 1 at blocks of 7 votes
+    if small_blocks:
+        monkeypatch.setattr(core, "DRAW_BLOCK_CELLS", 7 * m)
+    universe, rng = default_universe(m), np.random.default_rng(m)
+    masks = [int.from_bytes(rng.bytes(9)) % (1 << m) for _ in range(500)]
+    masks += [0, (1 << m) - 1, 1 << (m - 1), *masks[:50]]
+    expected = "".join(reference.format_vote_masks(universe, masks))
+    assert "".join(format_vote_masks(universe, masks)) == expected
+    if m <= 63:
+        assert "".join(format_vote_masks(universe, np.array(masks, dtype=np.int64))) == expected
+
+
+def traced_peak(run):
+    """The traced peak of `run()`, in bytes, and what it returned."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """A long profile is read and written in memory bounded by its distinct
+    votes: a tuple of its votes, one block of text and its distinct lines."""
+
+    @pytest.mark.parametrize("argv", [
+        ["winners", "--rule", "pav", "--k", "2"],
+        ["score", "--rule", "pav", "--committee", "a,b"],
+    ])
+    def test_long_profile_read(self, argv, tmp_path):
+        # 200,000 lines, 5 distinct: about 3.2 MiB traced, where holding the
+        # text, a list of its lines and a list of its masks took 11.7 MiB
+        path = tmp_path / "votes.txt"
+        path.write_text("alternatives: a,b,c,d,e,f\n" + "a,b\nc\n\nd,e,f\na,c,e\n" * 40_000)
+        argv = [*argv, "--profile", str(path)]
+        expected = run_cli(argv)
+        peak, result = traced_peak(lambda: run_cli(argv))
+        assert result == expected and result[0] == 0
+        assert peak < 6.5 * 2**20
+
+    def test_long_profile_written(self):
+        # m = 16, 2^17 votes: about 0.75 MiB traced; a sort per block and a
+        # line cache kept for later blocks took 8.1 MiB
+        universe = default_universe(16)
+        masks = np.random.default_rng(3).integers(0, 1 << 16, size=1 << 17)
+        peak, pieces = traced_peak(lambda: sum(1 for _ in format_vote_masks(universe, masks)))
+        assert pieces == 1 + (1 << 17) // (core.DRAW_BLOCK_CELLS // 16)
+        assert peak < 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
